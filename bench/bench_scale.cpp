@@ -384,11 +384,11 @@ int main(int argc, char** argv) {
   //
   // A separate, bigger fabric: one shard per pod, churn OFF (replacement
   // draws are coordinator work and would dilute the parallel fraction this
-  // tier exists to measure), auditor ON at a dense cadence (full-state
-  // audits and probe planning are the fan-out work). Each scheduler runs
-  // once unsharded (the reference) and once sharded; the sharded run's
-  // ShardStats carry per-task busy seconds, from which the modeled
-  // thread-count sweep is computed (see ShardRow).
+  // tier exists to measure), auditor ON at a dense cadence (probe planning
+  // is the fan-out work; audit passes run on the coordinator). Each
+  // scheduler runs once unsharded (the reference) and once sharded; the
+  // sharded run's ShardStats carry per-task busy seconds, from which the
+  // modeled thread-count sweep is computed (see ShardRow).
   const std::size_t shard_k =
       bench::ArgOr(argc, argv, "shard-k", quick ? 8 : 32);
   const std::size_t shard_flows =

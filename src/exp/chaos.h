@@ -58,9 +58,9 @@ struct ChaosScenario {
   /// calibration run.
   double serve_rate = 1.0;
   /// Pod-sharded engine: >= 2 runs every trial on the sharded simulator
-  /// (SimConfig::shards), putting the mailbox, shard audits, and the
-  /// round-barrier protocol under the chaos oracles. 0 = unsharded; old
-  /// artifacts parse unchanged.
+  /// (SimConfig::shards), putting the mailbox and the round-barrier
+  /// protocol under the chaos oracles. 0 = unsharded; old artifacts parse
+  /// unchanged.
   std::size_t shards = 0;
   /// Worker threads for sharded trials (0 = engine default).
   std::size_t shard_threads = 0;

@@ -1,8 +1,6 @@
 #include "guard/auditor.h"
 
-#include <chrono>
 #include <cmath>
-#include <future>
 #include <sstream>
 #include <unordered_set>
 
@@ -18,20 +16,14 @@ namespace {
 /// own CheckInvariants).
 constexpr double kBandwidthEpsilon = 1e-6;
 
-/// One violation detected by a recompute (worker side of the sharded audit,
-/// or the serial scan): text only, no side effects. Reporting — logging,
-/// counting, fail-fast throwing — happens exclusively on the coordinator in
-/// canonical order, so serial and sharded passes are indistinguishable.
+/// One violation detected by a recompute: text only, no side effects.
+/// Reporting (logging, counting, fail-fast throwing) happens afterwards in
+/// canonical order: capacity by ascending link id, then coherence by
+/// ascending flow id.
 struct Finding {
   const char* invariant;
   std::string detail;
 };
-
-using AuditClock = std::chrono::steady_clock;
-
-double SecondsSince(AuditClock::time_point start) {
-  return std::chrono::duration<double>(AuditClock::now() - start).count();
-}
 
 /// Capacity checks for one link given its independently recomputed load.
 /// Emission order (residual disagreement, overcommit, negative residual) is
@@ -63,13 +55,38 @@ void CollectCapacityFindings(const topo::Graph& graph,
   }
 }
 
-/// Structural coherence checks for one placed flow.
+bool WellShaped(const topo::Path& path) {
+  return !path.nodes.empty() && path.links.size() + 1 == path.nodes.size();
+}
+
+/// Requires WellShaped(path).
+bool Contiguous(const topo::Graph& graph, const topo::Path& path) {
+  for (std::size_t i = 0; i < path.links.size(); ++i) {
+    const topo::Link& link = graph.link(path.links[i]);
+    if (link.src != path.nodes[i] || link.dst != path.nodes[i + 1]) {
+      return false;
+    }
+  }
+  return true;
+}
+
+bool LoopFree(const topo::Path& path) {
+  std::unordered_set<NodeId::rep_type> seen;
+  for (NodeId node : path.nodes) {
+    if (!seen.insert(node.value()).second) return false;
+  }
+  return true;
+}
+
+/// Structural coherence checks for one placed flow. The single source of
+/// coherence finding text and order; the memoized pass calls it only for
+/// flows whose fast check failed.
 void CollectCoherenceFindings(const topo::Graph& graph,
                               const net::Network& network, FlowId fid,
                               const flow::Flow& flow, const topo::Path& path,
                               bool allow_dead_paths,
                               std::vector<Finding>& out) {
-  if (path.nodes.empty() || path.links.size() + 1 != path.nodes.size()) {
+  if (!WellShaped(path)) {
     std::ostringstream os;
     os << "flow " << fid.value() << ": malformed path shape ("
        << path.nodes.size() << " nodes, " << path.links.size() << " links)";
@@ -84,29 +101,13 @@ void CollectCoherenceFindings(const topo::Graph& graph,
        << flow.dst.value() << ")";
     out.push_back(Finding{"coherence", os.str()});
   }
-  bool contiguous = true;
-  for (std::size_t i = 0; i < path.links.size(); ++i) {
-    const topo::Link& link = graph.link(path.links[i]);
-    if (link.src != path.nodes[i] || link.dst != path.nodes[i + 1]) {
-      contiguous = false;
-      break;
-    }
-  }
-  if (!contiguous) {
+  if (!Contiguous(graph, path)) {
     std::ostringstream os;
     os << "flow " << fid.value()
        << ": path links do not connect its node sequence (blackhole)";
     out.push_back(Finding{"coherence", os.str()});
   }
-  std::unordered_set<NodeId::rep_type> seen;
-  bool loop_free = true;
-  for (NodeId node : path.nodes) {
-    if (!seen.insert(node.value()).second) {
-      loop_free = false;
-      break;
-    }
-  }
-  if (!loop_free) {
+  if (!LoopFree(path)) {
     std::ostringstream os;
     os << "flow " << fid.value() << ": forwarding loop (repeated node)";
     out.push_back(Finding{"coherence", os.str()});
@@ -117,17 +118,6 @@ void CollectCoherenceFindings(const topo::Graph& graph,
        << ": path crosses a down link or switch (blackhole)";
     out.push_back(Finding{"coherence", os.str()});
   }
-}
-
-/// Slice [begin, end) of `total` split into `slices` near-equal contiguous
-/// ranges.
-std::pair<std::size_t, std::size_t> SliceRange(std::size_t total,
-                                               std::size_t slices,
-                                               std::size_t index) {
-  const std::size_t base = total / slices;
-  const std::size_t extra = total % slices;
-  const std::size_t begin = index * base + std::min(index, extra);
-  return {begin, begin + base + (index < extra ? 1 : 0)};
 }
 
 }  // namespace
@@ -165,159 +155,87 @@ void Auditor::Report(std::string invariant, std::string detail,
   violations_.push_back(std::move(violation));
 }
 
-void Auditor::AuditCapacity(const net::Network& network, bool allow_overcommit,
-                            std::size_t& found) {
+void Auditor::AuditPlacements(const net::Network& network, bool relaxed,
+                              std::size_t& found) {
   const topo::Graph& graph = network.graph();
+  const topo::PathRegistry& registry = network.path_registry();
+  if (registry.serial() != memo_registry_ || &graph != memo_graph_) {
+    memo_.clear();
+    memo_registry_ = registry.serial();
+    memo_graph_ = &graph;
+  }
+  // Every placed ref was interned before it was stored, so it is below the
+  // registry size read here.
+  const std::size_t refs = registry.size();
+  memo_.resize(refs);
+  ref_demand_.assign(refs, 0.0);
+  const bool check_alive = !relaxed && (network.down_link_count() > 0 ||
+                                        network.down_node_count() > 0);
+  if (check_alive) alive_.assign(refs, 0);
+
+  // One walk: per flow, read the path's memoized facts and add the demand
+  // to its ref's sum. Only a flow that fails the fast check resolves its
+  // path and re-runs the full per-flow check.
+  std::vector<Finding> coherence;
+  network.ForEachPlacementRef([&](FlowId fid, const flow::Flow& flow,
+                                  PathRef ref) {
+    const std::size_t r = ref.value();
+    PathFacts& facts = memo_[r];
+    if (facts.check == PathCheck::kUnchecked) {
+      const topo::Path& path = registry.Get(ref);
+      const bool clean =
+          WellShaped(path) && Contiguous(graph, path) && LoopFree(path);
+      facts.check = clean ? PathCheck::kClean : PathCheck::kMalformed;
+      if (clean) {
+        facts.source = path.source();
+        facts.destination = path.destination();
+      }
+    }
+    bool ok = facts.check == PathCheck::kClean && facts.source == flow.src &&
+              facts.destination == flow.dst;
+    if (ok && check_alive) {
+      if (alive_[r] == 0) {
+        alive_[r] = network.PathAlive(registry.Get(ref)) ? 1 : 2;
+      }
+      ok = alive_[r] == 1;
+    }
+    if (!ok) {
+      CollectCoherenceFindings(graph, network, fid, flow, registry.Get(ref),
+                               /*allow_dead_paths=*/relaxed, coherence);
+    }
+    ref_demand_[r] += flow.demand;
+  });
+
   // Independent recompute: per-link load from the placements themselves,
-  // never from the network's incremental residuals.
-  std::vector<Mbps> load(graph.link_count(), 0.0);
-  network.ForEachPlacement(
-      [&load](FlowId, const flow::Flow& flow, const topo::Path& path) {
-        for (LinkId link : path.links) {
-          load[link.value()] += flow.demand;
-        }
-      });
+  // never from the network's incremental residuals. Summing per ref first
+  // reassociates each link's sum, which moves it by a few ulps at most,
+  // far below kBandwidthEpsilon.
+  link_load_.assign(graph.link_count(), 0.0);
+  for (std::size_t r = 0; r < refs; ++r) {
+    const Mbps demand = ref_demand_[r];
+    if (demand == 0.0) continue;
+    for (LinkId link : registry.Get(PathRef{static_cast<PathRef::rep_type>(r)})
+                           .links) {
+      link_load_[link.value()] += demand;
+    }
+  }
   // Vectorized pre-scan over the flat SoA rows flags the (rare) violating
   // links; the string-building finding collector then runs only on those.
   // The scan's predicate is the exact union of the collector's three
-  // checks and flags ascend, so findings and their canonical order are
-  // identical to the historical every-link collector loop.
+  // checks and flags ascend, so findings keep their canonical order.
   flagged_.clear();
-  net::ScanCapacityViolations(network.ResidualArray().data(), load.data(),
+  net::ScanCapacityViolations(network.ResidualArray().data(),
+                              link_load_.data(),
                               network.CapacityArray().data(),
-                              graph.link_count(), allow_overcommit,
+                              graph.link_count(), /*allow_overcommit=*/relaxed,
                               kBandwidthEpsilon, 0, flagged_);
-  std::vector<Finding> findings;
+  std::vector<Finding> capacity;
   for (const std::uint32_t i : flagged_) {
-    CollectCapacityFindings(graph, network, load[i], i, allow_overcommit,
-                            findings);
+    CollectCapacityFindings(graph, network, link_load_[i], i,
+                            /*allow_overcommit=*/relaxed, capacity);
   }
-  for (Finding& f : findings) Report(f.invariant, std::move(f.detail), found);
-}
-
-void Auditor::AuditCapacitySharded(const net::Network& network,
-                                   bool allow_overcommit, std::size_t& found,
-                                   const ShardAuditRuntime& shard) {
-  const topo::Graph& graph = network.graph();
-  const std::size_t shards = shard.shards;
-
-  // Phase A — per-link load recompute, fanned out over disjoint
-  // placement-slot ranges. Each worker fills a private partial vector; the
-  // coordinator reduces partials in slice order, so the result is
-  // independent of thread count and scheduling. (The reduction reassociates
-  // the serial pass's per-link sum — a few-ulp difference at most, well
-  // under kBandwidthEpsilon.)
-  const std::size_t slots = network.placement_slot_count();
-  std::vector<std::vector<Mbps>> partial(shards);
-  std::vector<double> busy(shards, 0.0);
-  {
-    const auto wall_start = AuditClock::now();
-    std::vector<std::future<void>> tasks;
-    tasks.reserve(shards);
-    for (std::size_t s = 0; s < shards; ++s) {
-      tasks.push_back(shard.pool->Submit([&, s] {
-        const auto start = AuditClock::now();
-        const auto [begin, end] = SliceRange(slots, shards, s);
-        std::vector<Mbps>& mine = partial[s];
-        mine.assign(graph.link_count(), 0.0);
-        network.ForEachPlacementInRange(
-            begin, end,
-            [&mine](FlowId, const flow::Flow& flow, const topo::Path& path) {
-              for (LinkId link : path.links) {
-                mine[link.value()] += flow.demand;
-              }
-            });
-        busy[s] = SecondsSince(start);
-      }));
-    }
-    for (auto& t : tasks) t.get();
-    if (shard.on_fanout) shard.on_fanout(busy, SecondsSince(wall_start));
-  }
-  std::vector<Mbps> load(graph.link_count(), 0.0);
-  for (std::size_t s = 0; s < shards; ++s) {
-    for (std::size_t l = 0; l < load.size(); ++l) load[l] += partial[s][l];
-  }
-
-  // Phase B — link checks, fanned out over disjoint link ranges. Workers
-  // collect findings in scan order; concatenating the slices in ascending
-  // order reproduces the serial pass's canonical (ascending link id)
-  // violation order exactly.
-  std::vector<std::vector<Finding>> slice_findings(shards);
-  {
-    const auto wall_start = AuditClock::now();
-    std::fill(busy.begin(), busy.end(), 0.0);
-    std::vector<std::future<void>> tasks;
-    tasks.reserve(shards);
-    for (std::size_t s = 0; s < shards; ++s) {
-      tasks.push_back(shard.pool->Submit([&, s] {
-        const auto start = AuditClock::now();
-        const auto [begin, end] = SliceRange(graph.link_count(), shards, s);
-        // Same flag-then-collect split as the serial pass, over this
-        // slice's subrange of the SoA rows (index_base shifts the flags
-        // back to absolute link indices).
-        std::vector<std::uint32_t> flagged;
-        net::ScanCapacityViolations(
-            network.ResidualArray().data() + begin, load.data() + begin,
-            network.CapacityArray().data() + begin, end - begin,
-            allow_overcommit, kBandwidthEpsilon,
-            static_cast<std::uint32_t>(begin), flagged);
-        for (const std::uint32_t i : flagged) {
-          CollectCapacityFindings(graph, network, load[i], i, allow_overcommit,
-                                  slice_findings[s]);
-        }
-        busy[s] = SecondsSince(start);
-      }));
-    }
-    for (auto& t : tasks) t.get();
-    if (shard.on_fanout) shard.on_fanout(busy, SecondsSince(wall_start));
-  }
-  for (std::vector<Finding>& slice : slice_findings) {
-    for (Finding& f : slice) Report(f.invariant, std::move(f.detail), found);
-  }
-}
-
-void Auditor::AuditCoherence(const net::Network& network,
-                             bool allow_dead_paths, std::size_t& found) {
-  const topo::Graph& graph = network.graph();
-  std::vector<Finding> findings;
-  network.ForEachPlacement([&](FlowId fid, const flow::Flow& flow,
-                               const topo::Path& path) {
-    CollectCoherenceFindings(graph, network, fid, flow, path, allow_dead_paths,
-                             findings);
-  });
-  for (Finding& f : findings) Report(f.invariant, std::move(f.detail), found);
-}
-
-void Auditor::AuditCoherenceSharded(const net::Network& network,
-                                    bool allow_dead_paths, std::size_t& found,
-                                    const ShardAuditRuntime& shard) {
-  const topo::Graph& graph = network.graph();
-  const std::size_t shards = shard.shards;
-  const std::size_t slots = network.placement_slot_count();
-  std::vector<std::vector<Finding>> slice_findings(shards);
-  std::vector<double> busy(shards, 0.0);
-  const auto wall_start = AuditClock::now();
-  std::vector<std::future<void>> tasks;
-  tasks.reserve(shards);
-  for (std::size_t s = 0; s < shards; ++s) {
-    tasks.push_back(shard.pool->Submit([&, s] {
-      const auto start = AuditClock::now();
-      const auto [begin, end] = SliceRange(slots, shards, s);
-      network.ForEachPlacementInRange(
-          begin, end,
-          [&](FlowId fid, const flow::Flow& flow, const topo::Path& path) {
-            CollectCoherenceFindings(graph, network, fid, flow, path,
-                                     allow_dead_paths, slice_findings[s]);
-          });
-      busy[s] = SecondsSince(start);
-    }));
-  }
-  for (auto& t : tasks) t.get();
-  if (shard.on_fanout) shard.on_fanout(busy, SecondsSince(wall_start));
-  // Ranges ascend over flow ids, so slice order IS the serial scan order.
-  for (std::vector<Finding>& slice : slice_findings) {
-    for (Finding& f : slice) Report(f.invariant, std::move(f.detail), found);
-  }
+  for (Finding& f : capacity) Report(f.invariant, std::move(f.detail), found);
+  for (Finding& f : coherence) Report(f.invariant, std::move(f.detail), found);
 }
 
 void Auditor::AuditAccounting(const QueueAccounting& accounting,
@@ -347,20 +265,11 @@ std::size_t Auditor::Audit(const net::Network& network,
                            const QueueAccounting& accounting,
                            std::size_t forced_placements,
                            const AuditContext& context,
-                           const ShardAuditRuntime* shard,
                            const DriftAuditInput* drift) {
   ++audits_run_;
   context_ = context;
   std::size_t found = 0;
-  const bool relaxed = forced_placements > 0;
-  if (shard != nullptr && shard->Active()) {
-    AuditCapacitySharded(network, /*allow_overcommit=*/relaxed, found, *shard);
-    AuditCoherenceSharded(network, /*allow_dead_paths=*/relaxed, found,
-                          *shard);
-  } else {
-    AuditCapacity(network, /*allow_overcommit=*/relaxed, found);
-    AuditCoherence(network, /*allow_dead_paths=*/relaxed, found);
-  }
+  AuditPlacements(network, /*relaxed=*/forced_placements > 0, found);
   AuditAccounting(accounting, found);
   if (drift != nullptr) AuditDrift(*drift, found);
   return found;

@@ -20,15 +20,21 @@
 // Two failure modes: kFailFast throws AuditFailure at the first violation
 // (tests, canary runs); kLogAndCount records every violation and keeps the
 // run alive (production telemetry — counters land in metrics::GuardStats).
+//
+// Cost model (docs/model.md §8): placements point at immutable interned
+// paths, so a pass does per-path work once per distinct PathRef, not once
+// per flow x hop. Structure (shape, contiguity, loop-freedom) and endpoints
+// are memoized per ref for the registry's lifetime; liveness is evaluated
+// once per ref per pass, and only while something is down; link loads are
+// summed per ref, then spread over each path's links. Per flow, a pass only
+// compares endpoints and reads the memo; a flow that fails takes the full
+// per-flow check, which alone writes coherence findings.
 #pragma once
 
-#include <functional>
-#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
-#include "common/thread_pool.h"
 #include "net/network.h"
 
 namespace nu::guard {
@@ -117,30 +123,6 @@ struct DriftAuditInput {
   std::size_t max_passes = 0;
 };
 
-/// Fan-out wiring for shard-parallel audit passes (sharded engine,
-/// docs/model.md §15). Workers only RECOMPUTE — partial per-link loads over
-/// disjoint placement-slot ranges, per-flow structural findings over
-/// disjoint slot ranges — and the coordinator merges partials and reports
-/// findings in the serial pass's canonical order (ascending link id, then
-/// ascending flow id). Violation text, order, counters, and the fail-fast
-/// first violation are therefore identical to a sequential audit; only
-/// wall-clock differs. Per-link load sums are reassociated across slice
-/// boundaries, which can differ from the serial sum by a few ulps — far
-/// below the 1e-6 comparison epsilon every capacity check uses.
-struct ShardAuditRuntime {
-  /// Worker pool; null disables the fan-out (serial audit).
-  ThreadPool* pool = nullptr;
-  /// Slice count (the engine's shard count); >= 2 to fan out.
-  std::size_t shards = 1;
-  /// Invoked once per parallel region with per-shard task busy seconds and
-  /// the region's coordinator wall seconds (modeled-speedup accounting).
-  std::function<void(std::span<const double>, double)> on_fanout;
-
-  [[nodiscard]] bool Active() const {
-    return pool != nullptr && shards >= 2;
-  }
-};
-
 class Auditor {
  public:
   explicit Auditor(AuditorConfig config = {});
@@ -151,14 +133,12 @@ class Auditor {
   /// the capacity and liveness checks — the simulator reports force-placed
   /// flows separately, and they intentionally overcommit links. `context`
   /// (round id, topology epoch) is stamped onto every violation this pass
-  /// records. A non-null `shard` with an active pool fans the recompute out
-  /// across shard slices; results are identical to the serial pass. A
-  /// non-null `drift` additionally checks the bounded-drift invariant.
+  /// records. A non-null `drift` additionally checks the bounded-drift
+  /// invariant.
   std::size_t Audit(const net::Network& network,
                     const QueueAccounting& accounting,
                     std::size_t forced_placements = 0,
                     const AuditContext& context = {},
-                    const ShardAuditRuntime* shard = nullptr,
                     const DriftAuditInput* drift = nullptr);
 
   [[nodiscard]] const AuditorConfig& config() const { return config_; }
@@ -172,24 +152,38 @@ class Auditor {
   void Report(std::string invariant, std::string detail,
               std::size_t& found_this_pass);
 
-  void AuditCapacity(const net::Network& network, bool allow_overcommit,
-                     std::size_t& found);
-  void AuditCoherence(const net::Network& network, bool allow_dead_paths,
-                      std::size_t& found);
-  /// Shard-parallel twins: same checks, same canonical report order.
-  void AuditCapacitySharded(const net::Network& network, bool allow_overcommit,
-                            std::size_t& found,
-                            const ShardAuditRuntime& shard);
-  void AuditCoherenceSharded(const net::Network& network, bool allow_dead_paths,
-                             std::size_t& found,
-                             const ShardAuditRuntime& shard);
+  /// Capacity and coherence over every placement, in one walk. `relaxed`
+  /// (forced placements exist) allows overcommit and dead paths.
+  void AuditPlacements(const net::Network& network, bool relaxed,
+                       std::size_t& found);
   void AuditAccounting(const QueueAccounting& accounting, std::size_t& found);
   void AuditDrift(const DriftAuditInput& drift, std::size_t& found);
 
+  /// Memoized structural verdict of one interned path.
+  enum class PathCheck : std::uint8_t { kUnchecked, kClean, kMalformed };
+  struct PathFacts {
+    PathCheck check = PathCheck::kUnchecked;
+    /// Endpoints; meaningful once check == kClean.
+    NodeId source;
+    NodeId destination;
+  };
+
   AuditorConfig config_;
   std::size_t audits_run_ = 0;
-  /// Reused flag buffer of the serial capacity pre-scan (link indices that
-  /// tripped an invariant; usually empty).
+  /// Identity of the registry and graph memo_ describes: ref values mean
+  /// nothing across registries, and a registry's address can be reused.
+  std::uint32_t memo_registry_ = 0;
+  const topo::Graph* memo_graph_ = nullptr;
+  /// By PathRef value.
+  std::vector<PathFacts> memo_;
+  // Per-pass scratch, kept to make steady-state passes allocation-free.
+  /// Summed demand of the flows placed on each ref, by PathRef value.
+  std::vector<Mbps> ref_demand_;
+  /// Recomputed load by LinkId value.
+  std::vector<Mbps> link_load_;
+  /// Liveness this pass by PathRef value: 0 unknown, 1 alive, 2 dead.
+  std::vector<std::uint8_t> alive_;
+  /// Link indices the capacity pre-scan flagged (usually empty).
   std::vector<std::uint32_t> flagged_;
   /// Context of the pass currently running (stamped onto its violations).
   AuditContext context_;

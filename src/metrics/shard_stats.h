@@ -42,9 +42,9 @@ struct ShardStats {
   std::uint64_t probe_fanouts = 0;
   /// Per-shard probe tasks dispatched (<= probe_fanouts * shards).
   std::uint64_t probe_tasks = 0;
-  /// Audit passes fanned out across shards.
+  /// Audit fan-outs and their tasks. Always 0: audits run serially. Kept
+  /// because snapshot v6's shard section and perfbench read them.
   std::uint64_t audit_fanouts = 0;
-  /// Per-shard audit tasks dispatched.
   std::uint64_t audit_tasks = 0;
   /// Messages posted through the inter-shard mailbox.
   std::uint64_t mailbox_messages = 0;

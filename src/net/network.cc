@@ -289,14 +289,27 @@ void SavePath(BinWriter& w, const topo::Path& path) {
   for (LinkId l : path.links) w.U32(l.value());
 }
 
-topo::Path LoadPath(BinReader& r) {
+/// Reads one used-paths table entry, rejecting ids outside `graph`.
+topo::Path LoadPath(BinReader& r, const topo::Graph& graph) {
   topo::Path path;
   const std::size_t node_count = r.Size();
   path.nodes.reserve(node_count);
-  for (std::size_t i = 0; i < node_count; ++i) path.nodes.push_back(NodeId{r.U32()});
+  for (std::size_t i = 0; i < node_count; ++i) {
+    const NodeId node{r.U32()};
+    if (node.value() >= graph.node_count()) {
+      throw CorruptInput("path node id out of range");
+    }
+    path.nodes.push_back(node);
+  }
   const std::size_t link_count = r.Size();
   path.links.reserve(link_count);
-  for (std::size_t i = 0; i < link_count; ++i) path.links.push_back(LinkId{r.U32()});
+  for (std::size_t i = 0; i < link_count; ++i) {
+    const LinkId link{r.U32()};
+    if (link.value() >= graph.link_count()) {
+      throw CorruptInput("path link id out of range");
+    }
+    path.links.push_back(link);
+  }
   return path;
 }
 
@@ -364,17 +377,22 @@ void Network::LoadState(BinReader& r) {
   std::vector<PathRef> table;
   table.reserve(table_size);
   for (std::size_t i = 0; i < table_size; ++i) {
-    table.push_back(registry_->Intern(LoadPath(r)));
+    table.push_back(registry_->Intern(LoadPath(r, *graph_)));
   }
   placements_.assign(static_cast<std::size_t>(flows_.peek_next_id()),
                      PathRef::invalid());
   placed_count_ = 0;
   const std::size_t placed = r.Size();
   for (std::size_t i = 0; i < placed; ++i) {
-    const std::uint64_t id = r.U64();
+    const FlowId id{r.U64()};
     const std::size_t index = r.Size();
-    NU_CHECK(index < table.size());
-    StorePlacement(FlowId{id}, table[index]);
+    if (!flows_.Contains(id)) {  // also bounds id below placements_.size()
+      throw CorruptInput("placement for an unknown flow id");
+    }
+    if (index >= table.size()) {
+      throw CorruptInput("placement path index out of range");
+    }
+    StorePlacement(id, table[index]);
   }
   link_up_ = r.Vec<char>([](BinReader& in) { return static_cast<char>(in.U8()); });
   node_up_ = r.Vec<char>([](BinReader& in) { return static_cast<char>(in.U8()); });

@@ -17,7 +17,6 @@
 // real instance.
 #pragma once
 
-#include <algorithm>
 #include <memory>
 #include <span>
 #include <vector>
@@ -107,39 +106,27 @@ class Network final : public MutableNetwork {
   /// All placed flow ids (ascending).
   [[nodiscard]] std::vector<FlowId> PlacedFlows() const;
 
-  /// Calls `fn(FlowId, const flow::Flow&, const topo::Path&)` for every
-  /// placed flow in ascending-id order. Cache-linear slot scan — the
-  /// iteration auditors and invariant checks should use at scale.
+  /// Calls `fn(FlowId, const flow::Flow&, PathRef)` for every placed flow
+  /// in ascending-id order. Cache-linear slot scan; the ref lets callers
+  /// key per-path work (guard::Auditor's memo) without resolving it.
   template <typename Fn>
-  void ForEachPlacement(Fn&& fn) const {
+  void ForEachPlacementRef(Fn&& fn) const {
     for (std::size_t i = 0; i < placements_.size(); ++i) {
       const PathRef ref = placements_[i];
       if (!ref.valid()) continue;
       const FlowId id{static_cast<FlowId::rep_type>(i)};
-      fn(id, flows_.Get(id), registry_->Get(ref));
+      fn(id, flows_.Get(id), ref);
     }
   }
 
-  /// Range form of ForEachPlacement over placement slots [begin, end).
-  /// Slot indices ARE flow ids, so disjoint ranges partition the placements
-  /// and concatenating ranges in ascending order reproduces the full scan —
-  /// the property the sharded auditor's fan-out relies on.
+  /// ForEachPlacementRef with the path resolved:
+  /// `fn(FlowId, const flow::Flow&, const topo::Path&)`.
   template <typename Fn>
-  void ForEachPlacementInRange(std::size_t begin, std::size_t end,
-                               Fn&& fn) const {
-    end = std::min(end, placements_.size());
-    for (std::size_t i = begin; i < end; ++i) {
-      const PathRef ref = placements_[i];
-      if (!ref.valid()) continue;
-      const FlowId id{static_cast<FlowId::rep_type>(i)};
-      fn(id, flows_.Get(id), registry_->Get(ref));
-    }
-  }
-
-  /// Upper bound (exclusive) of placement slot indices — the end of the
-  /// dense slot array, including holes left by departed flows.
-  [[nodiscard]] std::size_t placement_slot_count() const {
-    return placements_.size();
+  void ForEachPlacement(Fn&& fn) const {
+    ForEachPlacementRef(
+        [&](FlowId id, const flow::Flow& flow, PathRef ref) {
+          fn(id, flow, registry_->Get(ref));
+        });
   }
 
   [[nodiscard]] std::size_t placed_flow_count() const { return placed_count_; }
@@ -238,7 +225,10 @@ class Network final : public MutableNetwork {
   /// Restores state serialized by SaveState. The graph itself is not
   /// persisted — the caller reconstructs it and this network must already
   /// be bound to an identical graph (checked via TopologyFingerprint).
-  /// Table entries are re-interned into the live registry.
+  /// Table entries are re-interned into the live registry. A node, link,
+  /// flow or table id outside this network's range throws CorruptInput
+  /// before any state is indexed by it; path structure (shape, contiguity,
+  /// loops, endpoints) is left for guard::Auditor to report.
   void LoadState(BinReader& r);
 
  private:

@@ -10,16 +10,6 @@ ShardRuntime::ShardRuntime(const topo::Graph& graph, std::size_t shards,
   stats_.shards = map_.shard_count();
   stats_.threads = pool_->worker_count();
   stats_.per_shard_busy_seconds.assign(map_.shard_count(), 0.0);
-  audit_rt_.pool = pool_.get();
-  audit_rt_.shards = map_.shard_count();
-  // Audit fan-outs count parallel regions (two for capacity, one for
-  // coherence per pass); the busy/wall samples feed the modeled
-  // critical-path accumulators.
-  audit_rt_.on_fanout = [this](std::span<const double> busy, double wall) {
-    ++stats_.audit_fanouts;
-    stats_.audit_tasks += busy.size();
-    stats_.OnFanout(busy, wall);
-  };
 }
 
 }  // namespace nu::sim

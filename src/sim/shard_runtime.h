@@ -1,7 +1,7 @@
 // Shared infrastructure of one sharded simulation run (SimConfig::shards
 // >= 2): the pod partition map, the worker pool the shard tasks run on,
 // the inter-shard mailbox carrying probe results back to the coordinator,
-// the shard-parallel audit wiring, and the per-shard counters.
+// and the per-shard counters.
 //
 // Execution model (docs/model.md §15): the coordinator (simulation thread)
 // remains the single decision and mutation authority — LMTF's candidate
@@ -10,18 +10,17 @@
 // order on the coordinator, exactly as in an unsharded run. Shards
 // contribute the heavy recompute: each round's candidate probes are routed
 // to their home shards (the shard of the event's first flow's source pod)
-// and planned on workers, and audit passes recompute capacity/coherence
-// over per-shard slices. Because workers only produce pure values that the
+// and planned on workers. Because workers only produce pure values that the
 // coordinator consumes in the mailbox's canonical (round, shard, seq)
 // order, a sharded run is bit-identical to the unsharded path at any
-// thread count.
+// thread count. Audit passes run serially on the coordinator: the memoized
+// pass costs less than a fan-out (docs/model.md §8).
 #pragma once
 
 #include <cstdint>
 #include <memory>
 
 #include "common/thread_pool.h"
-#include "guard/auditor.h"
 #include "metrics/shard_stats.h"
 #include "recon/reconciler.h"
 #include "sim/mailbox.h"
@@ -64,12 +63,6 @@ class ShardRuntime {
   /// Monotonic mailbox round ids (one per probe fan-out).
   [[nodiscard]] std::uint64_t NextMailboxRound() { return next_round_++; }
 
-  /// Audit fan-out wiring for guard::Auditor::Audit; counters and busy
-  /// seconds land in stats().
-  [[nodiscard]] const guard::ShardAuditRuntime& audit_runtime() const {
-    return audit_rt_;
-  }
-
   /// Home shard of an update event: the shard of its first flow's source.
   /// (Events are generated host-to-host within the fabric, so the first
   /// source pins the pod that initiates the update.)
@@ -97,7 +90,6 @@ class ShardRuntime {
   ShardMailbox<ShardProbeResult> mailbox_;
   ShardMailbox<recon::DriftObservation> drift_mailbox_;
   std::uint64_t next_round_ = 0;
-  guard::ShardAuditRuntime audit_rt_;
 };
 
 }  // namespace nu::sim

@@ -1157,7 +1157,6 @@ SimResult Simulator::RunEventLoop(sched::Scheduler& scheduler,
     collector.OnAudit(auditor.Audit(
         network, acct, result.forced_placements,
         guard::AuditContext{result.rounds, network.topology_epoch()},
-        shard_rt.has_value() ? &shard_rt->audit_runtime() : nullptr,
         drift_ptr));
   };
   std::size_t occurrences_since_audit = 0;

@@ -119,13 +119,13 @@ struct SimConfig {
   std::size_t probe_parallelism = 0;
   /// Pod-sharded parallel engine (docs/model.md §15): partition the fabric
   /// into this many shards (a k-ary Fat-Tree is naturally k pods) and fan
-  /// the per-round candidate probes and the auditor's recompute passes out
-  /// across them on a worker pool, with results routed back through a
-  /// deterministic inter-shard mailbox. 0 or 1 = off. The coordinator
-  /// remains the single decision/mutation authority, so a sharded run is
-  /// bit-identical to an unsharded one — same decisions, same records, same
-  /// report — at any thread count. Effective only with probe_fast_path and
-  /// full (non-quick) probes; takes precedence over probe_parallelism.
+  /// the per-round candidate probes out across them on a worker pool, with
+  /// results routed back through a deterministic inter-shard mailbox. 0 or
+  /// 1 = off. The coordinator remains the single decision/mutation
+  /// authority, so a sharded run is bit-identical to an unsharded one —
+  /// same decisions, same records, same report — at any thread count.
+  /// Effective only with probe_fast_path and full (non-quick) probes; takes
+  /// precedence over probe_parallelism.
   std::size_t shards = 0;
   /// Worker threads for the sharded engine; 0 = min(shards, 8).
   std::size_t shard_threads = 0;

@@ -16,7 +16,14 @@ std::uint64_t ContentHash(const Path& path) {
   return h;
 }
 
+std::uint32_t NextSerial() {
+  static std::atomic<std::uint32_t> next{1};
+  return next.fetch_add(1, std::memory_order_relaxed);
+}
+
 }  // namespace
+
+PathRegistry::PathRegistry() : serial_(NextSerial()) {}
 
 PathRef PathRegistry::Intern(const Path& path) {
   const std::uint64_t hash = ContentHash(path);

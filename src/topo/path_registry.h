@@ -18,6 +18,8 @@
 // Ref VALUES are allocation-order dependent (parallel probing may intern in
 // nondeterministic order), so they must never be serialized raw or compared
 // across registries; snapshots write path contents and re-intern on load.
+// A cache of per-ref facts tells registries apart by serial(), never by
+// address, since a new registry may reuse a freed one's address.
 #pragma once
 
 #include <atomic>
@@ -34,7 +36,7 @@ namespace nu::topo {
 
 class PathRegistry {
  public:
-  PathRegistry() = default;
+  PathRegistry();
   PathRegistry(const PathRegistry&) = delete;
   PathRegistry& operator=(const PathRegistry&) = delete;
 
@@ -55,6 +57,10 @@ class PathRegistry {
     return size_.load(std::memory_order_acquire);
   }
 
+  /// Process-unique identity of this registry (1, 2, ...), unlike its
+  /// address never handed to a later registry.
+  [[nodiscard]] std::uint32_t serial() const { return serial_; }
+
   /// Honest byte footprint: chunk storage, the heap blocks of each interned
   /// path's node/link vectors, and the dedup index (node + bucket costs).
   [[nodiscard]] std::size_t ApproxBytes() const;
@@ -70,6 +76,9 @@ class PathRegistry {
   std::array<std::atomic<Path*>, kMaxChunks> chunks_{};
   std::array<std::unique_ptr<Path[]>, kMaxChunks> chunk_owner_;
   std::atomic<std::uint32_t> size_{0};
+  /// 32 bits so it fills the tail padding after size_: ApproxBytes()
+  /// counts sizeof(*this), and the footprint stays what it was.
+  const std::uint32_t serial_;
 };
 
 }  // namespace nu::topo

@@ -4,6 +4,9 @@
 
 #include <array>
 
+#include "common/binio.h"
+#include "support/network_payload.h"
+
 namespace nu::net {
 namespace {
 
@@ -287,6 +290,39 @@ TEST(NetworkFaultStateTest, RerouteRejectsDeadTargetPath) {
   const FlowId id = net.Place(fx.MakeFlow(10.0), p);
   net.SetLinkUp(p.links[0], false);
   EXPECT_FALSE(net.CanReroute(id, p));
+}
+
+// A CRC-valid snapshot can still name ids outside the topology. LoadState
+// rejects them with CorruptInput, the recovery path's cue to fall back to
+// an older snapshot, before Release or the auditor indexes per-link state
+// by them.
+TEST(NetworkLoadStateTest, OutOfRangeIdsThrowCorruptInput) {
+  LineFixture fx;
+  const auto load = [&](const Path& path, std::uint64_t first_id = 0) {
+    const test_support::CraftedPlacement placed{fx.MakeFlow(10.0), path};
+    const std::string payload =
+        test_support::NetworkPayload(fx.graph, {&placed, 1}, first_id);
+    Network net(fx.graph);
+    BinReader r(payload);
+    net.LoadState(r);
+    r.ExpectEnd();
+    return net;
+  };
+  const Path good = fx.AbcPath();
+  const Network loaded = load(good);
+  EXPECT_EQ(loaded.placed_flow_count(), 1u);
+  EXPECT_TRUE(loaded.CheckInvariants());
+
+  Path bad_link = good;
+  bad_link.links[1] = LinkId{static_cast<LinkId::rep_type>(
+      fx.graph.link_count())};
+  EXPECT_THROW((void)load(bad_link), CorruptInput);
+  Path bad_node = good;
+  bad_node.nodes[1] = NodeId{static_cast<NodeId::rep_type>(
+      fx.graph.node_count())};
+  EXPECT_THROW((void)load(bad_node), CorruptInput);
+  EXPECT_THROW((void)load(good, /*first_id=*/1), CorruptInput);
+  EXPECT_THROW((void)load(good, /*first_id=*/~std::uint64_t{0}), CorruptInput);
 }
 
 }  // namespace
