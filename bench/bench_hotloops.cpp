@@ -329,8 +329,10 @@ int main(int argc, char** argv) {
 
   // --- Phase 3: residual update (SoA store vs COW overlay) ---------------
   {
-    // One long inter-pod path, cycled Place/Remove. The overlay pays the
-    // hash-patch lookups the flat store avoids.
+    // One long inter-pod path, cycled Place/Remove. The overlay copies the
+    // base's residual row once, on its first write, and then updates its
+    // own row as the flat store does; what it still pays per cycle is the
+    // hashed flow, path and link-flow patches.
     const NodeId src = ft.host(0);
     const NodeId dst = ft.host(ft.host_count() - 1);
     const topo::Path& path = provider.Paths(src, dst).front();

@@ -9,10 +9,11 @@
 //   cached   — an epoch-keyed probe-cost cache hit (the re-probe price when
 //              the network state has not changed).
 //
-// Deep-copy cost is O(total state), overlay cost is O(state touched), so the
-// gap must widen with the background-flow count; the acceptance bar is a
-// >= 5x legacy/overlay ratio at the largest sweep point. Emits an ASCII
-// table (+ optional txt/csv twins) and BENCH_probe.json.
+// Deep-copy cost is O(total state); overlay cost is one residual-row copy,
+// O(links), plus the flow state a probe touches, so it does not grow with
+// the background-flow count and the gap must widen with it. The acceptance
+// bar is a >= 5x legacy/overlay ratio at the largest sweep point. Emits an
+// ASCII table (+ optional txt/csv twins) and BENCH_probe.json.
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -256,7 +257,8 @@ int main(int argc, char** argv) {
   bench::MaybeWriteCsv(table, csv_path);
   bench::PrintFooter(
       "legacy grows linearly with the background-flow count (deep copy is "
-      "O(total state)); overlay stays flat (O(state touched)), so the "
+      "O(total state)); overlay stays flat (one O(links) residual-row "
+      "copy plus the state touched), so the "
       "speedup widens with scale and clears 5x at the largest point; "
       "parallel divides the overlay time by ~alpha workers; cached hits "
       "are O(1) map lookups, orders of magnitude below either");

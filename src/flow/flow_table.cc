@@ -72,9 +72,11 @@ void FlowTable::LoadState(BinReader& r) {
     f.duration = r.F64();
     f.origin = static_cast<FlowOrigin>(r.U8());
     f.event = EventId{r.U64()};
-    NU_CHECK(f.id.value() < next_id_);
+    if (f.id.value() >= next_id_) {
+      throw CorruptInput("flow record id at or above the next id");
+    }
     Flow& slot = slots_[static_cast<std::size_t>(f.id.value())];
-    NU_CHECK(!slot.id.valid());  // duplicate id in stream
+    if (slot.id.valid()) throw CorruptInput("duplicated flow record");
     slot = std::move(f);
     ++live_;
   }

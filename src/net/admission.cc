@@ -16,20 +16,6 @@ namespace {
 /// keeps the steady-state admission path allocation-free.
 thread_local Arena t_scan_arena;
 
-/// Gathers `path`'s residual row into `row`: straight indexed loads off the
-/// flat array when the view exposes one, virtual reads otherwise (the
-/// values are identical either way, so feasibility decisions are too).
-void GatherRow(const NetworkView& network, const Mbps* flat,
-               std::span<const LinkId> links, Mbps* row) {
-  if (flat != nullptr) {
-    GatherResiduals(flat, links, row);
-    return;
-  }
-  for (std::size_t i = 0; i < links.size(); ++i) {
-    row[i] = network.Residual(links[i]);
-  }
-}
-
 std::size_t MaxLinkCount(const std::vector<topo::Path>& candidates) {
   std::size_t max_links = 0;
   for (const topo::Path& p : candidates) {
@@ -57,7 +43,7 @@ const topo::Path* FindFeasiblePathPtr(const NetworkView& network,
   Arena& arena = t_scan_arena;
   arena.Reset();
   Mbps* row = arena.AllocArray<Mbps>(MaxLinkCount(candidates));
-  const Mbps* flat = network.ResidualData();
+  const Mbps* residuals = network.ResidualData();
 
   const topo::Path* best = nullptr;
   Mbps best_bottleneck = 0.0;
@@ -65,7 +51,7 @@ const topo::Path* FindFeasiblePathPtr(const NetworkView& network,
   for (const topo::Path& p : candidates) {
     if (!network.PathAlive(p)) continue;
     const std::span<const LinkId> links = p.links;
-    GatherRow(network, flat, links, row);
+    GatherResiduals(residuals, links, row);
     // Feasible iff no link of the row is congested for `demand` — the same
     // ApproxGe predicate CanPlace applies link by link.
     if (CountCongested(row, links.size(), demand) != 0) continue;
@@ -130,14 +116,14 @@ const topo::Path& LeastCongestedPath(const NetworkView& network,
   Arena& arena = t_scan_arena;
   arena.Reset();
   Mbps* row = arena.AllocArray<Mbps>(MaxLinkCount(candidates));
-  const Mbps* flat = network.ResidualData();
+  const Mbps* residuals = network.ResidualData();
 
   const topo::Path* best = nullptr;
   std::size_t best_congested = 0;
   Mbps best_bottleneck = 0.0;
   for (const topo::Path& p : candidates) {
     const std::span<const LinkId> links = p.links;
-    GatherRow(network, flat, links, row);
+    GatherResiduals(residuals, links, row);
     const std::size_t congested = CountCongested(row, links.size(), demand);
     const Mbps bottleneck = MinValue(row, links.size());
     if (best == nullptr || congested < best_congested ||

@@ -358,17 +358,25 @@ void Network::LoadState(BinReader& r) {
   NU_CHECK(fingerprint == TopologyFingerprint());
   flows_.LoadState(r);
   residual_ = r.Vec<Mbps>([](BinReader& in) { return in.F64(); });
-  NU_CHECK(residual_.size() == graph_->link_count());
+  if (residual_.size() != graph_->link_count()) {
+    throw CorruptInput("residual row length differs from the link count");
+  }
   const std::size_t link_count = r.Size();
-  NU_CHECK(link_count == graph_->link_count());
+  if (link_count != graph_->link_count()) {
+    throw CorruptInput("link table length differs from the link count");
+  }
   link_flows_.assign(link_count, {});
   for (std::size_t i = 0; i < link_count; ++i) {
     link_flows_[i] = r.Vec<std::uint32_t>([](BinReader& in) {
       const std::uint64_t rep = in.U64();
-      NU_CHECK(rep < std::numeric_limits<std::uint32_t>::max());
+      if (rep >= std::numeric_limits<std::uint32_t>::max()) {
+        throw CorruptInput("link flow id out of the 32-bit range");
+      }
       return static_cast<std::uint32_t>(rep);
     });
-    NU_CHECK(std::is_sorted(link_flows_[i].begin(), link_flows_[i].end()));
+    if (!std::is_sorted(link_flows_[i].begin(), link_flows_[i].end())) {
+      throw CorruptInput("link flow list not sorted");
+    }
   }
   // Re-intern the used-paths table into the live registry; ref VALUES are
   // allocated fresh here (and may differ from the saving run's), which is
@@ -392,14 +400,32 @@ void Network::LoadState(BinReader& r) {
     if (index >= table.size()) {
       throw CorruptInput("placement path index out of range");
     }
+    if (placements_[static_cast<std::size_t>(id.value())].valid()) {
+      throw CorruptInput("flow placed twice");
+    }
     StorePlacement(id, table[index]);
+  }
+  if (placed_count_ != flows_.size()) {
+    throw CorruptInput("stored flow without a placement");
   }
   link_up_ = r.Vec<char>([](BinReader& in) { return static_cast<char>(in.U8()); });
   node_up_ = r.Vec<char>([](BinReader& in) { return static_cast<char>(in.U8()); });
-  NU_CHECK(link_up_.size() == graph_->link_count());
-  NU_CHECK(node_up_.size() == graph_->node_count());
+  if (link_up_.size() != graph_->link_count()) {
+    throw CorruptInput("link_up length differs from the link count");
+  }
+  if (node_up_.size() != graph_->node_count()) {
+    throw CorruptInput("node_up length differs from the node count");
+  }
+  // PathAlive's fast path trusts these counts, so they must match the
+  // up-arrays exactly.
   down_links_ = r.Size();
   down_nodes_ = r.Size();
+  if (down_links_ != static_cast<std::size_t>(
+                         std::count(link_up_.begin(), link_up_.end(), 0)) ||
+      down_nodes_ != static_cast<std::size_t>(
+                         std::count(node_up_.begin(), node_up_.end(), 0))) {
+    throw CorruptInput("down counts disagree with the up-arrays");
+  }
   epoch_ = r.U64();
   state_epoch_ = r.U64();
 }

@@ -227,8 +227,12 @@ class Network final : public MutableNetwork {
   /// be bound to an identical graph (checked via TopologyFingerprint).
   /// Table entries are re-interned into the live registry. A node, link,
   /// flow or table id outside this network's range throws CorruptInput
-  /// before any state is indexed by it; path structure (shape, contiguity,
-  /// loops, endpoints) is left for guard::Auditor to report.
+  /// before any state is indexed by it. So does a payload that is
+  /// inconsistent in itself: a row or table of the wrong length, an
+  /// unsorted link list, a flow record duplicated, placed twice or not
+  /// placed, or down counts that disagree with the up-arrays. Path
+  /// structure (shape, contiguity, loops, endpoints) is left for
+  /// guard::Auditor to report. A foreign topology still aborts.
   void LoadState(BinReader& r);
 
  private:

@@ -46,9 +46,10 @@ bool NetworkView::CanReroute(FlowId id, const topo::Path& new_path) const {
     return false;
   }
   if (!PathAlive(new_path)) return false;
+  const topo::Path& current = PathOf(id);
   for (LinkId lid : new_path.links) {
-    Mbps residual = Residual(lid);
-    if (FlowUsesLink(id, lid)) residual += f.demand;
+    const Mbps residual =
+        SelfReleaseResidual(Residual(lid), lid, current, f.demand);
     if (!ApproxGe(residual, f.demand)) return false;
   }
   return true;

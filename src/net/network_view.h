@@ -1,9 +1,9 @@
 // Read and read-write interfaces over network state. Every planning
 // algorithm (admission, migration, event planning, quick cost estimation)
 // consumes these instead of the concrete Network, so a what-if probe can run
-// against a copy-on-write NetworkOverlay (O(touched state)) exactly as it
-// runs against the real Network or a deep copy — with bit-identical reads
-// and therefore bit-identical decisions.
+// against a copy-on-write NetworkOverlay (one residual row plus the flow
+// state it touches) exactly as it runs against the real Network or a deep
+// copy — with bit-identical reads and therefore bit-identical decisions.
 //
 // The virtual methods are the primitives; CanPlace / CongestedLinks /
 // CanReroute — and the link-membership reads FlowsOnLink / FlowCountOnLink /
@@ -36,14 +36,13 @@ class NetworkView {
   /// Residual bandwidth c_{i,j} of a link.
   [[nodiscard]] virtual Mbps Residual(LinkId link) const = 0;
 
-  /// Contiguous per-link residual array indexed by LinkId value, or nullptr
-  /// when this view cannot expose one (copy-on-write overlays patch
-  /// residuals sparsely). Non-null means element i bitwise-equals
-  /// Residual(LinkId{i}) for every link, so the SoA scan kernels
-  /// (net/residual_scan.h) read it directly; callers must keep a
-  /// Residual()-based fallback for views that return nullptr. Valid until
-  /// the next mutation of this view.
-  [[nodiscard]] virtual const Mbps* ResidualData() const { return nullptr; }
+  /// Contiguous per-link residual array indexed by LinkId value, never
+  /// null: element i bitwise-equals Residual(LinkId{i}) for every link, so
+  /// the SoA scan kernels (net/residual_scan.h) and the reroute scan read
+  /// it directly. A copy-on-write overlay serves its base's array until
+  /// its first residual write and its own copy from then on. Valid until
+  /// the next mutation of this view or of any view beneath it.
+  [[nodiscard]] virtual const Mbps* ResidualData() const = 0;
 
   [[nodiscard]] virtual bool LinkUp(LinkId link) const = 0;
   [[nodiscard]] virtual bool NodeUp(NodeId node) const = 0;
@@ -102,10 +101,25 @@ class NetworkView {
       Mbps demand, const topo::Path& path) const;
 
   /// True iff `new_path` could carry the flow once its own occupancy on
-  /// shared links is released — the feasibility predicate of Reroute.
-  /// Requires HasFlow(id).
+  /// shared links is released (SelfReleaseResidual) — the feasibility
+  /// predicate of Reroute. Requires HasFlow(id).
   [[nodiscard]] bool CanReroute(FlowId id, const topo::Path& new_path) const;
 };
+
+/// Reroute's self-release rule: the residual `link` offers a flow of
+/// `demand` currently routed on `current`, counting the flow's own
+/// occupancy as free when the link is on its path. Reading the path, not
+/// the link's flow list, gives the same answer: every Place, Reroute and
+/// Remove updates the path and the lists together (Network::CheckInvariants
+/// checks that they agree), and the sum is the same double either way.
+[[nodiscard]] inline Mbps SelfReleaseResidual(Mbps residual, LinkId link,
+                                              const topo::Path& current,
+                                              Mbps demand) {
+  for (const LinkId own : current.links) {
+    if (own == link) return residual + demand;
+  }
+  return residual;
+}
 
 /// A view that also accepts the three state mutations planning needs. The
 /// concrete Network and the copy-on-write NetworkOverlay both implement it,

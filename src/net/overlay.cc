@@ -11,9 +11,14 @@ NetworkOverlay::NetworkOverlay(const NetworkView& base)
     : base_(&base), next_id_(base.FlowIdUpperBound()) {}
 
 Mbps NetworkOverlay::Residual(LinkId link) const {
-  const auto it = residual_.find(link.value());
-  if (it != residual_.end()) return it->second;
-  return base_->Residual(link);
+  if (residual_.empty()) return base_->Residual(link);
+  NU_EXPECTS(link.value() < residual_.size());
+  return residual_[link.value()];
+}
+
+const Mbps* NetworkOverlay::ResidualData() const {
+  if (residual_.empty()) return base_->ResidualData();
+  return residual_.data();
 }
 
 bool NetworkOverlay::HasFlow(FlowId id) const {
@@ -43,10 +48,12 @@ std::span<const std::uint32_t> NetworkOverlay::LinkFlowIds(
   return it->second;
 }
 
-Mbps& NetworkOverlay::ResidualSlot(LinkId link) {
-  const auto [it, inserted] = residual_.try_emplace(link.value(), 0.0);
-  if (inserted) it->second = base_->Residual(link);
-  return it->second;
+std::vector<Mbps>& NetworkOverlay::OwnResiduals() {
+  if (residual_.empty()) {
+    const Mbps* base = base_->ResidualData();
+    residual_.assign(base, base + graph().link_count());
+  }
+  return residual_;
 }
 
 std::vector<std::uint32_t>& NetworkOverlay::LinkFlowsSlot(LinkId link) {
@@ -60,8 +67,9 @@ std::vector<std::uint32_t>& NetworkOverlay::LinkFlowsSlot(LinkId link) {
 
 void NetworkOverlay::Occupy(const topo::Path& path, Mbps demand, FlowId id) {
   const auto rep = static_cast<std::uint32_t>(id.value());
+  std::vector<Mbps>& residual = OwnResiduals();
   for (LinkId lid : path.links) {
-    ResidualSlot(lid) -= demand;
+    residual[lid.value()] -= demand;
     auto& flows = LinkFlowsSlot(lid);
     flows.insert(std::lower_bound(flows.begin(), flows.end(), rep), rep);
   }
@@ -69,8 +77,9 @@ void NetworkOverlay::Occupy(const topo::Path& path, Mbps demand, FlowId id) {
 
 void NetworkOverlay::Release(const topo::Path& path, Mbps demand, FlowId id) {
   const auto rep = static_cast<std::uint32_t>(id.value());
+  std::vector<Mbps>& residual = OwnResiduals();
   for (LinkId lid : path.links) {
-    ResidualSlot(lid) += demand;
+    residual[lid.value()] += demand;
     auto& flows = LinkFlowsSlot(lid);
     const auto it = std::lower_bound(flows.begin(), flows.end(), rep);
     NU_CHECK(it != flows.end() && *it == rep);
@@ -122,7 +131,7 @@ void NetworkOverlay::Remove(FlowId id) {
 }
 
 std::size_t NetworkOverlay::ApproxDeltaBytes() const {
-  std::size_t bytes = residual_.size() * (sizeof(Mbps) + sizeof(LinkId)) +
+  std::size_t bytes = residual_.capacity() * sizeof(Mbps) +
                       removed_.size() * sizeof(FlowId) +
                       added_flows_.size() * sizeof(flow::Flow) +
                       paths_.size() * (sizeof(FlowId) + sizeof(PathRef));

@@ -1,18 +1,23 @@
 // NetworkOverlay: a copy-on-write delta view over any NetworkView. Reads
-// fall through to the base until a link or flow is touched by a mutation;
-// from then on the overlay serves its own patched value. This makes a
-// what-if probe O(state it touches) instead of O(total network state) —
-// the deep copies that used to dominate LMTF/P-LMTF probe cost disappear.
+// fall through to the base until a mutation touches them; from then on the
+// overlay serves its own value. Residuals are one flat row: the first
+// residual write copies the base's whole row (O(links): 6 KB at k=8, 48 KB
+// at k=16), and from then on Residual() and ResidualData() read the
+// overlay's own row. Flows, paths and link-flow lists stay sparse patches,
+// O(state touched), so a what-if probe never deep-copies the flow state.
 //
 // Determinism contract: every read an overlay serves is bit-identical to
 // the read a deep copy would have served after the same mutation sequence.
-//   * Residual patches store ABSOLUTE values seeded from the base on first
-//     touch; subsequent +/- demand operations happen in the same order as
-//     they would on a copy, so IEEE arithmetic is identical.
+//   * The residual row starts as a copy of the base's exact doubles;
+//     subsequent +/- demand operations happen in the same order as they
+//     would on a copy, so IEEE arithmetic is identical. Until that first
+//     write, ResidualData() is the base's pointer.
 //   * Flow ids are allocated from the base's FlowIdUpperBound(), so the ids
 //     a probe assigns match the ids a deep copy would have assigned.
 //   * Link-flow patches mirror Network's canonical ascending id lists
-//     (sorted insert/erase), served as allocation-free spans.
+//     (sorted insert/erase), served as allocation-free spans. A flow is on
+//     a link's list exactly when the link is on the flow's path, which is
+//     what lets the self-release rule (SelfReleaseResidual) read the path.
 //   * Paths are stored as PathRefs into the registry shared with the base,
 //     so resolved references are identical objects.
 //
@@ -41,6 +46,9 @@ class NetworkOverlay final : public MutableNetwork {
     return base_->path_registry();
   }
   [[nodiscard]] Mbps Residual(LinkId link) const override;
+  /// The base's row until the first residual write, this overlay's own row
+  /// from then on.
+  [[nodiscard]] const Mbps* ResidualData() const override;
   [[nodiscard]] bool LinkUp(LinkId link) const override {
     return base_->LinkUp(link);
   }
@@ -70,15 +78,16 @@ class NetworkOverlay final : public MutableNetwork {
   [[nodiscard]] std::size_t ApproxDeltaBytes() const;
 
  private:
-  /// Absolute residual slot for `link`, seeded from the base on first touch.
-  Mbps& ResidualSlot(LinkId link);
+  /// This overlay's residual row, copied from the base's on first use.
+  std::vector<Mbps>& OwnResiduals();
   /// Materialized flow list for `link`, seeded from the base on first touch.
   std::vector<std::uint32_t>& LinkFlowsSlot(LinkId link);
   void Occupy(const topo::Path& path, Mbps demand, FlowId id);
   void Release(const topo::Path& path, Mbps demand, FlowId id);
 
   const NetworkView* base_;
-  std::unordered_map<LinkId::rep_type, Mbps> residual_;
+  /// Residuals by LinkId value; empty until the first residual write.
+  std::vector<Mbps> residual_;
   std::unordered_map<LinkId::rep_type, std::vector<std::uint32_t>> link_flows_;
   /// Flows placed through this overlay (not known to the base).
   std::unordered_map<FlowId::rep_type, flow::Flow> added_flows_;

@@ -1,9 +1,9 @@
 // Vectorizable kernels over flat per-link rows (structure-of-arrays): the
 // inner arithmetic of congested-link detection, candidate scoring, and the
 // auditor's capacity scan, factored out of the virtual NetworkView walkers.
-// Callers gather a path's residuals into a contiguous row (straight indexed
-// loads when the view exposes ResidualData(), memoized virtual reads
-// otherwise) and reduce the row with these kernels.
+// Callers gather a path's residuals into a contiguous row with straight
+// indexed loads from the view's ResidualData(), which every view provides
+// (overlays included), and reduce the row with these kernels.
 //
 // Two implementations ship in one translation unit:
 //   * nu::net::scalar::* — the reference loops, always compiled, used by the

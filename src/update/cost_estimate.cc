@@ -1,58 +1,17 @@
 #include "update/cost_estimate.h"
 
 #include <algorithm>
-#include <cstdint>
 
 #include "net/residual_scan.h"
 
 namespace nu::update {
-namespace {
-
-/// Residual source for one estimate call. When the view exposes its flat
-/// residual array the rows are gathered with straight indexed loads; when
-/// it cannot (copy-on-write overlays), each link's residual is fetched
-/// through the virtual Residual() once and memoized in arena-backed flat
-/// arrays — the per-call scratch vectors the old implementation allocated
-/// on every estimate now live in the caller's reusable arena.
-struct ResidualSource {
-  const net::NetworkView* network = nullptr;
-  const Mbps* flat = nullptr;  // non-null: SoA fast path
-  Mbps* memo_value = nullptr;
-  unsigned char* memo_known = nullptr;
-
-  void GatherRow(std::span<const LinkId> links, Mbps* row) {
-    if (flat != nullptr) {
-      net::GatherResiduals(flat, links, row);
-      return;
-    }
-    for (std::size_t i = 0; i < links.size(); ++i) {
-      const auto rep = links[i].value();
-      if (memo_known[rep] == 0) {
-        memo_value[rep] = network->Residual(links[i]);
-        memo_known[rep] = 1;
-      }
-      row[i] = memo_value[rep];
-    }
-  }
-};
-
-}  // namespace
 
 QuickCostResult QuickCostEstimate(const net::NetworkView& network,
                                   const topo::PathProvider& paths,
                                   const UpdateEvent& event, Arena& scratch) {
   QuickCostResult result;
   scratch.Reset();
-
-  ResidualSource source;
-  source.network = &network;
-  source.flat = network.ResidualData();
-  if (source.flat == nullptr) {
-    const std::size_t links = network.graph().link_count();
-    source.memo_value = scratch.AllocArray<Mbps>(links);
-    source.memo_known = scratch.AllocArray<unsigned char>(links);
-    std::fill_n(source.memo_known, links, static_cast<unsigned char>(0));
-  }
+  const Mbps* residuals = network.ResidualData();
 
   for (const flow::Flow& f : event.flows()) {
     const std::vector<topo::Path>& candidates = paths.Paths(f.src, f.dst);
@@ -77,7 +36,7 @@ QuickCostResult QuickCostEstimate(const net::NetworkView& network,
     std::size_t best = 0;
     for (std::size_t c = 0; c < n; ++c) {
       const std::span<const LinkId> links = candidates[c].links;
-      source.GatherRow(links, row);
+      net::GatherResiduals(residuals, links, row);
       worst[c] = net::MaxDeficit(row, links.size(), f.demand);
       if (c > 0 && worst[c].deficit < worst[best].deficit) best = c;
       if (worst[best].deficit <= kBandwidthEpsilon) break;  // fits outright

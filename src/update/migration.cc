@@ -243,6 +243,7 @@ const topo::Path* FindRerouteTargetPtr(const net::NetworkView& network,
   const flow::Flow& f = network.FlowOf(flow);
   const topo::Path& current = network.PathOf(flow);
   const std::vector<topo::Path>& candidates = paths.Paths(f.src, f.dst);
+  const Mbps* residuals = network.ResidualData();
 
   const topo::Path* best = nullptr;
   Mbps best_bottleneck = 0.0;
@@ -255,10 +256,8 @@ const topo::Path* FindRerouteTargetPtr(const net::NetworkView& network,
         usable = false;
         break;
       }
-      // Self-release: the flow's own occupancy on shared links counts as
-      // available when it moves.
-      Mbps residual = network.Residual(lid);
-      if (network.FlowUsesLink(flow, lid)) residual += f.demand;
+      const Mbps residual = net::SelfReleaseResidual(
+          residuals[lid.value()], lid, current, f.demand);
       if (!ApproxGe(residual, f.demand)) {
         usable = false;
         break;
@@ -272,19 +271,6 @@ const topo::Path* FindRerouteTargetPtr(const net::NetworkView& network,
     }
   }
   return best;
-}
-
-std::optional<topo::Path> FindRerouteTarget(
-    const net::NetworkView& network, const topo::PathProvider& paths,
-    FlowId flow, const std::unordered_set<LinkId::rep_type>& forbidden) {
-  std::vector<char> mask;
-  if (!forbidden.empty()) {
-    mask.assign(network.graph().link_count(), 0);
-    for (const LinkId::rep_type rep : forbidden) mask[rep] = 1;
-  }
-  const topo::Path* best = FindRerouteTargetPtr(network, paths, flow, mask);
-  if (best == nullptr) return std::nullopt;
-  return *best;
 }
 
 MigrationOptimizer::MigrationOptimizer(const topo::PathProvider& paths,

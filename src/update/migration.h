@@ -10,7 +10,6 @@
 
 #include <optional>
 #include <span>
-#include <unordered_set>
 #include <vector>
 
 #include "net/network.h"
@@ -98,16 +97,12 @@ class MigrationOptimizer {
 };
 
 /// A reroute target for an existing flow: a candidate path, different from
-/// the flow's current one, avoiding all `forbidden` links, feasible once the
-/// flow's own occupancy is released. Returns the widest such path.
-[[nodiscard]] std::optional<topo::Path> FindRerouteTarget(
-    const net::NetworkView& network, const topo::PathProvider& paths,
-    FlowId flow, const std::unordered_set<LinkId::rep_type>& forbidden);
-
-/// Hot-path form: provider-owned pointer result (no Path copy, nullptr =
-/// no target) and the forbidden set as a flat byte mask indexed by LinkId
-/// value (empty = nothing forbidden). PlanOn builds the mask once per plan
-/// and scans it branch-cheaply instead of paying a hash probe per link.
+/// the flow's current one, avoiding every link set in `forbidden_mask`,
+/// feasible once the flow's own occupancy is released
+/// (net::SelfReleaseResidual). Returns the widest such path as a
+/// provider-owned pointer, or nullptr when there is none. The mask is
+/// indexed by LinkId value (empty = nothing forbidden); PlanOn builds it
+/// once per plan. Residuals are read from the view's flat row.
 [[nodiscard]] const topo::Path* FindRerouteTargetPtr(
     const net::NetworkView& network, const topo::PathProvider& paths,
     FlowId flow, std::span<const char> forbidden_mask);

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "common/binio.h"
 #include "support/network_payload.h"
@@ -323,6 +326,116 @@ TEST(NetworkLoadStateTest, OutOfRangeIdsThrowCorruptInput) {
   EXPECT_THROW((void)load(bad_node), CorruptInput);
   EXPECT_THROW((void)load(good, /*first_id=*/1), CorruptInput);
   EXPECT_THROW((void)load(good, /*first_id=*/~std::uint64_t{0}), CorruptInput);
+}
+
+// The cases below each break one field of an otherwise consistent payload
+// whose two flows both cross a-b-c, so every link of that path lists ids 0
+// and 1. Each defect must throw CorruptInput, not abort, so recovery can
+// fall back to an older snapshot.
+struct CraftedPayload {
+  CraftedPayload() {
+    placements.push_back({fx.MakeFlow(10.0), fx.AbcPath()});
+    placements.push_back({fx.MakeFlow(20.0), fx.AbcPath()});
+    fields = test_support::NetworkFields(fx.graph, placements);
+  }
+
+  void Load() const {
+    const std::string payload = test_support::SerializeNetwork(fields);
+    Network net(fx.graph);
+    BinReader r(payload);
+    net.LoadState(r);
+    r.ExpectEnd();
+  }
+
+  LineFixture fx;
+  std::vector<test_support::CraftedPlacement> placements;
+  test_support::NetworkFieldValues fields;
+};
+
+TEST(NetworkLoadStateTest, ConsistentCraftedPayloadLoads) {
+  const CraftedPayload p;
+  EXPECT_NO_THROW(p.Load());
+}
+
+TEST(NetworkLoadStateTest, FlowRecordIdAtNextIdThrows) {
+  CraftedPayload p;
+  p.fields.flows[1].id = FlowId{p.fields.next_id};
+  EXPECT_THROW(p.Load(), CorruptInput);
+}
+
+TEST(NetworkLoadStateTest, DuplicatedFlowRecordThrows) {
+  CraftedPayload p;
+  p.fields.flows[1].id = p.fields.flows[0].id;
+  EXPECT_THROW(p.Load(), CorruptInput);
+}
+
+TEST(NetworkLoadStateTest, ResidualRowOfWrongLengthThrows) {
+  CraftedPayload p;
+  p.fields.residual.pop_back();
+  EXPECT_THROW(p.Load(), CorruptInput);
+}
+
+TEST(NetworkLoadStateTest, LinkTableOfWrongLengthThrows) {
+  CraftedPayload p;
+  p.fields.link_flows.pop_back();
+  EXPECT_THROW(p.Load(), CorruptInput);
+}
+
+TEST(NetworkLoadStateTest, LinkFlowIdBeyond32BitsThrows) {
+  CraftedPayload p;
+  const LinkId link = p.fx.AbcPath().links[0];
+  p.fields.link_flows[link.value()].back() = std::uint64_t{1} << 32;
+  EXPECT_THROW(p.Load(), CorruptInput);
+}
+
+TEST(NetworkLoadStateTest, UnsortedLinkListThrows) {
+  CraftedPayload p;
+  auto& ids = p.fields.link_flows[p.fx.AbcPath().links[1].value()];
+  ASSERT_EQ(ids.size(), 2u);
+  std::swap(ids[0], ids[1]);
+  EXPECT_THROW(p.Load(), CorruptInput);
+}
+
+TEST(NetworkLoadStateTest, UpArraysOfWrongLengthThrow) {
+  CraftedPayload short_links;
+  short_links.fields.link_up.pop_back();
+  EXPECT_THROW(short_links.Load(), CorruptInput);
+  CraftedPayload long_nodes;
+  long_nodes.fields.node_up.push_back(1);
+  EXPECT_THROW(long_nodes.Load(), CorruptInput);
+}
+
+TEST(NetworkLoadStateTest, FlowPlacedTwiceThrows) {
+  CraftedPayload p;
+  p.fields.placed.emplace_back(0, 1);
+  EXPECT_THROW(p.Load(), CorruptInput);
+}
+
+TEST(NetworkLoadStateTest, StoredFlowWithoutPlacementThrows) {
+  CraftedPayload p;
+  p.fields.placed.pop_back();
+  EXPECT_THROW(p.Load(), CorruptInput);
+}
+
+// A zero down count beside a down element would make PathAlive's fast path
+// report dead paths as alive, so the counts must match the up-arrays.
+TEST(NetworkLoadStateTest, DownCountsDisagreeingWithUpArraysThrow) {
+  CraftedPayload hidden_link;
+  hidden_link.fields.link_up[0] = 0;  // down_links stays 0
+  EXPECT_THROW(hidden_link.Load(), CorruptInput);
+  CraftedPayload hidden_node;
+  hidden_node.fields.node_up[1] = 0;  // down_nodes stays 0
+  EXPECT_THROW(hidden_node.Load(), CorruptInput);
+  CraftedPayload phantom;
+  phantom.fields.down_links = 1;  // every link is up
+  EXPECT_THROW(phantom.Load(), CorruptInput);
+
+  CraftedPayload counted;
+  counted.fields.link_up[0] = 0;
+  counted.fields.down_links = 1;
+  counted.fields.node_up[1] = 0;
+  counted.fields.down_nodes = 1;
+  EXPECT_NO_THROW(counted.Load());
 }
 
 }  // namespace

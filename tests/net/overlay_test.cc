@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <span>
 #include <vector>
 
@@ -53,6 +54,12 @@ struct DiffFixture {
 /// Every read both states can answer must agree bit-for-bit.
 void ExpectIdentical(const NetworkView& overlay, const Network& copy,
                      std::span<const FlowId> ids) {
+  const Mbps* row = overlay.ResidualData();
+  ASSERT_NE(row, nullptr);
+  const std::span<const Mbps> copy_row = copy.ResidualArray();
+  for (std::size_t i = 0; i < copy_row.size(); ++i) {
+    ASSERT_EQ(row[i], copy_row[i]) << "row element " << i;
+  }
   for (const auto& l : copy.graph().links()) {
     ASSERT_EQ(overlay.Residual(l.id), copy.Residual(l.id))
         << "link " << l.id.value();
@@ -80,6 +87,8 @@ TEST(OverlayTest, FreshOverlayReadsFallThrough) {
     ids.push_back(FlowId{i});
   }
   ExpectIdentical(overlay, fx.base, ids);
+  // No write yet: the overlay serves the base's own row, not a copy.
+  EXPECT_EQ(overlay.ResidualData(), fx.base.ResidualData());
   EXPECT_EQ(overlay.ApproxDeltaBytes(), 0u);
 }
 
@@ -140,6 +149,9 @@ TEST(OverlayTest, BaseIsNeverMutated) {
   for (const auto& l : fx.base.graph().links()) {
     before.push_back(fx.base.Residual(l.id));
   }
+  const Mbps* base_row = fx.base.ResidualData();
+  const std::vector<Mbps> row_before(base_row,
+                                     base_row + fx.base.graph().link_count());
   const auto flows_before = fx.base.FlowIdUpperBound();
   const auto epoch_before = fx.base.state_epoch();
 
@@ -155,6 +167,12 @@ TEST(OverlayTest, BaseIsNeverMutated) {
   for (const auto& l : fx.base.graph().links()) {
     EXPECT_EQ(fx.base.Residual(l.id), before[i++]);
   }
+  // The overlay wrote its own copy of the row; the base's is untouched.
+  EXPECT_NE(overlay.ResidualData(), fx.base.ResidualData());
+  EXPECT_EQ(fx.base.ResidualData(), base_row);
+  const std::span<const Mbps> row_after = fx.base.ResidualArray();
+  EXPECT_TRUE(std::equal(row_after.begin(), row_after.end(),
+                         row_before.begin(), row_before.end()));
   EXPECT_EQ(fx.base.FlowIdUpperBound(), flows_before);
   EXPECT_EQ(fx.base.state_epoch(), epoch_before);
   EXPECT_TRUE(fx.base.HasFlow(FlowId{0}));
@@ -175,16 +193,24 @@ TEST(OverlayTest, OverlayOverOverlayMatchesDeepCopy) {
   outer.Remove(FlowId{0});
   copy.Remove(FlowId{0});
 
-  NetworkOverlay inner(outer);
+  // Through the view: NetworkOverlay(outer) would pick the implicit copy
+  // constructor and clone the outer layer instead of stacking on it.
+  const NetworkView& outer_view = outer;
+  NetworkOverlay inner(outer_view);
   Network inner_copy = copy;
+  std::vector<FlowId> ids;
+  for (FlowId::rep_type i = 0; i < copy.FlowIdUpperBound(); ++i) {
+    ids.push_back(FlowId{i});
+  }
+  // Unwritten, the inner layer serves the outer layer's row.
+  EXPECT_EQ(inner.ResidualData(), outer.ResidualData());
+  ExpectIdentical(inner, inner_copy, ids);
+
   const flow::Flow f2 = fx.RandomFlow(rng, 3.0);
   const Path& p2 = fx.provider.Paths(f2.src, f2.dst).front();
   ASSERT_EQ(inner.Place(f2, p2), inner_copy.Place(f2, p2));
-
-  std::vector<FlowId> ids;
-  for (FlowId::rep_type i = 0; i < inner_copy.FlowIdUpperBound(); ++i) {
-    ids.push_back(FlowId{i});
-  }
+  ids.push_back(FlowId{inner_copy.FlowIdUpperBound() - 1});
+  EXPECT_NE(inner.ResidualData(), outer.ResidualData());
   ExpectIdentical(inner, inner_copy, ids);
   // The outer layer must not have seen the inner mutation.
   ExpectIdentical(outer, copy, ids);

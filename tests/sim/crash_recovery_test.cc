@@ -8,6 +8,7 @@
 // generations, fault timelines).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -16,6 +17,8 @@
 
 #include "ckpt/checkpoint.h"
 #include "ckpt/journal.h"
+#include "ckpt/snapshot.h"
+#include "common/binio.h"
 #include "fault/fault_plan.h"
 #include "metrics/export.h"
 #include "sched/factory.h"
@@ -322,6 +325,57 @@ TEST(CrashRecoveryFallbackTest, CorruptNewestSnapshotFallsBackAndRecovers) {
     f.seekp(30);
     f.put(static_cast<char>(c ^ 0x20));
   }
+
+  Simulator sim(fx.network, fx.provider, config);
+  const auto scheduler = sched::MakeScheduler(sched::SchedulerKind::kLmtf);
+  const SimResult recovered = sim.Resume(*scheduler, events);
+  EXPECT_TRUE(recovered.recovery.recovered);
+  EXPECT_EQ(recovered.recovery.snapshots_skipped, 1u);
+  EXPECT_EQ(recovered.recovery.snapshot_round, rounds[1]);
+  EXPECT_EQ(RecordsCsv(recovered), RecordsCsv(reference));
+}
+
+/// A newest snapshot that passes its CRC but is inconsistent inside must
+/// fall back too: here its second flow record repeats the first one's id,
+/// which LoadState rejects as CorruptInput instead of aborting.
+TEST(CrashRecoveryFallbackTest, InconsistentNewestSnapshotFallsBack) {
+  const Fixture fx;
+  const auto events = MakeEvents(fx);
+
+  TempDir ref_dir("inconsistent_ref");
+  SimConfig config = OracleConfig(fx);
+  config.checkpoint.dir = ref_dir.path().string();
+  config.checkpoint.cadence = 1;
+  const SimResult reference =
+      RunWith(fx, config, sched::SchedulerKind::kLmtf, events);
+  ASSERT_GE(reference.rounds, 4u);
+
+  TempDir dir("inconsistent");
+  config.checkpoint.dir = dir.path().string();
+  config.faults.crash.at_round = 4;
+  {
+    Simulator sim(fx.network, fx.provider, config);
+    const auto scheduler = sched::MakeScheduler(sched::SchedulerKind::kLmtf);
+    EXPECT_THROW((void)sim.Run(*scheduler, events), fault::ControllerCrash);
+  }
+  const auto rounds = ckpt::ListSnapshotRounds(dir.path());
+  ASSERT_GE(rounds.size(), 2u);
+  const fs::path newest = ckpt::SnapshotPath(dir.path(), rounds.front());
+  std::string payload = ckpt::ReadSnapshotFile(newest);
+  // The payload opens with Network::SaveState: a u32 topology fingerprint,
+  // then FlowTable::SaveState's u64 next id, u64 record count and 41-byte
+  // records, each led by its u64 flow id.
+  constexpr std::size_t kFirstRecord = 4 + 8 + 8;
+  constexpr std::size_t kRecordBytes = 8 + 4 + 4 + 8 + 8 + 1 + 8;
+  {
+    BinReader r(payload);
+    (void)r.U32();
+    (void)r.U64();
+    ASSERT_GE(r.Size(), 2u) << "snapshot holds too few flows to duplicate";
+  }
+  std::copy_n(payload.begin() + kFirstRecord, 8,
+              payload.begin() + kFirstRecord + kRecordBytes);
+  (void)ckpt::WriteSnapshotFile(newest, payload);  // fresh, valid CRC
 
   Simulator sim(fx.network, fx.provider, config);
   const auto scheduler = sched::MakeScheduler(sched::SchedulerKind::kLmtf);

@@ -1,11 +1,14 @@
-// Differential tests pinning the batched candidate scorer and the SoA scan
-// kernels to the historical scalar implementations, bit for bit. The
-// reference copies below are the pre-batching code verbatim (per-call
-// vector scratch, early-exit candidate loop, per-link virtual reads); the
-// production paths must reproduce their doubles exactly — the probe-cost
-// cache and the sharded argmin both assume a score computed twice is the
-// same double, and the golden layout tests assume admission tie-breaks
-// never move. Every EXPECT on a double here is exact equality on purpose.
+// Differential tests pinning the batched candidate scorer, the reroute
+// scan and the SoA scan kernels to the historical scalar implementations,
+// bit for bit. The reference copies below are the pre-batching code
+// verbatim (per-call vector scratch, early-exit candidate loop, per-link
+// virtual reads) and the reroute scan from before residual rows reached
+// overlays (virtual Residual() plus a FlowUsesLink list search for
+// self-release); the production paths must reproduce their doubles and
+// winners exactly — the probe-cost cache and the sharded argmin both
+// assume a score computed twice is the same double, and the golden layout
+// tests assume admission tie-breaks never move. Every EXPECT on a double
+// here is exact equality on purpose.
 //
 // The kernel differentials (dispatch vs net::scalar::*) are what make the
 // NU_SIMD build tiers interchangeable: under -DNU_SIMD=OFF they compare the
@@ -17,6 +20,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <vector>
 
 #include "common/rng.h"
@@ -27,6 +31,7 @@
 #include "topo/fat_tree.h"
 #include "topo/path_provider.h"
 #include "update/cost_estimate.h"
+#include "update/migration.h"
 #include "update/update_event.h"
 
 namespace nu::update {
@@ -194,6 +199,46 @@ const topo::Path& LeastCongestedPath(const net::NetworkView& network,
   return *best;
 }
 
+// Reroute scan before overlays served residual rows, copied verbatim.
+
+const topo::Path* FindRerouteTargetPtr(const net::NetworkView& network,
+                                       const topo::PathProvider& paths,
+                                       FlowId flow,
+                                       std::span<const char> forbidden_mask) {
+  const flow::Flow& f = network.FlowOf(flow);
+  const topo::Path& current = network.PathOf(flow);
+  const std::vector<topo::Path>& candidates = paths.Paths(f.src, f.dst);
+
+  const topo::Path* best = nullptr;
+  Mbps best_bottleneck = 0.0;
+  for (const topo::Path& candidate : candidates) {
+    if (candidate == current) continue;
+    bool usable = true;
+    Mbps bottleneck = std::numeric_limits<double>::infinity();
+    for (LinkId lid : candidate.links) {
+      if (!forbidden_mask.empty() && forbidden_mask[lid.value()] != 0) {
+        usable = false;
+        break;
+      }
+      // Self-release: the flow's own occupancy on shared links counts as
+      // available when it moves.
+      Mbps residual = network.Residual(lid);
+      if (network.FlowUsesLink(flow, lid)) residual += f.demand;
+      if (!ApproxGe(residual, f.demand)) {
+        usable = false;
+        break;
+      }
+      bottleneck = std::min(bottleneck, residual);
+    }
+    if (!usable) continue;
+    if (best == nullptr || bottleneck > best_bottleneck) {
+      best = &candidate;
+      best_bottleneck = bottleneck;
+    }
+  }
+  return best;
+}
+
 }  // namespace reference
 
 // --- Randomized fixture ---------------------------------------------------
@@ -275,15 +320,12 @@ TEST(BatchedScoringTest, BitIdenticalToScalarReferenceOnFlatNetwork) {
 }
 
 TEST(BatchedScoringTest, BitIdenticalToScalarReferenceOnOverlay) {
-  // Copy-on-write overlays expose no flat residual array, forcing the
-  // estimator through the memoized virtual-read fallback.
   Arena scratch;
   for (std::uint64_t seed = 101; seed <= 104; ++seed) {
     RandomFixture fx(seed);
     net::NetworkOverlay overlay(fx.network);
-    ASSERT_EQ(overlay.ResidualData(), nullptr);
-    // Dirty a few links so the overlay's patched residuals differ from the
-    // base (the memo must read through the override, not the base array).
+    // Dirty a few links so the overlay's residuals differ from the base
+    // (the estimator must read the overlay's row, not the base array).
     for (int i = 0; i < 4; ++i) {
       flow::Flow f;
       f.src = fx.ft.host(fx.rng.Index(fx.ft.host_count()));
@@ -296,6 +338,8 @@ TEST(BatchedScoringTest, BitIdenticalToScalarReferenceOnOverlay) {
       const topo::Path& p = paths[fx.rng.Index(paths.size())];
       if (overlay.CanPlace(f.demand, p)) overlay.Place(std::move(f), p);
     }
+    ASSERT_NE(overlay.ResidualData(), fx.network.ResidualData())
+        << "the dirtied overlay must serve its own row";
     for (std::uint64_t e = 1; e <= 12; ++e) {
       ExpectSameEstimate(overlay, fx, fx.RandomEvent(e), scratch);
     }
@@ -330,6 +374,96 @@ TEST(BatchedScoringTest, AdmissionMatchesReferenceLoops) {
       EXPECT_EQ(&lc_got, &lc_ref);  // pointer-identical: same candidate slot
     }
   }
+}
+
+// --- Reroute scan: flat row + path self-release vs the reference ---------
+
+/// Random placements, reroutes and removals on `view`, so its residual row,
+/// link lists and paths all differ from whatever it was stacked on.
+void Scramble(net::MutableNetwork& view, RandomFixture& fx, int ops) {
+  const std::size_t hosts = fx.ft.host_count();
+  for (int i = 0; i < ops; ++i) {
+    const FlowId::rep_type bound = view.FlowIdUpperBound();
+    const FlowId id{static_cast<FlowId::rep_type>(fx.rng.Index(bound))};
+    const std::size_t op = fx.rng.Index(3);
+    if (op == 0 || !view.HasFlow(id)) {
+      flow::Flow f;
+      f.src = fx.ft.host(fx.rng.Index(hosts));
+      do {
+        f.dst = fx.ft.host(fx.rng.Index(hosts));
+      } while (f.dst == f.src);
+      f.demand = fx.rng.Uniform(1.0, 30.0);
+      f.duration = 5.0;
+      const auto& paths = fx.provider.Paths(f.src, f.dst);
+      const topo::Path& p = paths[fx.rng.Index(paths.size())];
+      if (view.CanPlace(f.demand, p)) view.Place(std::move(f), p);
+    } else if (op == 1) {
+      const flow::Flow& f = view.FlowOf(id);
+      const auto& paths = fx.provider.Paths(f.src, f.dst);
+      const topo::Path& p = paths[fx.rng.Index(paths.size())];
+      if (p != view.PathOf(id) && view.CanReroute(id, p)) view.Reroute(id, p);
+    } else {
+      view.Remove(id);
+    }
+  }
+}
+
+/// Every placed flow of `view` gets the same reroute target (the same
+/// provider-owned candidate) from the production scan and the reference,
+/// with no mask and with a desired-path mask as PlanOn builds it. Returns
+/// how many lookups found a target.
+std::size_t ExpectSameRerouteTargets(const net::NetworkView& view,
+                                     RandomFixture& fx) {
+  std::size_t found = 0;
+  for (FlowId::rep_type rep = 0; rep < view.FlowIdUpperBound(); ++rep) {
+    const FlowId id{rep};
+    if (!view.HasFlow(id)) continue;
+    const flow::Flow& f = view.FlowOf(id);
+    std::vector<char> mask(view.graph().link_count(), 0);
+    const NodeId other =
+        fx.ft.host(fx.rng.Index(fx.ft.host_count()));
+    if (other != f.src) {
+      const auto& desired = fx.provider.Paths(f.src, other);
+      for (LinkId lid : desired[fx.rng.Index(desired.size())].links) {
+        mask[lid.value()] = 1;
+      }
+    }
+    for (const std::span<const char> forbidden :
+         {std::span<const char>{}, std::span<const char>{mask}}) {
+      const topo::Path* ref =
+          reference::FindRerouteTargetPtr(view, fx.provider, id, forbidden);
+      const topo::Path* got =
+          FindRerouteTargetPtr(view, fx.provider, id, forbidden);
+      EXPECT_EQ(got, ref) << "flow " << rep;
+      if (got != nullptr) ++found;
+    }
+  }
+  return found;
+}
+
+TEST(RerouteScanTest, SameTargetAsReferenceOnEveryViewKind) {
+  std::size_t found = 0;
+  for (std::uint64_t seed = 201; seed <= 206; ++seed) {
+    RandomFixture fx(seed);
+    found += ExpectSameRerouteTargets(fx.network, fx);
+
+    net::NetworkOverlay unwritten(fx.network);
+    ASSERT_EQ(unwritten.ResidualData(), fx.network.ResidualData());
+    found += ExpectSameRerouteTargets(unwritten, fx);
+
+    net::NetworkOverlay written(fx.network);
+    Scramble(written, fx, 30);
+    ASSERT_NE(written.ResidualData(), fx.network.ResidualData());
+    found += ExpectSameRerouteTargets(written, fx);
+
+    const net::NetworkView& written_view = written;  // stack, not copy
+    net::NetworkOverlay stacked(written_view);
+    ASSERT_EQ(stacked.ResidualData(), written.ResidualData());
+    Scramble(stacked, fx, 30);
+    ASSERT_NE(stacked.ResidualData(), written.ResidualData());
+    found += ExpectSameRerouteTargets(stacked, fx);
+  }
+  EXPECT_GT(found, 0u) << "no lookup ever found a target";
 }
 
 // --- Kernel differentials: dispatch vs always-compiled scalar -------------

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <vector>
 
 #include "common/rng.h"
 #include "topo/fat_tree.h"
@@ -284,12 +285,11 @@ TEST(FindRerouteTargetTest, AvoidsForbiddenLinks) {
   FatTreeFixture fx;
   const auto& paths = fx.provider.Paths(fx.ft.host(0), fx.ft.host(2));
   const FlowId id = fx.PlaceOn(paths[0], 10.0);
-  std::unordered_set<LinkId::rep_type> forbidden;
-  for (LinkId l : paths[1].links) forbidden.insert(l.value());
+  std::vector<char> forbidden(fx.network.graph().link_count(), 0);
+  for (LinkId l : paths[1].links) forbidden[l.value()] = 1;
   // The only other candidate path is paths[1], fully forbidden.
-  const auto target =
-      FindRerouteTarget(fx.network, fx.provider, id, forbidden);
-  EXPECT_FALSE(target.has_value());
+  EXPECT_EQ(FindRerouteTargetPtr(fx.network, fx.provider, id, forbidden),
+            nullptr);
 }
 
 TEST(FindRerouteTargetTest, PicksWidestAlternative) {
@@ -315,8 +315,9 @@ TEST(FindRerouteTargetTest, PicksWidestAlternative) {
       break;
     }
   }
-  const auto target = FindRerouteTarget(fx.network, fx.provider, id, {});
-  ASSERT_TRUE(target.has_value());
+  const topo::Path* target =
+      FindRerouteTargetPtr(fx.network, fx.provider, id, {});
+  ASSERT_NE(target, nullptr);
   EXPECT_NE(target->nodes[3], p1.nodes[3]) << "picked the narrowed path";
 }
 
