@@ -173,7 +173,8 @@ void Network::StorePlacement(FlowId id, PathRef ref) {
   ++placed_count_;
 }
 
-FlowId Network::Place(flow::Flow flow, const topo::Path& path) {
+FlowId Network::Place(flow::Flow flow, PathRef ref) {
+  const topo::Path& path = registry_->Get(ref);
   NU_EXPECTS(graph_->IsValidPath(path));
   NU_EXPECTS(path.source() == flow.src);
   NU_EXPECTS(path.destination() == flow.dst);
@@ -181,7 +182,7 @@ FlowId Network::Place(flow::Flow flow, const topo::Path& path) {
   const Mbps demand = flow.demand;
   const FlowId id = flows_.Add(std::move(flow));
   Occupy(path, demand, id);
-  StorePlacement(id, registry_->Intern(path));
+  StorePlacement(id, ref);
   ++state_epoch_;
   return id;
 }
@@ -208,9 +209,10 @@ void Network::Remove(FlowId id) {
   ++state_epoch_;
 }
 
-void Network::Reroute(FlowId id, const topo::Path& new_path) {
+void Network::Reroute(FlowId id, PathRef new_ref) {
   const PathRef old_ref = PathRefOf(id);
   const flow::Flow& f = flows_.Get(id);
+  const topo::Path& new_path = registry_->Get(new_ref);
   NU_EXPECTS(graph_->IsValidPath(new_path));
   NU_EXPECTS(new_path.source() == f.src);
   NU_EXPECTS(new_path.destination() == f.dst);
@@ -220,8 +222,7 @@ void Network::Reroute(FlowId id, const topo::Path& new_path) {
   Release(registry_->Get(old_ref), demand, id);
   NU_CHECK(CanPlace(demand, new_path));
   Occupy(new_path, demand, id);
-  placements_[static_cast<std::size_t>(id.value())] =
-      registry_->Intern(new_path);
+  placements_[static_cast<std::size_t>(id.value())] = new_ref;
   ++state_epoch_;
 }
 

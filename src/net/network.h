@@ -80,9 +80,12 @@ class Network final : public MutableNetwork {
   // inherited from NetworkView, implemented once over the virtual
   // primitives so overlays share their exact feasibility semantics.
 
-  /// Registers and places a flow on `path`. Requires feasibility
-  /// (CanPlace). Returns the assigned flow id.
-  FlowId Place(flow::Flow flow, const topo::Path& path) override;
+  using MutableNetwork::Place;
+  using MutableNetwork::Reroute;
+
+  /// Registers and places a flow on the interned path `path`. Requires
+  /// feasibility (CanPlace). Returns the assigned flow id.
+  FlowId Place(flow::Flow flow, PathRef path) override;
 
   /// Places even if it would congest links (residual may go negative).
   /// Exists for experiments that study congestion; invariant checking then
@@ -92,9 +95,9 @@ class Network final : public MutableNetwork {
   /// Removes a flow, releasing its bandwidth.
   void Remove(FlowId id) override;
 
-  /// Moves an existing flow to `new_path`. Requires the flow to exist and
-  /// CanReroute to hold.
-  void Reroute(FlowId id, const topo::Path& new_path) override;
+  /// Moves an existing flow to the interned path `new_path`. Requires the
+  /// flow to exist and CanReroute to hold.
+  void Reroute(FlowId id, PathRef new_path) override;
 
   /// Interned ref of a placed flow's current path.
   [[nodiscard]] PathRef PathRefOf(FlowId id) const override;

@@ -13,6 +13,7 @@
 #pragma once
 
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "flow/flow.h"
@@ -124,18 +125,36 @@ class NetworkView {
 /// A view that also accepts the three state mutations planning needs. The
 /// concrete Network and the copy-on-write NetworkOverlay both implement it,
 /// so the planner's mutation core runs unchanged against either.
+///
+/// Placements are by PathRef: a caller that already holds the interned ref
+/// (a planned FlowAction, a MigrationMove) passes it straight through, and
+/// the path forms only intern and forward. Implementations check every
+/// precondition on the resolved path. Subclasses that override the ref
+/// forms add `using MutableNetwork::Place;` and `using
+/// MutableNetwork::Reroute;` to keep the path forms visible.
 class MutableNetwork : public NetworkView {
  public:
-  /// Registers and places a flow on `path`. Requires feasibility
-  /// (CanPlace). Returns the assigned flow id.
-  virtual FlowId Place(flow::Flow flow, const topo::Path& path) = 0;
+  /// Registers and places a flow on the interned path `path`. Requires a
+  /// valid path between the flow's endpoints and feasibility (CanPlace).
+  /// Returns the assigned flow id.
+  virtual FlowId Place(flow::Flow flow, PathRef path) = 0;
 
-  /// Moves an existing flow to `new_path`. Requires the flow to exist and
-  /// the move to be feasible under self-release.
-  virtual void Reroute(FlowId id, const topo::Path& new_path) = 0;
+  /// Moves an existing flow to the interned path `new_path`. Requires the
+  /// flow to exist and the move to be feasible under self-release.
+  virtual void Reroute(FlowId id, PathRef new_path) = 0;
 
   /// Removes a flow, releasing its bandwidth.
   virtual void Remove(FlowId id) = 0;
+
+  /// Interns `path`, then places by ref.
+  FlowId Place(flow::Flow flow, const topo::Path& path) {
+    return Place(std::move(flow), path_registry().Intern(path));
+  }
+
+  /// Interns `new_path`, then reroutes by ref.
+  void Reroute(FlowId id, const topo::Path& new_path) {
+    Reroute(id, path_registry().Intern(new_path));
+  }
 };
 
 }  // namespace nu::net

@@ -87,7 +87,8 @@ void NetworkOverlay::Release(const topo::Path& path, Mbps demand, FlowId id) {
   }
 }
 
-FlowId NetworkOverlay::Place(flow::Flow flow, const topo::Path& path) {
+FlowId NetworkOverlay::Place(flow::Flow flow, PathRef ref) {
+  const topo::Path& path = path_registry().Get(ref);
   NU_EXPECTS(graph().IsValidPath(path));
   NU_EXPECTS(path.source() == flow.src);
   NU_EXPECTS(path.destination() == flow.dst);
@@ -101,13 +102,14 @@ FlowId NetworkOverlay::Place(flow::Flow flow, const topo::Path& path) {
   flow.id = id;
   added_flows_.emplace(id.value(), std::move(flow));
   Occupy(path, demand, id);
-  paths_.emplace(id.value(), path_registry().Intern(path));
+  paths_.emplace(id.value(), ref);
   return id;
 }
 
-void NetworkOverlay::Reroute(FlowId id, const topo::Path& new_path) {
+void NetworkOverlay::Reroute(FlowId id, PathRef new_ref) {
   NU_EXPECTS(HasFlow(id));
   const flow::Flow& f = FlowOf(id);
+  const topo::Path& new_path = path_registry().Get(new_ref);
   NU_EXPECTS(graph().IsValidPath(new_path));
   NU_EXPECTS(new_path.source() == f.src);
   NU_EXPECTS(new_path.destination() == f.dst);
@@ -118,7 +120,7 @@ void NetworkOverlay::Reroute(FlowId id, const topo::Path& new_path) {
   Release(path_registry().Get(old_ref), demand, id);
   NU_CHECK(CanPlace(demand, new_path));
   Occupy(new_path, demand, id);
-  paths_[id.value()] = path_registry().Intern(new_path);
+  paths_[id.value()] = new_ref;
 }
 
 void NetworkOverlay::Remove(FlowId id) {

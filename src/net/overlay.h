@@ -67,8 +67,10 @@ class NetworkOverlay final : public MutableNetwork {
     return next_id_;
   }
 
-  FlowId Place(flow::Flow flow, const topo::Path& path) override;
-  void Reroute(FlowId id, const topo::Path& new_path) override;
+  using MutableNetwork::Place;
+  using MutableNetwork::Reroute;
+  FlowId Place(flow::Flow flow, PathRef path) override;
+  void Reroute(FlowId id, PathRef new_path) override;
   void Remove(FlowId id) override;
 
   [[nodiscard]] const NetworkView& base() const { return *base_; }

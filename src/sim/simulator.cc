@@ -905,15 +905,17 @@ SimResult Simulator::RunEventLoop(sched::Scheduler& scheduler,
     }
   }
 
+  const std::vector<Mbps> churn_reserve =
+      trace::HeadroomReserve(network.graph(), config_.churn.placement);
   auto spawn_background_replacement = [&] {
     for (std::size_t attempt = 0;
          attempt < config_.churn.replacement_attempts; ++attempt) {
       const trace::FlowSpec spec = churn_gen->Next();
       ++churn_draws;  // replayed to restore the generator from a snapshot
-      const auto path = trace::FindRandomPathWithHeadroom(
-          network, provider, spec.src, spec.dst, spec.demand,
-          config_.churn.placement, churn_rng);
-      if (!path.has_value()) continue;
+      const topo::Path* path = trace::FindRandomPathWithHeadroom(
+          network, provider, spec.src, spec.dst, spec.demand, churn_reserve,
+          churn_rng);
+      if (path == nullptr) continue;
       flow::Flow f;
       f.src = spec.src;
       f.dst = spec.dst;
@@ -2300,14 +2302,16 @@ SimResult Simulator::RunFlowLevel(
     }
   }
 
+  const std::vector<Mbps> churn_reserve =
+      trace::HeadroomReserve(network.graph(), config_.churn.placement);
   auto spawn_background_replacement = [&] {
     for (std::size_t attempt = 0;
          attempt < config_.churn.replacement_attempts; ++attempt) {
       const trace::FlowSpec spec = churn_gen->Next();
-      const auto path = trace::FindRandomPathWithHeadroom(
-          network, paths_, spec.src, spec.dst, spec.demand,
-          config_.churn.placement, churn_rng);
-      if (!path.has_value()) continue;
+      const topo::Path* path = trace::FindRandomPathWithHeadroom(
+          network, paths_, spec.src, spec.dst, spec.demand, churn_reserve,
+          churn_rng);
+      if (path == nullptr) continue;
       flow::Flow f;
       f.src = spec.src;
       f.dst = spec.dst;

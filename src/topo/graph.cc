@@ -1,6 +1,6 @@
 #include "topo/graph.h"
 
-#include <unordered_set>
+#include <algorithm>
 
 namespace nu::topo {
 
@@ -74,14 +74,36 @@ std::vector<NodeId> Graph::NodesWithRole(NodeRole role) const {
   return result;
 }
 
+namespace {
+
+/// Longest node sequence checked for repeats by the pairwise scan; longer
+/// ones are sorted in a reused per-thread buffer instead.
+constexpr std::size_t kPairwiseRepeatScan = 16;
+
+bool HasRepeatedNode(const std::vector<NodeId>& nodes) {
+  if (nodes.size() <= kPairwiseRepeatScan) {
+    for (std::size_t i = 1; i < nodes.size(); ++i) {
+      for (std::size_t j = 0; j < i; ++j) {
+        if (nodes[i] == nodes[j]) return true;
+      }
+    }
+    return false;
+  }
+  thread_local std::vector<NodeId> sorted;
+  sorted.assign(nodes.begin(), nodes.end());
+  std::sort(sorted.begin(), sorted.end());
+  return std::adjacent_find(sorted.begin(), sorted.end()) != sorted.end();
+}
+
+}  // namespace
+
 bool Graph::IsValidPath(const Path& path) const {
   if (path.nodes.empty()) return false;
   if (path.links.size() + 1 != path.nodes.size()) return false;
-  std::unordered_set<NodeId::rep_type> seen;
   for (NodeId n : path.nodes) {
     if (n.value() >= nodes_.size()) return false;
-    if (!seen.insert(n.value()).second) return false;  // repeated node
   }
+  if (HasRepeatedNode(path.nodes)) return false;
   for (std::size_t i = 0; i < path.links.size(); ++i) {
     const LinkId lid = path.links[i];
     if (lid.value() >= links_.size()) return false;

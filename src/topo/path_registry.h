@@ -6,6 +6,9 @@
 // Concurrency contract (parallel cost probes intern while other probe
 // threads resolve):
 //   * Intern() is mutex-guarded; duplicate content returns the existing ref.
+//     Its dedup index is a flat open-addressing table of refs with each
+//     slot's content hash in a parallel array, grown to stay at most half
+//     full, so a lookup is a short linear probe with no node allocation.
 //   * Get()/size() are lock-free: paths live in fixed-capacity chunks whose
 //     pointers are published with release stores, and the interned count is
 //     published last, also with release semantics. A reader that obtained a
@@ -24,9 +27,10 @@
 
 #include <atomic>
 #include <array>
+#include <cstdint>
 #include <memory>
 #include <mutex>
-#include <unordered_map>
+#include <vector>
 
 #include "common/check.h"
 #include "common/types.h"
@@ -62,22 +66,40 @@ class PathRegistry {
   [[nodiscard]] std::uint32_t serial() const { return serial_; }
 
   /// Honest byte footprint: chunk storage, the heap blocks of each interned
-  /// path's node/link vectors, and the dedup index (node + bucket costs).
+  /// path's node/link vectors, and the dedup index's two arrays. O(1): the
+  /// vector bytes are summed as paths are interned.
   [[nodiscard]] std::size_t ApproxBytes() const;
 
- private:
+  /// Slots in the dedup index: a power of two, at least 2 * size().
+  [[nodiscard]] std::size_t index_slots() const;
+
+  /// Paths per storage chunk (chunks are allocated whole).
   static constexpr std::size_t kChunkShift = 10;
   static constexpr std::size_t kChunkCapacity = std::size_t{1} << kChunkShift;
+
+ private:
   static constexpr std::size_t kMaxChunks = 4096;  // 4M distinct paths
 
+  [[nodiscard]] const Path& Slot(std::uint32_t ref) const {
+    return chunks_[ref >> kChunkShift].load(std::memory_order_relaxed)
+        [ref & (kChunkCapacity - 1)];
+  }
+  /// Rebuilds the index with twice the slots. Requires the mutex.
+  void GrowIndex();
+
   mutable std::mutex mutex_;
-  /// Content hash -> refs with that hash (collisions resolved by compare).
-  std::unordered_multimap<std::uint64_t, std::uint32_t> index_;
+  /// Dedup index, guarded by mutex_: the ref in each slot (kFreeSlot when
+  /// empty) and that ref's content hash. Linear probing from the hash.
+  std::vector<std::uint32_t> slot_refs_;
+  std::vector<std::uint64_t> slot_hashes_;
+  /// Heap bytes of every interned path's node and link vectors, guarded by
+  /// mutex_.
+  std::size_t path_bytes_ = 0;
   std::array<std::atomic<Path*>, kMaxChunks> chunks_{};
   std::array<std::unique_ptr<Path[]>, kMaxChunks> chunk_owner_;
   std::atomic<std::uint32_t> size_{0};
-  /// 32 bits so it fills the tail padding after size_: ApproxBytes()
-  /// counts sizeof(*this), and the footprint stays what it was.
+  /// 32 bits so it fills the tail padding after size_ (ApproxBytes()
+  /// counts sizeof(*this)).
   const std::uint32_t serial_;
 };
 

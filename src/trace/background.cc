@@ -1,7 +1,7 @@
 #include "trace/background.h"
 
+#include <algorithm>
 #include <limits>
-#include <optional>
 
 #include "common/logging.h"
 #include "flow/flow.h"
@@ -10,63 +10,76 @@ namespace nu::trace {
 
 namespace {
 
-}  // namespace
-
-bool FitsWithHeadroom(const net::Network& network, const topo::Path& p,
-                      Mbps demand, const BackgroundOptions& options) {
+bool Fits(const Mbps* residual, std::span<const Mbps> reserve,
+          const topo::Path& p, Mbps demand) {
   for (LinkId lid : p.links) {
-    const topo::Link& link = network.graph().link(lid);
-    const bool touches_host =
-        network.graph().node(link.src).role == topo::NodeRole::kHost ||
-        network.graph().node(link.dst).role == topo::NodeRole::kHost;
-    const double headroom =
-        touches_host
-            ? std::max(options.link_headroom, options.host_link_headroom)
-            : options.link_headroom;
-    const Mbps reserved = headroom * link.capacity;
-    if (!ApproxGe(network.Residual(lid) - demand, reserved)) return false;
+    if (!ApproxGe(residual[lid.value()] - demand, reserve[lid.value()])) {
+      return false;
+    }
   }
   return true;
 }
 
-namespace {
-
-/// Widest path satisfying the headroom constraint, or nullopt.
-std::optional<topo::Path> FindPathWithHeadroom(
-    const net::Network& network, const topo::PathProvider& paths, NodeId src,
-    NodeId dst, Mbps demand, const BackgroundOptions& options) {
+/// Widest path satisfying the headroom constraint, or null.
+const topo::Path* FindPathWithHeadroom(const net::Network& network,
+                                       const topo::PathProvider& paths,
+                                       NodeId src, NodeId dst, Mbps demand,
+                                       std::span<const Mbps> reserve) {
+  const Mbps* residual = network.ResidualData();
   const topo::Path* best = nullptr;
   Mbps best_bottleneck = 0.0;
   for (const topo::Path& p : paths.Paths(src, dst)) {
-    if (!FitsWithHeadroom(network, p, demand, options)) continue;
+    if (!Fits(residual, reserve, p, demand)) continue;
     Mbps bottleneck = std::numeric_limits<double>::infinity();
     for (LinkId lid : p.links) {
-      bottleneck = std::min(bottleneck, network.Residual(lid));
+      bottleneck = std::min(bottleneck, residual[lid.value()]);
     }
     if (best == nullptr || bottleneck > best_bottleneck) {
       best = &p;
       best_bottleneck = bottleneck;
     }
   }
-  if (best == nullptr) return std::nullopt;
-  return *best;
+  return best;
 }
 
 }  // namespace
 
-std::optional<topo::Path> FindRandomPathWithHeadroom(
-    const net::Network& network, const topo::PathProvider& paths, NodeId src,
-    NodeId dst, Mbps demand, const BackgroundOptions& options, Rng& rng) {
-  const std::vector<topo::Path>& candidates = paths.Paths(src, dst);
-  std::vector<const topo::Path*> feasible;
-  feasible.reserve(candidates.size());
-  for (const topo::Path& p : candidates) {
-    if (FitsWithHeadroom(network, p, demand, options)) {
-      feasible.push_back(&p);
-    }
+std::vector<Mbps> HeadroomReserve(const topo::Graph& graph,
+                                  const BackgroundOptions& options) {
+  std::vector<Mbps> reserve;
+  reserve.reserve(graph.link_count());
+  for (const topo::Link& link : graph.links()) {
+    const bool touches_host =
+        graph.node(link.src).role == topo::NodeRole::kHost ||
+        graph.node(link.dst).role == topo::NodeRole::kHost;
+    const double headroom =
+        touches_host
+            ? std::max(options.link_headroom, options.host_link_headroom)
+            : options.link_headroom;
+    reserve.push_back(headroom * link.capacity);
   }
-  if (feasible.empty()) return std::nullopt;
-  return *feasible[rng.Index(feasible.size())];
+  return reserve;
+}
+
+bool FitsWithHeadroom(const net::NetworkView& network,
+                      std::span<const Mbps> reserve, const topo::Path& p,
+                      Mbps demand) {
+  return Fits(network.ResidualData(), reserve, p, demand);
+}
+
+const topo::Path* FindRandomPathWithHeadroom(
+    const net::NetworkView& network, const topo::PathProvider& paths,
+    NodeId src, NodeId dst, Mbps demand, std::span<const Mbps> reserve,
+    Rng& rng) {
+  const Mbps* residual = network.ResidualData();
+  // Reused across calls: a steady-state draw allocates nothing.
+  thread_local std::vector<const topo::Path*> feasible;
+  feasible.clear();
+  for (const topo::Path& p : paths.Paths(src, dst)) {
+    if (Fits(residual, reserve, p, demand)) feasible.push_back(&p);
+  }
+  if (feasible.empty()) return nullptr;
+  return feasible[rng.Index(feasible.size())];
 }
 
 BackgroundResult InjectBackground(net::Network& network,
@@ -79,6 +92,7 @@ BackgroundResult InjectBackground(net::Network& network,
   BackgroundResult result;
   std::size_t consecutive_failures = 0;
   Rng path_rng(options.random_path_seed);
+  const std::vector<Mbps> reserve = HeadroomReserve(network.graph(), options);
   const auto measured_utilization = [&] {
     return options.target_fabric_utilization ? network.FabricUtilization()
                                              : network.AverageUtilization();
@@ -88,19 +102,19 @@ BackgroundResult InjectBackground(net::Network& network,
          result.placed_flows < options.max_flows &&
          consecutive_failures < options.max_consecutive_failures) {
     const FlowSpec spec = generator.Next();
-    std::optional<topo::Path> path;
+    const topo::Path* path = nullptr;
     if (options.random_path_seed != 0) {
       path = FindRandomPathWithHeadroom(network, paths, spec.src, spec.dst,
-                                        spec.demand, options, path_rng);
+                                        spec.demand, reserve, path_rng);
     } else if (options.link_headroom > 0.0 ||
                options.host_link_headroom > 0.0) {
       path = FindPathWithHeadroom(network, paths, spec.src, spec.dst,
-                                  spec.demand, options);
+                                  spec.demand, reserve);
     } else {
-      path = net::FindFeasiblePath(network, paths, spec.src, spec.dst,
-                                   spec.demand, options.path_selection);
+      path = net::FindFeasiblePathPtr(network, paths, spec.src, spec.dst,
+                                      spec.demand, options.path_selection);
     }
-    if (!path) {
+    if (path == nullptr) {
       ++result.rejected_flows;
       ++consecutive_failures;
       continue;

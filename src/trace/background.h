@@ -4,6 +4,9 @@
 // These are the flows the migration optimizer later moves around.
 #pragma once
 
+#include <span>
+#include <vector>
+
 #include "net/admission.h"
 #include "net/network.h"
 #include "trace/generator.h"
@@ -58,17 +61,27 @@ BackgroundResult InjectBackground(net::Network& network,
                                   TrafficGenerator& generator,
                                   const BackgroundOptions& options = {});
 
-/// True when every link of `p` keeps its reserved headroom after placing
-/// `demand` (host-incident links may reserve more than fabric links).
-[[nodiscard]] bool FitsWithHeadroom(const net::Network& network,
-                                    const topo::Path& p, Mbps demand,
-                                    const BackgroundOptions& options);
+/// Per-link reserve row of the headroom rule, indexed by LinkId value: the
+/// bandwidth each link keeps free of background traffic, headroom *
+/// capacity, where host-incident links use the larger of link_headroom and
+/// host_link_headroom. Build it once per run; it depends only on the graph
+/// and the options.
+[[nodiscard]] std::vector<Mbps> HeadroomReserve(
+    const topo::Graph& graph, const BackgroundOptions& options);
 
-/// Uniformly random candidate path satisfying the headroom constraint
-/// (per-flow ECMP-hash placement), or nullopt. Used by initial injection and
-/// by the simulator's background churn to place replacement flows.
-[[nodiscard]] std::optional<topo::Path> FindRandomPathWithHeadroom(
-    const net::Network& network, const topo::PathProvider& paths, NodeId src,
-    NodeId dst, Mbps demand, const BackgroundOptions& options, Rng& rng);
+/// True when every link of `p` keeps its reserve after placing `demand`.
+[[nodiscard]] bool FitsWithHeadroom(const net::NetworkView& network,
+                                    std::span<const Mbps> reserve,
+                                    const topo::Path& p, Mbps demand);
+
+/// Uniformly random candidate path of (src, dst) that fits its reserve
+/// (per-flow ECMP-hash placement), or null when none fits. Points into
+/// `paths`' candidate set; draws one rng.Index over the fitting candidates
+/// and allocates nothing once warmed. Used by initial injection and by the
+/// simulator's background churn to place replacement flows.
+[[nodiscard]] const topo::Path* FindRandomPathWithHeadroom(
+    const net::NetworkView& network, const topo::PathProvider& paths,
+    NodeId src, NodeId dst, Mbps demand, std::span<const Mbps> reserve,
+    Rng& rng);
 
 }  // namespace nu::trace

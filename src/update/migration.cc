@@ -378,7 +378,7 @@ void MigrationOptimizer::Apply(net::MutableNetwork& network,
                                const MigrationPlan& plan) {
   NU_EXPECTS(plan.feasible);
   for (const MigrationMove& move : plan.moves) {
-    network.Reroute(move.flow, network.path_registry().Get(move.new_path));
+    network.Reroute(move.flow, move.new_path);
   }
 }
 

@@ -72,7 +72,7 @@ EventPlan EventPlanner::PlanInto(net::MutableNetwork& state,
 
     if (action.placeable) {
       MigrationOptimizer::Apply(state, action.migration);
-      const FlowId id = state.Place(f, state.path_registry().Get(action.path));
+      const FlowId id = state.Place(f, action.path);
       if (placed_ids != nullptr) placed_ids->push_back(id);
     }
     plan.actions.push_back(std::move(action));
@@ -119,8 +119,8 @@ ExecutionResult EventPlanner::ExecuteWithPlan(net::MutableNetwork& network,
     // mutated since it was computed) aborts loudly instead of corrupting
     // residuals.
     MigrationOptimizer::Apply(network, action.migration);
-    const FlowId id = network.Place(event.flows()[action.flow_index],
-                                    network.path_registry().Get(action.path));
+    const FlowId id =
+        network.Place(event.flows()[action.flow_index], action.path);
     result.placed_flows.push_back(id);
   }
   result.plan = std::move(plan);

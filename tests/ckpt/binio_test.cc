@@ -3,6 +3,7 @@
 // and throw CorruptInput on anything truncated or out of range.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -107,6 +108,44 @@ TEST(BinIoTest, Crc32KnownVector) {
   // IEEE 802.3 reflected CRC32 of "123456789" is the classic check value.
   EXPECT_EQ(Crc32(std::string_view("123456789")), 0xCBF43926u);
   EXPECT_EQ(Crc32(std::string_view("")), 0x00000000u);
+}
+
+/// The bytewise table loop Crc32 used before slicing-by-8, verbatim.
+std::uint32_t ReferenceCrc32(const void* data, std::size_t size) {
+  static const std::array<std::uint32_t, 256> table = [] {
+    std::array<std::uint32_t, 256> t{};
+    for (std::uint32_t i = 0; i < 256; ++i) {
+      std::uint32_t c = i;
+      for (int k = 0; k < 8; ++k) {
+        c = (c & 1) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
+      }
+      t[i] = c;
+    }
+    return t;
+  }();
+  const auto* bytes = static_cast<const unsigned char*>(data);
+  std::uint32_t crc = 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < size; ++i) {
+    crc = table[(crc ^ bytes[i]) & 0xFF] ^ (crc >> 8);
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+TEST(BinIoTest, Crc32MatchesBytewiseReference) {
+  std::vector<unsigned char> buffer(300 + 8);
+  std::uint32_t state = 0x12345678u;
+  for (unsigned char& b : buffer) {
+    state = state * 1664525u + 1013904223u;
+    b = static_cast<unsigned char>(state >> 24);
+  }
+  // Every length, at every alignment of the 8-byte steps.
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t length = 0; length <= 300; ++length) {
+      ASSERT_EQ(Crc32(buffer.data() + offset, length),
+                ReferenceCrc32(buffer.data() + offset, length))
+          << "offset " << offset << " length " << length;
+    }
+  }
 }
 
 TEST(BinIoTest, Crc32DetectsSingleBitFlips) {

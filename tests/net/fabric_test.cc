@@ -100,24 +100,27 @@ TEST(HeadroomTest, FitsWithHeadroomRespectsTiers) {
   trace::BackgroundOptions options;
   options.link_headroom = 0.1;
   options.host_link_headroom = 0.5;
+  const std::vector<Mbps> reserve =
+      trace::HeadroomReserve(ft.graph(), options);
   const auto& p = provider.Paths(ft.host(0), ft.host(2));
   // 50 Mbps would leave exactly 50 on the host links: allowed (>= 50).
-  EXPECT_TRUE(trace::FitsWithHeadroom(network, p[0], 50.0, options));
+  EXPECT_TRUE(trace::FitsWithHeadroom(network, reserve, p[0], 50.0));
   // 51 Mbps violates the 50% host reserve.
-  EXPECT_FALSE(trace::FitsWithHeadroom(network, p[0], 51.0, options));
+  EXPECT_FALSE(trace::FitsWithHeadroom(network, reserve, p[0], 51.0));
 }
 
 TEST(RandomPathPlacementTest, SpreadsAcrossCandidates) {
   const topo::FatTree ft(topo::FatTreeConfig{.k = 4, .link_capacity = 1000.0});
   const topo::FatTreePathProvider provider(ft);
   net::Network network(ft.graph());
-  trace::BackgroundOptions options;
+  const std::vector<Mbps> reserve =
+      trace::HeadroomReserve(ft.graph(), trace::BackgroundOptions{});
   Rng rng(9);
   std::set<std::vector<NodeId>> used;
   for (int i = 0; i < 64; ++i) {
-    const auto path = trace::FindRandomPathWithHeadroom(
-        network, provider, ft.host(0), ft.host(12), 1.0, options, rng);
-    ASSERT_TRUE(path.has_value());
+    const topo::Path* path = trace::FindRandomPathWithHeadroom(
+        network, provider, ft.host(0), ft.host(12), 1.0, reserve, rng);
+    ASSERT_NE(path, nullptr);
     used.insert(path->nodes);
   }
   // 4 inter-pod candidates on k=4; random placement should hit all of them.
@@ -128,11 +131,12 @@ TEST(RandomPathPlacementTest, NulloptWhenNothingFits) {
   const topo::FatTree ft(topo::FatTreeConfig{.k = 4, .link_capacity = 100.0});
   const topo::FatTreePathProvider provider(ft);
   net::Network network(ft.graph());
-  trace::BackgroundOptions options;
+  const std::vector<Mbps> reserve =
+      trace::HeadroomReserve(ft.graph(), trace::BackgroundOptions{});
   Rng rng(10);
-  const auto path = trace::FindRandomPathWithHeadroom(
-      network, provider, ft.host(0), ft.host(1), 150.0, options, rng);
-  EXPECT_FALSE(path.has_value());
+  const topo::Path* path = trace::FindRandomPathWithHeadroom(
+      network, provider, ft.host(0), ft.host(1), 150.0, reserve, rng);
+  EXPECT_EQ(path, nullptr);
 }
 
 }  // namespace

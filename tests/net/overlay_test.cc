@@ -228,6 +228,88 @@ TEST(OverlayTest, DeltaStaysFarSmallerThanDeepCopy) {
   EXPECT_LT(overlay.ApproxDeltaBytes() * 4, fx.base.ApproxStateBytes());
 }
 
+/// Residual rows, link lists and placements of `a` and `b` agree exactly.
+void ExpectSameState(const NetworkView& a, const NetworkView& b) {
+  const std::size_t links = a.graph().link_count();
+  for (std::size_t i = 0; i < links; ++i) {
+    ASSERT_EQ(a.ResidualData()[i], b.ResidualData()[i]) << "link " << i;
+    const LinkId link{static_cast<LinkId::rep_type>(i)};
+    const std::span<const std::uint32_t> on_a = a.LinkFlowIds(link);
+    const std::span<const std::uint32_t> on_b = b.LinkFlowIds(link);
+    ASSERT_TRUE(std::equal(on_a.begin(), on_a.end(), on_b.begin(), on_b.end()))
+        << "link " << i;
+  }
+  ASSERT_EQ(a.FlowIdUpperBound(), b.FlowIdUpperBound());
+  for (FlowId::rep_type i = 0; i < a.FlowIdUpperBound(); ++i) {
+    const FlowId id{i};
+    ASSERT_EQ(a.HasFlow(id), b.HasFlow(id)) << i;
+    if (a.HasFlow(id)) {
+      ASSERT_EQ(a.PathRefOf(id), b.PathRefOf(id)) << i;
+    }
+  }
+}
+
+/// Runs one random Place/Reroute/Remove sequence on `by_path` through the
+/// path forms and on `by_ref` through the ref forms (both views share one
+/// registry), comparing the two states after every step.
+void RunRefAgainstPath(const DiffFixture& fx, MutableNetwork& by_path,
+                         MutableNetwork& by_ref, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<FlowId> live;
+  for (FlowId::rep_type i = 0; i < by_path.FlowIdUpperBound(); ++i) {
+    if (by_path.HasFlow(FlowId{i})) live.push_back(FlowId{i});
+  }
+  std::size_t reroutes = 0;
+  for (int step = 0; step < 150; ++step) {
+    const std::size_t op = rng.Index(3);
+    if (op == 0) {
+      const flow::Flow f = fx.RandomFlow(rng, 1.0 + rng.Uniform(0.0, 4.0));
+      const auto& paths = fx.provider.Paths(f.src, f.dst);
+      const Path& p = paths[rng.Index(paths.size())];
+      if (!by_path.CanPlace(f.demand, p)) continue;
+      const FlowId id = by_path.Place(f, p);
+      ASSERT_EQ(by_ref.Place(f, by_ref.path_registry().Intern(p)), id);
+      live.push_back(id);
+    } else if (op == 1 && !live.empty()) {
+      const std::size_t pick = rng.Index(live.size());
+      by_path.Remove(live[pick]);
+      by_ref.Remove(live[pick]);
+      live.erase(live.begin() + static_cast<std::ptrdiff_t>(pick));
+    } else if (op == 2 && !live.empty()) {
+      const FlowId id = live[rng.Index(live.size())];
+      const flow::Flow& f = by_path.FlowOf(id);
+      const auto& paths = fx.provider.Paths(f.src, f.dst);
+      const Path& p = paths[rng.Index(paths.size())];
+      if (!by_path.CanReroute(id, p)) continue;
+      by_path.Reroute(id, p);
+      by_ref.Reroute(id, by_ref.path_registry().Intern(p));
+      ++reroutes;
+    }
+    ExpectSameState(by_path, by_ref);
+  }
+  EXPECT_GT(reroutes, 0u);
+}
+
+TEST(PlaceByRefTest, RefFormsMatchPathFormsOnNetwork) {
+  DiffFixture fx;
+  Network by_path = fx.base;  // copies share the base's registry
+  Network by_ref = fx.base;
+  RunRefAgainstPath(fx, by_path, by_ref, 21);
+}
+
+TEST(PlaceByRefTest, RefFormsMatchPathFormsOnStackedOverlay) {
+  DiffFixture fx;
+  NetworkOverlay lower_path(fx.base);
+  NetworkOverlay lower_ref(fx.base);
+  RunRefAgainstPath(fx, lower_path, lower_ref, 22);
+  // Stack through the view (see OverlayOverOverlayMatchesDeepCopy).
+  const NetworkView& lower_path_view = lower_path;
+  const NetworkView& lower_ref_view = lower_ref;
+  NetworkOverlay upper_path(lower_path_view);
+  NetworkOverlay upper_ref(lower_ref_view);
+  RunRefAgainstPath(fx, upper_path, upper_ref, 23);
+}
+
 TEST(NetworkEpochTest, StateEpochBumpsOnEveryMutation) {
   DiffFixture fx;
   Network net = fx.base;

@@ -3,7 +3,9 @@
 // not allocate per call — that is the point of storing link membership as
 // canonically sorted id vectors served by reference. The legacy
 // FlowsOnLink (which materializes a vector of FlowIds) is exercised as a
-// positive control to prove the counter sees allocations.
+// positive control to prove the counter sees allocations. The placement
+// path is guarded the same way: Graph::IsValidPath, a warmed
+// PathProvider::Paths hit and a warmed churn draw allocate nothing.
 //
 // The counting operator new/delete below replaces the global ones for this
 // whole test binary, which is why these tests live in their own binary
@@ -15,10 +17,13 @@
 #include <new>
 #include <span>
 
+#include "common/rng.h"
 #include "net/network.h"
 #include "net/overlay.h"
 #include "topo/fat_tree.h"
+#include "topo/ksp.h"
 #include "topo/path_provider.h"
+#include "trace/background.h"
 
 namespace {
 
@@ -103,6 +108,68 @@ TEST(SpanAllocTest, OverlayPassThroughReadsDoNotAllocate) {
   const std::size_t after = g_allocations.load(std::memory_order_relaxed);
   EXPECT_EQ(after, before) << "overlay pass-through read allocated";
   EXPECT_GT(touched, 0u);
+}
+
+TEST(SpanAllocTest, IsValidPathDoesNotAllocate) {
+  Fixture fx;
+  const topo::Graph& graph = fx.ft.graph();
+  const auto& short_paths = fx.provider.Paths(fx.ft.host(0), fx.ft.host(15));
+  // A ring long enough for the sorted-buffer check; warm its buffer once.
+  topo::Graph ring;
+  for (int i = 0; i < 40; ++i) ring.AddNode(topo::NodeRole::kGeneric);
+  for (NodeId::rep_type i = 0; i < 40; ++i) {
+    ring.AddBidirectional(NodeId{i}, NodeId{(i + 1) % 40}, 100.0);
+  }
+  const std::vector<topo::Path> long_paths =
+      topo::YenKShortestPaths(ring, NodeId{0}, NodeId{19}, 2);
+  ASSERT_TRUE(ring.IsValidPath(long_paths.front()));
+
+  const std::size_t before = g_allocations.load(std::memory_order_relaxed);
+  std::size_t valid = 0;
+  for (int rep = 0; rep < 10; ++rep) {
+    for (const topo::Path& p : short_paths) valid += graph.IsValidPath(p);
+    for (const topo::Path& p : long_paths) valid += ring.IsValidPath(p);
+  }
+  const std::size_t after = g_allocations.load(std::memory_order_relaxed);
+  EXPECT_EQ(after, before) << "IsValidPath allocated";
+  EXPECT_EQ(valid, 10 * (short_paths.size() + long_paths.size()));
+}
+
+TEST(SpanAllocTest, WarmedPathsHitDoesNotAllocate) {
+  Fixture fx;
+  const NodeId src = fx.ft.host(1);
+  const NodeId dst = fx.ft.host(14);
+  const std::vector<topo::Path>* first = &fx.provider.Paths(src, dst);
+  const std::size_t before = g_allocations.load(std::memory_order_relaxed);
+  bool same = true;
+  for (int rep = 0; rep < 100; ++rep) {
+    same = same && &fx.provider.Paths(src, dst) == first;
+  }
+  const std::size_t after = g_allocations.load(std::memory_order_relaxed);
+  EXPECT_EQ(after, before) << "Paths() hit allocated";
+  EXPECT_TRUE(same);
+}
+
+TEST(SpanAllocTest, WarmedChurnDrawDoesNotAllocate) {
+  Fixture fx;
+  const std::vector<Mbps> reserve =
+      trace::HeadroomReserve(fx.ft.graph(), trace::BackgroundOptions{});
+  Rng rng(3);
+  const NodeId src = fx.ft.host(2);
+  const NodeId dst = fx.ft.host(13);
+  ASSERT_NE(trace::FindRandomPathWithHeadroom(fx.network, fx.provider, src,
+                                              dst, 1.0, reserve, rng),
+            nullptr);
+  const std::size_t before = g_allocations.load(std::memory_order_relaxed);
+  std::size_t found = 0;
+  for (int rep = 0; rep < 100; ++rep) {
+    found += trace::FindRandomPathWithHeadroom(fx.network, fx.provider, src,
+                                               dst, 1.0, reserve,
+                                               rng) != nullptr;
+  }
+  const std::size_t after = g_allocations.load(std::memory_order_relaxed);
+  EXPECT_EQ(after, before) << "churn draw allocated";
+  EXPECT_EQ(found, 100u);
 }
 
 TEST(SpanAllocTest, CounterSeesLegacyMaterializingRead) {

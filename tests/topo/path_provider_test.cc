@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdint>
+#include <thread>
+#include <utility>
+#include <vector>
+
 namespace nu::topo {
 namespace {
 
@@ -100,6 +106,139 @@ TEST(NodeAvoidingPathProviderTest, CanEmptyOut) {
   // that switch leaves nothing.
   const NodeAvoidingPathProvider filtered(base, ft.edge(0, 0));
   EXPECT_TRUE(filtered.Paths(ft.host(0), ft.host(1)).empty());
+}
+
+TEST(PairIndexTest, FillsEachPairOnceAndKeepsItsAddress) {
+  PairIndex index(300);
+  int fills = 0;
+  const auto fill = [&] {
+    ++fills;
+    return std::vector<Path>(2);
+  };
+  const auto& first = index.Get(NodeId{3}, NodeId{299}, fill);
+  // 2,580 more pairs: the table grows several times.
+  const auto each_pair = [&](auto&& visit) {
+    for (NodeId::rep_type src = 0; src < 300; src += 7) {
+      for (NodeId::rep_type dst = 0; dst < 300; dst += 5) {
+        visit(NodeId{src}, NodeId{dst});
+      }
+    }
+  };
+  std::vector<const std::vector<Path>*> sets;
+  each_pair([&](NodeId src, NodeId dst) {
+    sets.push_back(&index.Get(src, dst, fill));
+  });
+  EXPECT_EQ(fills, 2581);
+  std::size_t i = 0;
+  each_pair([&](NodeId src, NodeId dst) {
+    EXPECT_EQ(&index.Get(src, dst, fill), sets[i++]);
+  });
+  EXPECT_EQ(&index.Get(NodeId{3}, NodeId{299}, fill), &first);
+  EXPECT_EQ(first.size(), 2u);
+  EXPECT_EQ(fills, 2581);
+}
+
+TEST(PairIndexTest, ResetDropsSetsOnlyForANewEpoch) {
+  PairIndex index(8);
+  int fills = 0;
+  const auto fill = [&] {
+    ++fills;
+    return std::vector<Path>(static_cast<std::size_t>(fills));
+  };
+  EXPECT_EQ(index.epoch(), 0u);
+  EXPECT_EQ(index.Get(NodeId{1}, NodeId{2}, fill).size(), 1u);
+  index.Reset(0);  // same epoch: keeps the set
+  EXPECT_EQ(index.Get(NodeId{1}, NodeId{2}, fill).size(), 1u);
+  index.Reset(5);
+  EXPECT_EQ(index.epoch(), 5u);
+  EXPECT_EQ(index.Get(NodeId{1}, NodeId{2}, fill).size(), 2u);
+  EXPECT_EQ(fills, 2);
+}
+
+/// Every ordered host pair of `ft`.
+std::vector<std::pair<NodeId, NodeId>> HostPairs(const FatTree& ft) {
+  std::vector<std::pair<NodeId, NodeId>> pairs;
+  for (std::size_t a = 0; a < ft.host_count(); ++a) {
+    for (std::size_t b = 0; b < ft.host_count(); ++b) {
+      if (a != b) pairs.emplace_back(ft.host(a), ft.host(b));
+    }
+  }
+  return pairs;
+}
+
+/// Threads that start together look up every pair of `pairs` in `provider`,
+/// each from its own rotation of the list so fills of overlapping pairs
+/// race. Returns, per thread, the set each pair resolved to.
+std::vector<std::vector<const std::vector<Path>*>> RaceLookups(
+    const PathProvider& provider,
+    const std::vector<std::pair<NodeId, NodeId>>& pairs) {
+  constexpr std::size_t kThreads = 4;
+  std::vector<std::vector<const std::vector<Path>*>> seen(
+      kThreads, std::vector<const std::vector<Path>*>(pairs.size()));
+  std::atomic<std::size_t> ready{0};
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) {
+      }
+      for (std::size_t n = 0; n < pairs.size(); ++n) {
+        const std::size_t i = (n + t * pairs.size() / kThreads) % pairs.size();
+        seen[t][i] = &provider.Paths(pairs[i].first, pairs[i].second);
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  return seen;
+}
+
+/// Each pair resolved to one object on every thread, equal in content to
+/// the sequential provider's set.
+void ExpectOneSetPerPair(
+    const std::vector<std::vector<const std::vector<Path>*>>& seen,
+    const std::vector<std::pair<NodeId, NodeId>>& pairs,
+    const PathProvider& sequential) {
+  for (std::size_t i = 0; i < pairs.size(); ++i) {
+    for (const auto& thread_seen : seen) {
+      ASSERT_EQ(thread_seen[i], seen.front()[i]) << "pair " << i;
+    }
+    EXPECT_EQ(*seen.front()[i],
+              sequential.Paths(pairs[i].first, pairs[i].second))
+        << "pair " << i;
+  }
+}
+
+TEST(PairIndexTest, RacingFillsPublishOneSetPerPair) {
+  const FatTree ft(FatTreeConfig{.k = 4, .link_capacity = 1000.0});
+  const FatTreePathProvider sequential(ft);
+  const FatTreePathProvider racing(ft);
+  const auto pairs = HostPairs(ft);
+  ExpectOneSetPerPair(RaceLookups(racing, pairs), pairs, sequential);
+}
+
+TEST(PairIndexTest, RacingRefillsAfterEpochReset) {
+  const FatTree ft(FatTreeConfig{.k = 4, .link_capacity = 1000.0});
+  const FatTreePathProvider base(ft);
+  // Drops the paths through one core switch, which changes per epoch, so a
+  // stale set after a reset would show.
+  std::atomic<std::uint64_t> epoch{0};
+  const PredicatePathProvider racing(
+      base,
+      [&](const Path& p) {
+        for (const NodeId n : p.nodes) {
+          if (n == ft.core(epoch.load() % ft.core_count())) return false;
+        }
+        return true;
+      },
+      [&] { return epoch.load(); });
+  const auto pairs = HostPairs(ft);
+  for (std::uint64_t round = 0; round < 3; ++round) {
+    // The epoch changes between rounds, while no thread reads.
+    epoch.store(round);
+    const NodeAvoidingPathProvider sequential(
+        base, ft.core(round % ft.core_count()));
+    ExpectOneSetPerPair(RaceLookups(racing, pairs), pairs, sequential);
+  }
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cstdint>
 #include <vector>
 
 #include "common/binio.h"
@@ -62,6 +63,63 @@ TEST(PathRegistryTest, GetReferencesStableAcrossGrowth) {
   EXPECT_EQ(registry.Get(first), LinePath(0, 2));
   // Spot-check late entries resolve too.
   EXPECT_EQ(registry.Get(refs.back()), LinePath(5000, 1 + 4999 % 4));
+}
+
+TEST(PathRegistryTest, DedupsAcrossIndexGrowths) {
+  PathRegistry registry;
+  const std::size_t initial_slots = registry.index_slots();
+  const PathRef first = registry.Intern(LinePath(0, 1));
+  const Path* first_address = &registry.Get(first);
+
+  constexpr std::size_t kPaths = 12000;  // many index doublings
+  std::vector<PathRef> refs{first};
+  for (std::size_t i = 1; i < kPaths; ++i) {
+    refs.push_back(registry.Intern(LinePath(i, 1 + i % 5)));
+  }
+  EXPECT_EQ(registry.size(), kPaths);
+  EXPECT_GT(registry.index_slots(), initial_slots);
+  EXPECT_GE(registry.index_slots(), 2 * kPaths);  // at most half full
+  // Every path found again through the grown index, with no growth.
+  const std::size_t slots = registry.index_slots();
+  for (std::size_t i = 0; i < kPaths; ++i) {
+    ASSERT_EQ(registry.Intern(LinePath(i, 1 + i % 5)), refs[i]) << i;
+    ASSERT_EQ(registry.Get(refs[i]), LinePath(i, 1 + i % 5)) << i;
+  }
+  EXPECT_EQ(registry.size(), kPaths);
+  EXPECT_EQ(registry.index_slots(), slots);
+  EXPECT_EQ(&registry.Get(first), first_address);
+}
+
+TEST(PathRegistryTest, ApproxBytesMatchesRecomputation) {
+  PathRegistry registry;
+  // The O(n) walk ApproxBytes used to make, plus the index arrays.
+  const auto recomputed = [&registry] {
+    const std::size_t count = registry.size();
+    const std::size_t chunks = (count + PathRegistry::kChunkCapacity - 1) /
+                               PathRegistry::kChunkCapacity;
+    std::size_t bytes = sizeof(PathRegistry) +
+                        chunks * PathRegistry::kChunkCapacity * sizeof(Path);
+    for (std::size_t i = 0; i < count; ++i) {
+      const Path& p = registry.Get(PathRef{static_cast<std::uint32_t>(i)});
+      bytes += p.nodes.capacity() * sizeof(NodeId) +
+               p.links.capacity() * sizeof(LinkId);
+    }
+    return bytes + registry.index_slots() *
+                       (sizeof(std::uint32_t) + sizeof(std::uint64_t));
+  };
+  EXPECT_EQ(registry.ApproxBytes(), recomputed());
+  for (std::size_t i = 0; i < 2500; ++i) {
+    // Mixed lengths, and a path built with spare capacity: the sum counts
+    // what the stored copy holds.
+    Path p = LinePath(i, 1 + i % 7);
+    p.nodes.reserve(32);
+    registry.Intern(p);
+    registry.Intern(p);  // a duplicate adds nothing
+    if (i % 97 == 0) {
+      ASSERT_EQ(registry.ApproxBytes(), recomputed()) << i;
+    }
+  }
+  EXPECT_EQ(registry.ApproxBytes(), recomputed());
 }
 
 TEST(PathRegistryTest, PlacementsSurviveNetworkSaveLoad) {
