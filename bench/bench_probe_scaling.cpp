@@ -1,8 +1,9 @@
 // Probe fast-path scaling: how much does a single what-if cost probe cost as
 // the background-flow count grows, per probing mode?
 //
-//   legacy   — deep-copies the whole network per probe (the pre-overlay code
-//              path, kept behind SimConfig::probe_fast_path=false),
+//   legacy   — deep-copies the whole network per probe and plans on the
+//              copy (the pre-overlay probe; the bench builds it from a
+//              net::Network copy plus EventPlanner::Execute),
 //   overlay  — plans on a copy-on-write NetworkOverlay (the default),
 //   parallel — the overlay probes of one round's alpha candidates evaluated
 //              concurrently on a thread pool (per-probe wall time),
@@ -105,7 +106,8 @@ ModeTimes TimeProbes(const net::Network& network,
   auto start = Clock::now();
   for (std::size_t r = 0; r < reps; ++r) {
     for (std::size_t i = 0; i < alpha; ++i) {
-      (void)planner.PlanLegacyCopy(network, events[i]);
+      net::Network copy = network;
+      (void)planner.Execute(copy, events[i]);
     }
   }
   t.legacy_us = MicrosSince(start) / static_cast<double>(n);

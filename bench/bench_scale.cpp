@@ -231,37 +231,41 @@ struct RunRow {
   double events_per_sec = 0.0;
 };
 
-/// One modeled thread-count point of the sharded tier.
+/// Worker-thread counts the sharded tier measures, and the measured runs
+/// per point (single runs of one config vary by about ±30%).
+constexpr std::size_t kShardThreadCounts[] = {1, 2, 4};
+constexpr std::size_t kShardReps = 3;
+
+/// One measured thread-count point of the sharded tier.
 struct ShardThreadRow {
   std::size_t threads = 0;
-  double modeled_wall_seconds = 0.0;
-  double modeled_events_per_sec = 0.0;
-  /// modeled(1 thread) / modeled(this thread count).
-  double modeled_speedup = 0.0;
+  /// Median wall seconds over the repetitions.
+  double wall_seconds = 0.0;
+  /// Median fan-out (parallel-region) wall seconds.
+  double fanout_wall_seconds = 0.0;
+  double events_per_sec = 0.0;
+  /// Unsharded median wall / this point's median wall.
+  double speedup = 0.0;
 };
 
-/// One scheduler's sharded-tier measurement: the unsharded reference run,
-/// the sharded run's measured wall/parallel split, and the modeled
-/// thread-count sweep derived from per-task busy seconds (see ShardStats —
-/// the deterministic shard s -> worker s % T assignment makes the modeled
-/// makespan a pure function of the measured busy times, so a 1-core host
-/// can report what a T-core host would see; the serial remainder is
-/// identical either way).
+/// One scheduler's sharded-tier measurement: the unsharded reference and
+/// the sharded run at each thread count, every point the median of the
+/// same number of measured repetitions.
 struct ShardRow {
   std::string scheduler;
   std::size_t events = 0;
   std::size_t rounds = 0;
   double unsharded_wall_seconds = 0.0;
-  double sharded_wall_seconds = 0.0;
-  double fanout_wall_seconds = 0.0;
-  /// sharded_wall - fanout_wall: the part no thread count helps.
-  double serial_seconds = 0.0;
   std::uint64_t probe_fanouts = 0;
-  std::uint64_t audit_fanouts = 0;
   std::uint64_t cross_shard_events = 0;
   std::vector<ShardThreadRow> sweep;
-  double speedup_8t = 0.0;
 };
+
+double Median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  const std::size_t n = v.size();
+  return n % 2 == 1 ? v[n / 2] : 0.5 * (v[n / 2 - 1] + v[n / 2]);
+}
 
 bool HasFlag(int argc, char** argv, const char* flag) {
   const std::string needle = std::string("--") + flag;
@@ -386,9 +390,9 @@ int main(int argc, char** argv) {
   // draws are coordinator work and would dilute the parallel fraction this
   // tier exists to measure), auditor ON at a dense cadence (probe planning
   // is the fan-out work; audit passes run on the coordinator). Each
-  // scheduler runs once unsharded (the reference) and once sharded; the
-  // sharded run's ShardStats carry per-task busy seconds, from which the
-  // modeled thread-count sweep is computed (see ShardRow).
+  // scheduler runs unsharded (the reference) and sharded at 1, 2 and 4
+  // worker threads, kShardReps times each; every point reports the median
+  // measured wall time.
   const std::size_t shard_k =
       bench::ArgOr(argc, argv, "shard-k", quick ? 8 : 32);
   const std::size_t shard_flows =
@@ -427,74 +431,63 @@ int main(int argc, char** argv) {
         sched::SchedulerKind::kPlmtf}) {
     ShardRow srow;
     srow.scheduler = sched::ToString(kind);
-    {
-      sim::Simulator simulator(shard_network, shard_provider, shard_config);
+    // Wall seconds (and the result) of one simulation under `run_config`.
+    auto timed_run = [&](const sim::SimConfig& run_config) {
+      sim::Simulator simulator(shard_network, shard_provider, run_config);
       const auto scheduler = sched::MakeScheduler(kind);
       const auto start = Clock::now();
-      const sim::SimResult result =
-          simulator.Run(*scheduler, shard_run_events);
-      srow.unsharded_wall_seconds = SecondsSince(start);
+      sim::SimResult result = simulator.Run(*scheduler, shard_run_events);
+      return std::make_pair(SecondsSince(start), std::move(result));
+    };
+    std::vector<double> unsharded;
+    for (std::size_t rep = 0; rep < kShardReps; ++rep) {
+      auto [wall, result] = timed_run(shard_config);
+      unsharded.push_back(wall);
       srow.events = result.report.event_count;
       srow.rounds = result.rounds;
     }
-    sim::SimConfig sharded = shard_config;
-    sharded.shards = shard_ft.pod_count();
-    sharded.shard_threads = 1;  // 1-core host: measure busy times unnoisy
-    {
-      sim::Simulator simulator(shard_network, shard_provider, sharded);
-      const auto scheduler = sched::MakeScheduler(kind);
-      const auto start = Clock::now();
-      const sim::SimResult result =
-          simulator.Run(*scheduler, shard_run_events);
-      srow.sharded_wall_seconds = SecondsSince(start);
-      const metrics::ShardStats& ss = result.shard_stats;
-      srow.fanout_wall_seconds = ss.fanout_wall_seconds;
-      srow.serial_seconds =
-          std::max(0.0, srow.sharded_wall_seconds - ss.fanout_wall_seconds);
-      srow.probe_fanouts = ss.probe_fanouts;
-      srow.audit_fanouts = ss.audit_fanouts;
-      srow.cross_shard_events = ss.cross_shard_events;
-      for (std::size_t i = 0; i < metrics::kShardModelThreads.size(); ++i) {
-        ShardThreadRow t;
-        t.threads = metrics::kShardModelThreads[i];
-        t.modeled_wall_seconds =
-            srow.serial_seconds + ss.modeled_parallel_seconds[i];
-        t.modeled_events_per_sec =
-            t.modeled_wall_seconds > 0.0
-                ? static_cast<double>(srow.events) / t.modeled_wall_seconds
-                : 0.0;
-        srow.sweep.push_back(t);
+    srow.unsharded_wall_seconds = Median(unsharded);
+    for (const std::size_t threads : kShardThreadCounts) {
+      sim::SimConfig sharded = shard_config;
+      sharded.shards = shard_ft.pod_count();
+      sharded.shard_threads = threads;
+      std::vector<double> walls;
+      std::vector<double> fanouts;
+      for (std::size_t rep = 0; rep < kShardReps; ++rep) {
+        auto [wall, result] = timed_run(sharded);
+        walls.push_back(wall);
+        fanouts.push_back(result.shard_stats.fanout_wall_seconds);
+        srow.probe_fanouts = result.shard_stats.probe_fanouts;
+        srow.cross_shard_events = result.shard_stats.cross_shard_events;
       }
-      const double one_thread = srow.sweep.front().modeled_wall_seconds;
-      for (ShardThreadRow& t : srow.sweep) {
-        t.modeled_speedup = t.modeled_wall_seconds > 0.0
-                                ? one_thread / t.modeled_wall_seconds
-                                : 0.0;
-      }
-      srow.speedup_8t = srow.sweep.back().modeled_speedup;
+      ShardThreadRow t;
+      t.threads = threads;
+      t.wall_seconds = Median(walls);
+      t.fanout_wall_seconds = Median(fanouts);
+      t.events_per_sec =
+          t.wall_seconds > 0.0
+              ? static_cast<double>(srow.events) / t.wall_seconds
+              : 0.0;
+      t.speedup = t.wall_seconds > 0.0
+                      ? srow.unsharded_wall_seconds / t.wall_seconds
+                      : 0.0;
+      srow.sweep.push_back(t);
+      std::printf("%-7s %zu threads: median %.3fs (unsharded %.3fs, "
+                  "fan-out %.3fs) -> %.2fx\n",
+                  srow.scheduler.c_str(), threads, t.wall_seconds,
+                  srow.unsharded_wall_seconds, t.fanout_wall_seconds,
+                  t.speedup);
     }
-    std::printf("%-7s sharded %.2fs (unsharded %.2fs, parallel %.2fs, "
-                "serial %.2fs) -> modeled 8t speedup %.2fx\n",
-                srow.scheduler.c_str(), srow.sharded_wall_seconds,
-                srow.unsharded_wall_seconds, srow.fanout_wall_seconds,
-                srow.serial_seconds, srow.speedup_8t);
     shard_rows.push_back(std::move(srow));
   }
-  double min_speedup_8t = 0.0;
-  for (const ShardRow& srow : shard_rows) {
-    min_speedup_8t = min_speedup_8t == 0.0
-                         ? srow.speedup_8t
-                         : std::min(min_speedup_8t, srow.speedup_8t);
-  }
 
-  AsciiTable shard_table({"scheduler", "ev/s 1t", "ev/s 2t", "ev/s 4t",
-                          "ev/s 8t", "speedup 8t"});
+  AsciiTable shard_table({"scheduler", "unsharded s", "1t s", "2t s", "4t s",
+                          "speedup 1t", "speedup 2t", "speedup 4t"});
   for (const ShardRow& srow : shard_rows) {
     auto& r = shard_table.Row().Cell(srow.scheduler);
-    for (const ShardThreadRow& t : srow.sweep) {
-      r.Cell(t.modeled_events_per_sec, 1);
-    }
-    r.Cell(srow.speedup_8t, 2);
+    r.Cell(srow.unsharded_wall_seconds, 3);
+    for (const ShardThreadRow& t : srow.sweep) r.Cell(t.wall_seconds, 3);
+    for (const ShardThreadRow& t : srow.sweep) r.Cell(t.speedup, 2);
   }
 
   // Pinned-baseline comparison (wall time cannot be measured across two
@@ -544,15 +537,12 @@ int main(int argc, char** argv) {
          << "}" << (i + 1 < rows.size() ? "," : "") << "\n";
   }
   json << "  ],\n  \"total_wall_seconds\": " << FormatDouble(total_wall, 3);
-  // Sharded tier. host_cores records the machine that measured the busy
-  // times; the sweep's wall numbers are the modeled critical path (serial
-  // remainder + busiest-worker makespan under shard s -> worker s % T),
-  // not multi-core measurements.
+  // Sharded tier: measured medians; host_cores records the machine.
   json << ",\n  \"shards\": {\n    \"host_cores\": "
        << std::thread::hardware_concurrency()
-       << ",\n    \"note\": \"modeled critical path from measured per-shard "
-          "busy seconds (deterministic shard->worker assignment s % T); "
-          "not a multi-core wall measurement\""
+       << ",\n    \"note\": \"median measured wall seconds of "
+       << kShardReps
+       << " runs per point; speedup = unsharded median / sharded median\""
        << ",\n    \"k\": " << shard_k
        << ",\n    \"background_flows\": " << shard_placed
        << ",\n    \"shard_count\": " << shard_ft.pod_count()
@@ -565,31 +555,21 @@ int main(int argc, char** argv) {
          << ", \"rounds\": " << srow.rounds
          << ", \"unsharded_wall_seconds\": "
          << FormatDouble(srow.unsharded_wall_seconds, 3)
-         << ", \"sharded_wall_seconds\": "
-         << FormatDouble(srow.sharded_wall_seconds, 3)
-         << ", \"fanout_wall_seconds\": "
-         << FormatDouble(srow.fanout_wall_seconds, 3)
-         << ", \"serial_seconds\": " << FormatDouble(srow.serial_seconds, 3)
          << ", \"probe_fanouts\": " << srow.probe_fanouts
-         << ", \"audit_fanouts\": " << srow.audit_fanouts
          << ", \"cross_shard_events\": " << srow.cross_shard_events
          << ",\n       \"threads\": [";
     for (std::size_t t = 0; t < srow.sweep.size(); ++t) {
       const ShardThreadRow& tr = srow.sweep[t];
       json << (t > 0 ? ", " : "") << "{\"threads\": " << tr.threads
-           << ", \"modeled_wall_seconds\": "
-           << FormatDouble(tr.modeled_wall_seconds, 3)
-           << ", \"modeled_events_per_sec\": "
-           << FormatDouble(tr.modeled_events_per_sec, 1)
-           << ", \"modeled_speedup\": "
-           << FormatDouble(tr.modeled_speedup, 2) << "}";
+           << ", \"wall_seconds\": " << FormatDouble(tr.wall_seconds, 3)
+           << ", \"fanout_wall_seconds\": "
+           << FormatDouble(tr.fanout_wall_seconds, 3)
+           << ", \"events_per_sec\": " << FormatDouble(tr.events_per_sec, 1)
+           << ", \"speedup\": " << FormatDouble(tr.speedup, 2) << "}";
     }
-    json << "],\n       \"speedup_8t\": " << FormatDouble(srow.speedup_8t, 2)
-         << "}" << (i + 1 < shard_rows.size() ? "," : "") << "\n";
+    json << "]}" << (i + 1 < shard_rows.size() ? "," : "") << "\n";
   }
-  json << "    ],\n    \"min_speedup_8t\": " << FormatDouble(min_speedup_8t, 2)
-       << ",\n    \"meets_5x_8t\": "
-       << (min_speedup_8t >= 5.0 ? "true" : "false") << "\n  }";
+  json << "    ]\n  }";
   if (have_baseline) {
     const double speedup =
         total_wall > 0.0 ? baseline_total_wall / total_wall : 0.0;
@@ -612,8 +592,8 @@ int main(int argc, char** argv) {
   std::printf("json written: %s\n", json_path.c_str());
 
   table.Print();
-  std::printf("sharded tier (modeled thread-count sweep, %zu shards):\n",
-              shard_ft.pod_count());
+  std::printf("sharded tier (median wall of %zu runs, %zu shards):\n",
+              kShardReps, shard_ft.pod_count());
   shard_table.Print();
   if (!txt_path.empty()) {
     std::ofstream txt(txt_path);

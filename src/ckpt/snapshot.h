@@ -42,7 +42,10 @@ namespace nu::ckpt {
 /// and SimConfig::recon are disabled. The shard section gains the recon
 /// fan-out counters, and the timeline accepts the three appended
 /// occurrence kinds (kGreyApply, kRuleLoss, kReconcile).
-inline constexpr std::uint32_t kSnapshotVersion = 6;
+/// v7: each state owner writes its own section in a fixed order
+/// (docs/model.md §11); per-process probe fields, the removed probe paths'
+/// counters and the fan-out counters left the payload.
+inline constexpr std::uint32_t kSnapshotVersion = 7;
 
 /// Thrown when a snapshot file fails frame validation (bad magic, version
 /// mismatch, truncation, or checksum failure).

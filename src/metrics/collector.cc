@@ -142,17 +142,6 @@ void Collector::OnQueueDepth(std::size_t length) {
       std::max(guard_stats_.max_queue_length, length);
 }
 
-void Collector::OnProbeStats(const ProbeStats& stats) {
-  probe_stats_.probe_cache_hits += stats.probe_cache_hits;
-  probe_stats_.probe_cache_misses += stats.probe_cache_misses;
-  probe_stats_.exec_plan_reuses += stats.exec_plan_reuses;
-  probe_stats_.overlay_probes += stats.overlay_probes;
-  probe_stats_.legacy_probe_copies += stats.legacy_probe_copies;
-  probe_stats_.parallel_probe_batches += stats.parallel_probe_batches;
-  probe_stats_.overlay_bytes_saved += stats.overlay_bytes_saved;
-  probe_stats_.probe_wall_seconds += stats.probe_wall_seconds;
-}
-
 bool Collector::AllTerminal() const {
   return std::all_of(records_.begin(), records_.end(),
                      [](const EventRecord& r) { return r.terminal(); });
@@ -241,10 +230,6 @@ void Collector::SaveState(BinWriter& w) const {
   w.U64(probe_stats_.probe_cache_misses);
   w.U64(probe_stats_.exec_plan_reuses);
   w.U64(probe_stats_.overlay_probes);
-  w.U64(probe_stats_.legacy_probe_copies);
-  w.U64(probe_stats_.parallel_probe_batches);
-  w.F64(probe_stats_.overlay_bytes_saved);
-  w.F64(probe_stats_.probe_wall_seconds);
   w.U64(ckpt_stats_.snapshots_taken);
   w.U64(ckpt_stats_.wal_records);
 }
@@ -292,10 +277,6 @@ void Collector::LoadState(BinReader& r) {
   probe_stats_.probe_cache_misses = r.U64();
   probe_stats_.exec_plan_reuses = r.U64();
   probe_stats_.overlay_probes = r.U64();
-  probe_stats_.legacy_probe_copies = r.U64();
-  probe_stats_.parallel_probe_batches = r.U64();
-  probe_stats_.overlay_bytes_saved = r.F64();
-  probe_stats_.probe_wall_seconds = r.F64();
   ckpt_stats_.snapshots_taken = r.U64();
   ckpt_stats_.wal_records = r.U64();
 }

@@ -118,10 +118,11 @@ struct GuardStats {
   std::size_t max_queue_length = 0;
 };
 
-/// Run-wide probe fast-path counters (all zero with the fast path off).
-/// Wall-clock quantities here measure the real control plane running the
-/// simulation, not the modeled plan time — the fast path never changes
-/// modeled time, only how fast it is computed.
+/// Run-wide probe counters. The four counts are deterministic and ride in
+/// snapshots; the last two fields describe this process only (host clock,
+/// and a byte sample that follows the process-wide path registry), so they
+/// stay out of snapshots and a resumed process counts them from 0. None of
+/// them changes modeled time, only how fast it is computed.
 struct ProbeStats {
   /// Cost probes answered from the per-event epoch-keyed cache.
   std::size_t probe_cache_hits = 0;
@@ -132,10 +133,6 @@ struct ProbeStats {
   std::size_t exec_plan_reuses = 0;
   /// What-if plans evaluated on a copy-on-write overlay.
   std::size_t overlay_probes = 0;
-  /// What-if plans evaluated on a full deep copy (legacy baseline).
-  std::size_t legacy_probe_copies = 0;
-  /// ProbeCosts batches dispatched to the worker pool.
-  std::size_t parallel_probe_batches = 0;
   /// Bytes of network state NOT copied thanks to overlays (approximate:
   /// deep-copy footprint at probe time, summed over overlay probes).
   double overlay_bytes_saved = 0.0;
@@ -202,10 +199,6 @@ class Collector {
   /// mark.
   void OnQueueDepth(std::size_t length);
 
-  // --- Probe fast path ---------------------------------------------------
-  /// Accumulates a run's probe fast-path counters into this collector.
-  void OnProbeStats(const ProbeStats& stats);
-
   // --- Checkpointing -----------------------------------------------------
   /// A snapshot is being taken (counted before the payload is serialized,
   /// so the snapshot includes its own count — see CkptStats).
@@ -216,6 +209,8 @@ class Collector {
   [[nodiscard]] const FaultStats& fault_stats() const { return fault_stats_; }
   [[nodiscard]] const GuardStats& guard_stats() const { return guard_stats_; }
   [[nodiscard]] const ProbeStats& probe_stats() const { return probe_stats_; }
+  /// The probes of a run count straight into here.
+  [[nodiscard]] ProbeStats& probe_stats() { return probe_stats_; }
   [[nodiscard]] const CkptStats& ckpt_stats() const { return ckpt_stats_; }
 
   /// All records; complete once every event has a completion time.

@@ -26,11 +26,10 @@ std::string Report::DebugString() const {
        << " quarantined=" << events_quarantined << " audits=" << audits_run
        << "/" << audit_violations << "v max_queue=" << max_queue_length;
   }
-  if (overlay_probes > 0 || legacy_probe_copies > 0 || probe_cache_hits > 0) {
+  if (overlay_probes > 0 || probe_cache_hits > 0) {
     os << " probes{overlay=" << overlay_probes
-       << " legacy=" << legacy_probe_copies << " cache=" << probe_cache_hits
-       << "h/" << probe_cache_misses << "m reuse=" << exec_plan_reuses
-       << " par_batches=" << parallel_probe_batches
+       << " cache=" << probe_cache_hits << "h/" << probe_cache_misses
+       << "m reuse=" << exec_plan_reuses
        << " bytes_saved=" << overlay_bytes_saved
        << " wall=" << probe_wall_seconds << "s}";
   }
@@ -113,8 +112,6 @@ Report BuildReport(const Collector& collector, double total_plan_time,
   report.probe_cache_misses = probes.probe_cache_misses;
   report.exec_plan_reuses = probes.exec_plan_reuses;
   report.overlay_probes = probes.overlay_probes;
-  report.legacy_probe_copies = probes.legacy_probe_copies;
-  report.parallel_probe_batches = probes.parallel_probe_batches;
   report.overlay_bytes_saved = probes.overlay_bytes_saved;
   report.probe_wall_seconds = probes.probe_wall_seconds;
   const CkptStats& ckpt = collector.ckpt_stats();

@@ -60,15 +60,12 @@ struct Report {
   std::size_t audit_violations = 0;
   std::size_t max_queue_length = 0;
 
-  // Probe fast-path aggregates (all zero with the fast path off); see
-  // metrics::ProbeStats. These measure the real control plane, never the
-  // modeled plan time.
+  // Probe aggregates; see metrics::ProbeStats. These measure the real
+  // control plane, never the modeled plan time.
   std::size_t probe_cache_hits = 0;
   std::size_t probe_cache_misses = 0;
   std::size_t exec_plan_reuses = 0;
   std::size_t overlay_probes = 0;
-  std::size_t legacy_probe_copies = 0;
-  std::size_t parallel_probe_batches = 0;
   double overlay_bytes_saved = 0.0;
   double probe_wall_seconds = 0.0;
 

@@ -76,7 +76,7 @@ class Network final : public MutableNetwork {
   /// AverageUtilization() when the graph has no fabric links.
   [[nodiscard]] double FabricUtilization() const;
 
-  // CanPlace / CongestedLinks / CanReroute and the FlowsOnLink family are
+  // CanPlace / CongestedLinks / CanReroute and the link-membership reads are
   // inherited from NetworkView, implemented once over the virtual
   // primitives so overlays share their exact feasibility semantics.
 

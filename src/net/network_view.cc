@@ -7,14 +7,6 @@
 
 namespace nu::net {
 
-std::vector<FlowId> NetworkView::FlowsOnLink(LinkId link) const {
-  const std::span<const std::uint32_t> ids = LinkFlowIds(link);
-  std::vector<FlowId> flows;
-  flows.reserve(ids.size());
-  for (const std::uint32_t rep : ids) flows.push_back(FlowId{rep});
-  return flows;
-}
-
 bool NetworkView::FlowUsesLink(FlowId flow, LinkId link) const {
   const std::span<const std::uint32_t> ids = LinkFlowIds(link);
   const auto rep = static_cast<std::uint32_t>(flow.value());

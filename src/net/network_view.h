@@ -6,9 +6,9 @@
 // copy — with bit-identical reads and therefore bit-identical decisions.
 //
 // The virtual methods are the primitives; CanPlace / CongestedLinks /
-// CanReroute — and the link-membership reads FlowsOnLink / FlowCountOnLink /
-// FlowUsesLink, which are derived from the allocation-free LinkFlowIds()
-// span — are implemented once over the primitives so the overlay and the
+// CanReroute — and the link-membership reads FlowCountOnLink / FlowUsesLink,
+// which are derived from the allocation-free LinkFlowIds() span — are
+// implemented once over the primitives so the overlay and the
 // concrete network can never diverge on feasibility semantics.
 #pragma once
 
@@ -79,10 +79,6 @@ class NetworkView {
   [[nodiscard]] const topo::Path& PathOf(FlowId id) const {
     return path_registry().Get(PathRefOf(id));
   }
-
-  /// Ids of flows currently traversing `link` (ascending id order).
-  /// Materializes a vector; hot paths should use LinkFlowIds().
-  [[nodiscard]] std::vector<FlowId> FlowsOnLink(LinkId link) const;
 
   /// Number of flows currently traversing `link`.
   [[nodiscard]] std::size_t FlowCountOnLink(LinkId link) const {

@@ -14,14 +14,9 @@ std::vector<DriftObservation> Reconciler::CollectDrift(
     const net::DataplaneState& dp) {
   std::vector<DriftObservation> out;
   for (const NodeId node : dp.DriftingNodes()) {
-    out.push_back(CollectNodeDrift(dp, node));
+    out.push_back(DriftObservation{node, dp.DivergentFlowsOn(node)});
   }
   return out;
-}
-
-DriftObservation Reconciler::CollectNodeDrift(const net::DataplaneState& dp,
-                                              NodeId node) {
-  return DriftObservation{node, dp.DivergentFlowsOn(node)};
 }
 
 void Reconciler::Prune(const net::NetworkView& network,

@@ -117,12 +117,9 @@ class Reconciler {
 
   [[nodiscard]] const ReconcilerConfig& config() const { return config_; }
 
-  /// Serial read-back: every drifting switch's observation, ascending.
+  /// Read-back: every drifting switch's observation, ascending.
   [[nodiscard]] static std::vector<DriftObservation> CollectDrift(
       const net::DataplaneState& dp);
-  /// One switch's read-back (the per-shard task body).
-  [[nodiscard]] static DriftObservation CollectNodeDrift(
-      const net::DataplaneState& dp, NodeId node);
 
   /// Drops divergence that no longer maps to intent: the flow departed,
   /// rerouted off the switch, or the switch went down. Run before

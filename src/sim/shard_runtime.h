@@ -13,16 +13,18 @@
 // and planned on workers. Because workers only produce pure values that the
 // coordinator consumes in the mailbox's canonical (round, shard, seq)
 // order, a sharded run is bit-identical to the unsharded path at any
-// thread count. Audit passes run serially on the coordinator: the memoized
-// pass costs less than a fan-out (docs/model.md §8).
+// thread count. Audit passes and reconcile read-backs run serially on the
+// coordinator: the memoized audit pass costs less than a fan-out
+// (docs/model.md §8), and the read-back is a scan of the few drifting
+// switches.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 
+#include "common/binio.h"
 #include "common/thread_pool.h"
 #include "metrics/shard_stats.h"
-#include "recon/reconciler.h"
 #include "sim/mailbox.h"
 #include "topo/shard_map.h"
 #include "update/planner.h"
@@ -41,24 +43,22 @@ struct ShardProbeResult {
 
 class ShardRuntime {
  public:
-  /// Partitions `graph` into `shards` and spawns `threads` workers.
+  /// Partitions `graph` into `shards` and spawns `threads` workers
+  /// (0 = min(shards, 8)).
   ShardRuntime(const topo::Graph& graph, std::size_t shards,
                std::size_t threads);
 
   [[nodiscard]] const topo::ShardMap& map() const { return map_; }
   [[nodiscard]] ThreadPool& pool() { return *pool_; }
   [[nodiscard]] std::size_t shard_count() const { return map_.shard_count(); }
-  [[nodiscard]] std::size_t thread_count() const {
-    return pool_->worker_count();
-  }
   [[nodiscard]] metrics::ShardStats& stats() { return stats_; }
+
+  /// Snapshot section: the partition fingerprint and the logical counters
+  /// (never thread count or wall time, so the bytes are identical across
+  /// thread counts). Another partition's section throws CorruptInput.
+  void SaveState(BinWriter& w) const;
+  void LoadState(BinReader& r);
   [[nodiscard]] ShardMailbox<ShardProbeResult>& mailbox() { return mailbox_; }
-  /// Separate mailbox for reconcile read-back fan-outs (drift observations
-  /// are tiny next to event plans; sharing the probe mailbox would force a
-  /// variant payload). Rounds come from the same NextMailboxRound counter.
-  [[nodiscard]] ShardMailbox<recon::DriftObservation>& drift_mailbox() {
-    return drift_mailbox_;
-  }
 
   /// Monotonic mailbox round ids (one per probe fan-out).
   [[nodiscard]] std::uint64_t NextMailboxRound() { return next_round_++; }
@@ -88,7 +88,6 @@ class ShardRuntime {
   std::unique_ptr<ThreadPool> pool_;
   metrics::ShardStats stats_;
   ShardMailbox<ShardProbeResult> mailbox_;
-  ShardMailbox<recon::DriftObservation> drift_mailbox_;
   std::uint64_t next_round_ = 0;
 };
 

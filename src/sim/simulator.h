@@ -99,33 +99,22 @@ struct SimConfig {
   /// then planned for real at execution time. Trades probe fidelity for
   /// plan time — see bench_ablation_quickprobe.
   bool quick_cost_probes = false;
-  /// Probe fast path: what-if probes (cost sampling, co-feasibility) run on
-  /// copy-on-write overlays (net::NetworkOverlay) instead of deep network
-  /// copies. Decision-identical to the deep-copy baseline by construction
-  /// (see docs/model.md §9); off = the legacy baseline, kept for
-  /// differential tests and bench_probe_scaling.
-  bool probe_fast_path = true;
   /// Epoch-keyed probe-cost cache: a re-probe of an event under an
   /// unchanged network state epoch returns the cached cost, and executing a
   /// probed winner replays the cached plan instead of re-planning. Only
   /// wall-clock changes — modeled plan time, probe counters, and decisions
-  /// are identical either way. Effective only with probe_fast_path.
+  /// are identical either way. What-if probes always run on copy-on-write
+  /// overlays (net::NetworkOverlay; docs/model.md §9).
   bool probe_cost_cache = true;
-  /// Worker threads for evaluating a round's sampled candidates
-  /// concurrently (0 or 1 = sequential). Decisions are bit-identical to
-  /// sequential probing: workers only run pure what-if plans; all
-  /// accounting happens on the simulation thread in candidate order.
-  /// Effective only with probe_fast_path and full (non-quick) probes.
-  std::size_t probe_parallelism = 0;
-  /// Pod-sharded parallel engine (docs/model.md §15): partition the fabric
-  /// into this many shards (a k-ary Fat-Tree is naturally k pods) and fan
-  /// the per-round candidate probes out across them on a worker pool, with
-  /// results routed back through a deterministic inter-shard mailbox. 0 or
-  /// 1 = off. The coordinator remains the single decision/mutation
-  /// authority, so a sharded run is bit-identical to an unsharded one —
-  /// same decisions, same records, same report — at any thread count.
-  /// Effective only with probe_fast_path and full (non-quick) probes; takes
-  /// precedence over probe_parallelism.
+  /// Pod-sharded parallel engine (docs/model.md §15), the simulator's only
+  /// parallel path: partition the fabric into this many shards (a k-ary
+  /// Fat-Tree is naturally k pods) and fan the per-round candidate probes
+  /// out across them on a worker pool, with results routed back through a
+  /// deterministic inter-shard mailbox. 0 or 1 = off. The coordinator
+  /// remains the single decision/mutation authority, so a sharded run is
+  /// bit-identical to an unsharded one — same decisions, same records,
+  /// same report — at any thread count. Effective only with full
+  /// (non-quick) probes.
   std::size_t shards = 0;
   /// Worker threads for the sharded engine; 0 = min(shards, 8).
   std::size_t shard_threads = 0;
@@ -247,13 +236,12 @@ struct SimResult {
   /// disabled); also folded into `report`. Per-event terminal statuses
   /// (completed | shed | aborted | quarantined) live in `records`.
   metrics::GuardStats guard_stats;
-  /// Probe fast-path counters (all zero when probe_fast_path is off); also
-  /// folded into `report`.
+  /// Probe counters; also folded into `report`.
   metrics::ProbeStats probe_stats;
   /// Sharded-engine counters (enabled == false unless SimConfig::shards
   /// >= 2). Logical counters are deterministic across thread counts; the
-  /// wall-clock fields (busy seconds, modeled critical path) are host
-  /// measurements and deliberately NOT part of `report` or any CSV.
+  /// fan-out wall time is a host measurement and deliberately NOT part of
+  /// `report` or any CSV.
   metrics::ShardStats shard_stats;
   /// What this process did to recover (all zero unless Resume ran); the
   /// per-process subset is also folded into `report` (ckpt_recoveries,
@@ -317,13 +305,6 @@ class Simulator {
   [[nodiscard]] const SimConfig& config() const { return config_; }
 
  private:
-  /// Shared body of Run and Resume. `resume` restores the newest loadable
-  /// snapshot into the loop state and replay-verifies the journal before
-  /// switching to live appends.
-  SimResult RunEventLoop(sched::Scheduler& scheduler,
-                         std::span<const update::UpdateEvent> events,
-                         bool resume);
-
   const net::Network& initial_;
   const topo::PathProvider& paths_;
   SimConfig config_;

@@ -90,11 +90,12 @@ void RemoveFlows(net::Network& network, const std::vector<FlowId>& flows) {
 
 std::vector<FlowId> FlowsThroughLink(const net::Network& network,
                                      LinkId link) {
-  std::vector<FlowId> result = network.FlowsOnLink(link);
+  std::vector<FlowId> result;
   const topo::Link& l = network.graph().link(link);
   const LinkId reverse = network.graph().FindLink(l.dst, l.src);
-  if (reverse.valid()) {
-    for (std::uint32_t rep : network.LinkFlowIds(reverse)) {
+  for (const LinkId lid : {link, reverse}) {
+    if (!lid.valid()) continue;
+    for (std::uint32_t rep : network.LinkFlowIds(lid)) {
       result.push_back(FlowId{rep});
     }
   }

@@ -280,21 +280,8 @@ MigrationOptimizer::MigrationOptimizer(const topo::PathProvider& paths,
 MigrationPlan MigrationOptimizer::Plan(const net::NetworkView& network,
                                        Mbps demand,
                                        const topo::Path& desired_path) const {
-  net::NetworkOverlay scratch(network);
-  return PlanOn(scratch, demand, desired_path);
-}
-
-MigrationPlan MigrationOptimizer::PlanDeepCopy(
-    const net::Network& network, Mbps demand,
-    const topo::Path& desired_path) const {
-  net::Network scratch = network;
-  return PlanOn(scratch, demand, desired_path);
-}
-
-MigrationPlan MigrationOptimizer::PlanOn(net::MutableNetwork& scratch,
-                                         Mbps demand,
-                                         const topo::Path& desired_path) const {
   NU_EXPECTS(demand > 0.0);
+  net::NetworkOverlay scratch(network);
   MigrationPlan plan;
 
   if (scratch.CanPlace(demand, desired_path)) {

@@ -72,13 +72,6 @@ class MigrationOptimizer {
   [[nodiscard]] MigrationPlan Plan(const net::NetworkView& network, Mbps demand,
                                    const topo::Path& desired_path) const;
 
-  /// Legacy baseline of Plan: identical algorithm over a full deep copy of
-  /// `network`. Kept for the probe fast-path differential tests and the
-  /// bench_probe_scaling speedup measurement.
-  [[nodiscard]] MigrationPlan PlanDeepCopy(const net::Network& network,
-                                           Mbps demand,
-                                           const topo::Path& desired_path) const;
-
   /// Applies a plan's reroutes to the live network. The caller then places
   /// the new flow. Aborts if any move became infeasible (the plan must have
   /// been computed against the current state).
@@ -87,11 +80,6 @@ class MigrationOptimizer {
   [[nodiscard]] const MigrationOptions& options() const { return options_; }
 
  private:
-  /// Shared mutation core: runs the cover-and-reroute passes directly on
-  /// `scratch` (an overlay for the fast path, a deep copy for the baseline).
-  [[nodiscard]] MigrationPlan PlanOn(net::MutableNetwork& scratch, Mbps demand,
-                                     const topo::Path& desired_path) const;
-
   const topo::PathProvider& paths_;
   MigrationOptions options_;
 };
@@ -101,7 +89,7 @@ class MigrationOptimizer {
 /// feasible once the flow's own occupancy is released
 /// (net::SelfReleaseResidual). Returns the widest such path as a
 /// provider-owned pointer, or nullptr when there is none. The mask is
-/// indexed by LinkId value (empty = nothing forbidden); PlanOn builds it
+/// indexed by LinkId value (empty = nothing forbidden); Plan builds it
 /// once per plan. Residuals are read from the view's flat row.
 [[nodiscard]] const topo::Path* FindRerouteTargetPtr(
     const net::NetworkView& network, const topo::PathProvider& paths,

@@ -21,8 +21,7 @@ EventPlanner::EventPlanner(const topo::PathProvider& paths,
 
 EventPlan EventPlanner::PlanInto(net::MutableNetwork& state,
                                  const UpdateEvent& event,
-                                 std::vector<FlowId>* placed_ids,
-                                 bool legacy_migration) const {
+                                 std::vector<FlowId>* placed_ids) const {
   EventPlan plan;
   plan.event = event.id();
   plan.actions.reserve(event.flow_count());
@@ -49,14 +48,7 @@ EventPlan EventPlanner::PlanInto(net::MutableNetwork& state,
       //    path (Definition 1).
       const topo::Path& desired =
           net::LeastCongestedPath(state, paths_, f.src, f.dst, f.demand);
-      MigrationPlan migration;
-      if (legacy_migration) {
-        const auto* concrete = dynamic_cast<const net::Network*>(&state);
-        NU_CHECK(concrete != nullptr);
-        migration = optimizer_.PlanDeepCopy(*concrete, f.demand, desired);
-      } else {
-        migration = optimizer_.Plan(state, f.demand, desired);
-      }
+      MigrationPlan migration = optimizer_.Plan(state, f.demand, desired);
       if (migration.feasible) {
         action.path = state.path_registry().Intern(desired);
         action.migration = std::move(migration);
@@ -88,18 +80,10 @@ EventPlan EventPlanner::Plan(const net::NetworkView& network,
   return PlanInto(scratch, event, nullptr);
 }
 
-EventPlan EventPlanner::PlanLegacyCopy(const net::Network& network,
-                                       const UpdateEvent& event) const {
-  net::Network scratch = network;
-  return PlanInto(scratch, event, nullptr, /*legacy_migration=*/true);
-}
-
 ExecutionResult EventPlanner::Execute(net::MutableNetwork& network,
-                                      const UpdateEvent& event,
-                                      bool legacy_migration) const {
+                                      const UpdateEvent& event) const {
   ExecutionResult result;
-  result.plan =
-      PlanInto(network, event, &result.placed_flows, legacy_migration);
+  result.plan = PlanInto(network, event, &result.placed_flows);
   for (const FlowAction& action : result.plan.actions) {
     if (!action.placeable) result.deferred_flows.push_back(action.flow_index);
   }

@@ -5,9 +5,9 @@
 // the quantity LMTF/P-LMTF compare.
 //
 // Plan() is a pure what-if probe (used by LMTF cost sampling) running on a
-// copy-on-write overlay; PlanLegacyCopy() is the deep-copy baseline it
-// replaced. Execute() commits against the live network; ExecuteWithPlan()
-// replays a previously computed plan without re-planning.
+// copy-on-write overlay. Execute() commits against the live network;
+// ExecuteWithPlan() replays a previously computed plan without
+// re-planning.
 #pragma once
 
 #include <vector>
@@ -72,19 +72,10 @@ class EventPlanner {
   [[nodiscard]] EventPlan Plan(const net::NetworkView& network,
                                const UpdateEvent& event) const;
 
-  /// Legacy baseline of Plan: deep-copies `network` and plans on the copy
-  /// (migration probes deep-copy too). Decision-identical to Plan; kept for
-  /// the differential tests and bench_probe_scaling.
-  [[nodiscard]] EventPlan PlanLegacyCopy(const net::Network& network,
-                                         const UpdateEvent& event) const;
-
   /// Plans and commits against the live network: applies migrations and
   /// places every placeable flow. Unplaceable flows are reported as deferred.
-  /// With `legacy_migration`, inner migration probes deep-copy the state (the
-  /// pre-overlay behaviour); requires the state to be a concrete Network.
   ExecutionResult Execute(net::MutableNetwork& network,
-                          const UpdateEvent& event,
-                          bool legacy_migration = false) const;
+                          const UpdateEvent& event) const;
 
   /// Replays a plan computed by Plan() against `network` without
   /// re-planning: applies each placeable action's migrations and placement
@@ -110,8 +101,7 @@ class EventPlanner {
  private:
   /// Shared implementation: plans against `state`, mutating it.
   EventPlan PlanInto(net::MutableNetwork& state, const UpdateEvent& event,
-                     std::vector<FlowId>* placed_ids,
-                     bool legacy_migration = false) const;
+                     std::vector<FlowId>* placed_ids) const;
 
   const topo::PathProvider& paths_;
   MigrationOptimizer optimizer_;

@@ -66,7 +66,7 @@ TEST(ExportTest, ReportCsvHasAllColumns) {
   WriteReportCsv(out, report);
   const CsvFile parsed = ParseCsv(out.str(), /*has_header=*/true);
   ASSERT_EQ(parsed.rows.size(), 1u);
-  EXPECT_EQ(parsed.header.size(), 59u);
+  EXPECT_EQ(parsed.header.size(), 57u);
   EXPECT_EQ(parsed.rows[0][*parsed.ColumnIndex("events")], "3");
   EXPECT_EQ(parsed.rows[0][*parsed.ColumnIndex("avg_ect")], "10.0000");
   EXPECT_EQ(parsed.rows[0][*parsed.ColumnIndex("makespan")], "25.0000");

@@ -148,16 +148,16 @@ TEST(NetworkTest, RerouteToOverlappingPathUsesSelfRelease) {
   EXPECT_TRUE(net.CheckInvariants());
 }
 
-TEST(NetworkTest, FlowsOnLinkTracksMembership) {
+TEST(NetworkTest, LinkFlowIdsTrackMembership) {
   LineFixture fx;
   Network net(fx.graph);
   const Path p = fx.AbcPath();
   const FlowId f1 = net.Place(fx.MakeFlow(10.0), p);
   const FlowId f2 = net.Place(fx.MakeFlow(20.0), p);
-  const auto on_link = net.FlowsOnLink(p.links[0]);
+  const std::span<const std::uint32_t> on_link = net.LinkFlowIds(p.links[0]);
   ASSERT_EQ(on_link.size(), 2u);
-  EXPECT_EQ(on_link[0], f1);
-  EXPECT_EQ(on_link[1], f2);
+  EXPECT_EQ(on_link[0], f1.value());
+  EXPECT_EQ(on_link[1], f2.value());
   EXPECT_TRUE(net.FlowUsesLink(f1, p.links[0]));
   net.Remove(f1);
   EXPECT_FALSE(net.FlowUsesLink(f1, p.links[0]));

@@ -63,7 +63,8 @@ void ExpectIdentical(const NetworkView& overlay, const Network& copy,
   for (const auto& l : copy.graph().links()) {
     ASSERT_EQ(overlay.Residual(l.id), copy.Residual(l.id))
         << "link " << l.id.value();
-    ASSERT_EQ(overlay.FlowsOnLink(l.id), copy.FlowsOnLink(l.id))
+    ASSERT_TRUE(std::ranges::equal(overlay.LinkFlowIds(l.id),
+                                   copy.LinkFlowIds(l.id)))
         << "link " << l.id.value();
     ASSERT_EQ(overlay.FlowCountOnLink(l.id), copy.FlowCountOnLink(l.id));
   }

@@ -1,9 +1,9 @@
 // Allocation guard for the link-flow read path: LinkFlowIds (the span
 // primitive) and the derived FlowCountOnLink / FlowUsesLink helpers must
 // not allocate per call — that is the point of storing link membership as
-// canonically sorted id vectors served by reference. The legacy
-// FlowsOnLink (which materializes a vector of FlowIds) is exercised as a
-// positive control to prove the counter sees allocations. The placement
+// canonically sorted id vectors served by reference. Copying a span into a
+// vector of FlowIds is exercised as a positive control to prove the counter
+// sees allocations. The placement
 // path is guarded the same way: Graph::IsValidPath, a warmed
 // PathProvider::Paths hit and a warmed churn draw allocate nothing.
 //
@@ -172,13 +172,15 @@ TEST(SpanAllocTest, WarmedChurnDrawDoesNotAllocate) {
   EXPECT_EQ(found, 100u);
 }
 
-TEST(SpanAllocTest, CounterSeesLegacyMaterializingRead) {
+TEST(SpanAllocTest, CounterSeesMaterializingRead) {
   Fixture fx;
-  // Positive control: the compatibility FlowsOnLink wrapper builds a
-  // vector, so the counter must tick — proving the zero readings above
-  // are meaningful.
+  // Positive control: materializing the span builds a vector, so the
+  // counter must tick — proving the zero readings above are meaningful.
   const std::size_t before = g_allocations.load(std::memory_order_relaxed);
-  const std::vector<FlowId> flows = fx.network.FlowsOnLink(fx.used);
+  std::vector<FlowId> flows;
+  for (const std::uint32_t rep : fx.network.LinkFlowIds(fx.used)) {
+    flows.push_back(FlowId{rep});
+  }
   const std::size_t after = g_allocations.load(std::memory_order_relaxed);
   EXPECT_FALSE(flows.empty());
   EXPECT_GT(after, before);

@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -384,6 +385,35 @@ TEST(CrashRecoveryFallbackTest, InconsistentNewestSnapshotFallsBack) {
   EXPECT_EQ(recovered.recovery.snapshots_skipped, 1u);
   EXPECT_EQ(recovered.recovery.snapshot_round, rounds[1]);
   EXPECT_EQ(RecordsCsv(recovered), RecordsCsv(reference));
+}
+
+/// Two identical runs in one process write byte-identical snapshots: no
+/// host clock reading, and no sample of process-wide state (the path
+/// registry earlier runs filled), rides in the payload.
+TEST(CrashRecoverySnapshotTest, IdenticalRunsWriteIdenticalBytes) {
+  const Fixture fx;
+  const auto events = MakeEvents(fx);
+  std::vector<std::vector<std::string>> runs;
+  for (int run = 0; run < 2; ++run) {
+    TempDir dir("identical_" + std::to_string(run));
+    SimConfig config = OracleConfig(fx);
+    config.checkpoint.dir = dir.path().string();
+    config.checkpoint.cadence = 1;
+    (void)RunWith(fx, config, sched::SchedulerKind::kLmtf, events);
+    std::vector<std::string> snapshots;
+    for (const std::uint64_t round : ckpt::ListSnapshotRounds(dir.path())) {
+      std::ifstream in(ckpt::SnapshotPath(dir.path(), round),
+                       std::ios::binary);
+      snapshots.emplace_back(std::istreambuf_iterator<char>(in),
+                             std::istreambuf_iterator<char>());
+    }
+    runs.push_back(std::move(snapshots));
+  }
+  ASSERT_GE(runs[0].size(), 4u);
+  ASSERT_EQ(runs[0].size(), runs[1].size());
+  for (std::size_t i = 0; i < runs[0].size(); ++i) {
+    EXPECT_EQ(runs[0][i], runs[1][i]) << "snapshot " << i << " differs";
+  }
 }
 
 /// A corrupted journal record must fail recovery loudly — an older snapshot

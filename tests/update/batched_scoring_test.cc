@@ -410,7 +410,7 @@ void Scramble(net::MutableNetwork& view, RandomFixture& fx, int ops) {
 
 /// Every placed flow of `view` gets the same reroute target (the same
 /// provider-owned candidate) from the production scan and the reference,
-/// with no mask and with a desired-path mask as PlanOn builds it. Returns
+/// with no mask and with a desired-path mask as Plan builds it. Returns
 /// how many lookups found a target.
 std::size_t ExpectSameRerouteTargets(const net::NetworkView& view,
                                      RandomFixture& fx) {
