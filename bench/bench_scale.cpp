@@ -231,33 +231,33 @@ struct RunRow {
   double events_per_sec = 0.0;
 };
 
-/// Worker-thread counts the sharded tier measures, and the measured runs
-/// per point (single runs of one config vary by about ±30%).
+/// Worker-thread counts the sharded tier measures, and the unsharded/
+/// sharded pairs per point (single runs of one config vary by about ±30%).
 constexpr std::size_t kShardThreadCounts[] = {1, 2, 4};
-constexpr std::size_t kShardReps = 3;
+constexpr std::size_t kShardPairs = 8;
 
 /// One measured thread-count point of the sharded tier.
 struct ShardThreadRow {
   std::size_t threads = 0;
-  /// Median wall seconds over the repetitions.
+  /// Median wall seconds of the unsharded and the sharded side.
+  double unsharded_wall_seconds = 0.0;
   double wall_seconds = 0.0;
   /// Median fan-out (parallel-region) wall seconds.
   double fanout_wall_seconds = 0.0;
   double events_per_sec = 0.0;
-  /// Unsharded median wall / this point's median wall.
+  /// Unsharded median wall / sharded median wall.
   double speedup = 0.0;
+  /// Pairs in which the sharded run was faster.
+  std::size_t sharded_wins = 0;
 };
 
-/// One scheduler's sharded-tier measurement: the unsharded reference and
-/// the sharded run at each thread count, every point the median of the
-/// same number of measured repetitions.
+/// One scheduler's sharded-tier measurement: at each thread count,
+/// kShardPairs interleaved unsharded/sharded pairs.
 struct ShardRow {
   std::string scheduler;
   std::size_t events = 0;
   std::size_t rounds = 0;
-  double unsharded_wall_seconds = 0.0;
   std::uint64_t probe_fanouts = 0;
-  std::uint64_t cross_shard_events = 0;
   std::vector<ShardThreadRow> sweep;
 };
 
@@ -390,9 +390,10 @@ int main(int argc, char** argv) {
   // draws are coordinator work and would dilute the parallel fraction this
   // tier exists to measure), auditor ON at a dense cadence (probe planning
   // is the fan-out work; audit passes run on the coordinator). Each
-  // scheduler runs unsharded (the reference) and sharded at 1, 2 and 4
-  // worker threads, kShardReps times each; every point reports the median
-  // measured wall time.
+  // scheduler runs kShardPairs unsharded/sharded pairs at 1, 2 and 4
+  // worker threads. The side that runs first alternates from pair to pair,
+  // so host drift lands on both sides alike; every point reports both
+  // medians and how many pairs the sharded run won.
   const std::size_t shard_k =
       bench::ArgOr(argc, argv, "shard-k", quick ? 8 : 32);
   const std::size_t shard_flows =
@@ -439,29 +440,36 @@ int main(int argc, char** argv) {
       sim::SimResult result = simulator.Run(*scheduler, shard_run_events);
       return std::make_pair(SecondsSince(start), std::move(result));
     };
-    std::vector<double> unsharded;
-    for (std::size_t rep = 0; rep < kShardReps; ++rep) {
-      auto [wall, result] = timed_run(shard_config);
-      unsharded.push_back(wall);
-      srow.events = result.report.event_count;
-      srow.rounds = result.rounds;
-    }
-    srow.unsharded_wall_seconds = Median(unsharded);
     for (const std::size_t threads : kShardThreadCounts) {
       sim::SimConfig sharded = shard_config;
       sharded.shards = shard_ft.pod_count();
       sharded.shard_threads = threads;
-      std::vector<double> walls;
-      std::vector<double> fanouts;
-      for (std::size_t rep = 0; rep < kShardReps; ++rep) {
-        auto [wall, result] = timed_run(sharded);
-        walls.push_back(wall);
-        fanouts.push_back(result.shard_stats.fanout_wall_seconds);
-        srow.probe_fanouts = result.shard_stats.probe_fanouts;
-        srow.cross_shard_events = result.shard_stats.cross_shard_events;
-      }
       ShardThreadRow t;
       t.threads = threads;
+      std::vector<double> unsharded_walls;
+      std::vector<double> walls;
+      std::vector<double> fanouts;
+      for (std::size_t pair = 0; pair < kShardPairs; ++pair) {
+        double unsharded_wall = 0.0;
+        double wall = 0.0;
+        for (const bool run_sharded : {pair % 2 == 1, pair % 2 == 0}) {
+          auto [seconds, result] =
+              timed_run(run_sharded ? sharded : shard_config);
+          if (run_sharded) {
+            wall = seconds;
+            fanouts.push_back(result.shard_stats.fanout_wall_seconds);
+            srow.probe_fanouts = result.shard_stats.probe_fanouts;
+          } else {
+            unsharded_wall = seconds;
+            srow.events = result.report.event_count;
+            srow.rounds = result.rounds;
+          }
+        }
+        unsharded_walls.push_back(unsharded_wall);
+        walls.push_back(wall);
+        if (wall < unsharded_wall) ++t.sharded_wins;
+      }
+      t.unsharded_wall_seconds = Median(unsharded_walls);
       t.wall_seconds = Median(walls);
       t.fanout_wall_seconds = Median(fanouts);
       t.events_per_sec =
@@ -469,25 +477,34 @@ int main(int argc, char** argv) {
               ? static_cast<double>(srow.events) / t.wall_seconds
               : 0.0;
       t.speedup = t.wall_seconds > 0.0
-                      ? srow.unsharded_wall_seconds / t.wall_seconds
+                      ? t.unsharded_wall_seconds / t.wall_seconds
                       : 0.0;
       srow.sweep.push_back(t);
       std::printf("%-7s %zu threads: median %.3fs (unsharded %.3fs, "
-                  "fan-out %.3fs) -> %.2fx\n",
+                  "fan-out %.3fs) -> %.2fx, sharded faster in %zu of %zu "
+                  "pairs\n",
                   srow.scheduler.c_str(), threads, t.wall_seconds,
-                  srow.unsharded_wall_seconds, t.fanout_wall_seconds,
-                  t.speedup);
+                  t.unsharded_wall_seconds, t.fanout_wall_seconds, t.speedup,
+                  t.sharded_wins, kShardPairs);
     }
     shard_rows.push_back(std::move(srow));
   }
 
-  AsciiTable shard_table({"scheduler", "unsharded s", "1t s", "2t s", "4t s",
-                          "speedup 1t", "speedup 2t", "speedup 4t"});
+  AsciiTable shard_table({"scheduler", "threads", "unsharded s",
+                          "sharded s", "fan-out s", "speedup",
+                          "sharded faster"});
   for (const ShardRow& srow : shard_rows) {
-    auto& r = shard_table.Row().Cell(srow.scheduler);
-    r.Cell(srow.unsharded_wall_seconds, 3);
-    for (const ShardThreadRow& t : srow.sweep) r.Cell(t.wall_seconds, 3);
-    for (const ShardThreadRow& t : srow.sweep) r.Cell(t.speedup, 2);
+    for (const ShardThreadRow& t : srow.sweep) {
+      shard_table.Row()
+          .Cell(srow.scheduler)
+          .Cell(t.threads)
+          .Cell(t.unsharded_wall_seconds, 3)
+          .Cell(t.wall_seconds, 3)
+          .Cell(t.fanout_wall_seconds, 3)
+          .Cell(t.speedup, 2)
+          .Cell(std::to_string(t.sharded_wins) + "/" +
+                std::to_string(kShardPairs));
+    }
   }
 
   // Pinned-baseline comparison (wall time cannot be measured across two
@@ -541,8 +558,10 @@ int main(int argc, char** argv) {
   json << ",\n  \"shards\": {\n    \"host_cores\": "
        << std::thread::hardware_concurrency()
        << ",\n    \"note\": \"median measured wall seconds of "
-       << kShardReps
-       << " runs per point; speedup = unsharded median / sharded median\""
+       << kShardPairs
+       << " interleaved unsharded/sharded pairs per point, the side that "
+          "runs first alternating; speedup = unsharded median / sharded "
+          "median; sharded_faster_pairs = pairs the sharded run won\""
        << ",\n    \"k\": " << shard_k
        << ",\n    \"background_flows\": " << shard_placed
        << ",\n    \"shard_count\": " << shard_ft.pod_count()
@@ -553,19 +572,19 @@ int main(int argc, char** argv) {
     json << "      {\"scheduler\": \"" << srow.scheduler
          << "\", \"events\": " << srow.events
          << ", \"rounds\": " << srow.rounds
-         << ", \"unsharded_wall_seconds\": "
-         << FormatDouble(srow.unsharded_wall_seconds, 3)
          << ", \"probe_fanouts\": " << srow.probe_fanouts
-         << ", \"cross_shard_events\": " << srow.cross_shard_events
          << ",\n       \"threads\": [";
     for (std::size_t t = 0; t < srow.sweep.size(); ++t) {
       const ShardThreadRow& tr = srow.sweep[t];
-      json << (t > 0 ? ", " : "") << "{\"threads\": " << tr.threads
+      json << (t > 0 ? ",\n        " : "") << "{\"threads\": " << tr.threads
+           << ", \"unsharded_wall_seconds\": "
+           << FormatDouble(tr.unsharded_wall_seconds, 3)
            << ", \"wall_seconds\": " << FormatDouble(tr.wall_seconds, 3)
            << ", \"fanout_wall_seconds\": "
            << FormatDouble(tr.fanout_wall_seconds, 3)
            << ", \"events_per_sec\": " << FormatDouble(tr.events_per_sec, 1)
-           << ", \"speedup\": " << FormatDouble(tr.speedup, 2) << "}";
+           << ", \"speedup\": " << FormatDouble(tr.speedup, 2)
+           << ", \"sharded_faster_pairs\": " << tr.sharded_wins << "}";
     }
     json << "]}" << (i + 1 < shard_rows.size() ? "," : "") << "\n";
   }
@@ -592,8 +611,9 @@ int main(int argc, char** argv) {
   std::printf("json written: %s\n", json_path.c_str());
 
   table.Print();
-  std::printf("sharded tier (median wall of %zu runs, %zu shards):\n",
-              kShardReps, shard_ft.pod_count());
+  std::printf("sharded tier (median wall of %zu interleaved pairs, %zu "
+              "shards):\n",
+              kShardPairs, shard_ft.pod_count());
   shard_table.Print();
   if (!txt_path.empty()) {
     std::ofstream txt(txt_path);

@@ -45,7 +45,9 @@ namespace nu::ckpt {
 /// v7: each state owner writes its own section in a fixed order
 /// (docs/model.md §11); per-process probe fields, the removed probe paths'
 /// counters and the fan-out counters left the payload.
-inline constexpr std::uint32_t kSnapshotVersion = 7;
+/// v8: the shard section is gone; a sharded run writes the same bytes as
+/// an unsharded one, so a run may resume with a different shard setting.
+inline constexpr std::uint32_t kSnapshotVersion = 8;
 
 /// Thrown when a snapshot file fails frame validation (bad magic, version
 /// mismatch, truncation, or checksum failure).

@@ -2,7 +2,7 @@
 // submitted as callables and joined through std::future; the pool makes no
 // ordering guarantees, so callers that need determinism must collect results
 // by index and do all shared-state bookkeeping on the submitting thread
-// (see sim::RoundContext::ProbeCosts).
+// (see sim::ShardRuntime::FanOut).
 #pragma once
 
 #include <condition_variable>

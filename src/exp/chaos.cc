@@ -289,7 +289,6 @@ sim::SimResult RunScenario(const ChaosScenario& scenario) {
 
 std::string NormalizedReportCsv(const sim::SimResult& result) {
   metrics::Report report = result.report;
-  report.probe_wall_seconds = 0.0;
   report.ckpt_snapshot_wall_seconds = 0.0;
   report.ckpt_recovery_wall_seconds = 0.0;
   std::ostringstream out;

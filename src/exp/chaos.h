@@ -58,9 +58,7 @@ struct ChaosScenario {
   /// calibration run.
   double serve_rate = 1.0;
   /// Pod-sharded engine: >= 2 runs every trial on the sharded simulator
-  /// (SimConfig::shards), putting the mailbox and the round-barrier
-  /// protocol under the chaos oracles. 0 = unsharded; old artifacts parse
-  /// unchanged.
+  /// (SimConfig::shards). 0 = unsharded; old artifacts parse unchanged.
   std::size_t shards = 0;
   /// Worker threads for sharded trials (0 = engine default).
   std::size_t shard_threads = 0;
@@ -167,9 +165,9 @@ struct ChaosCampaignResult {
 [[nodiscard]] std::string SerializeArtifact(const ChaosScenario& scenario);
 [[nodiscard]] ChaosScenario ParseArtifact(const std::string& text);
 
-/// Report CSV with the wall-clock columns (probe_wall_seconds,
-/// ckpt_snapshot_wall_seconds, ckpt_recovery_wall_seconds) zeroed — the
-/// byte string the determinism oracle and replay verification compare.
+/// Report CSV with the wall-clock columns (ckpt_snapshot_wall_seconds,
+/// ckpt_recovery_wall_seconds) zeroed — the byte string the determinism
+/// oracle and replay verification compare.
 [[nodiscard]] std::string NormalizedReportCsv(const sim::SimResult& result);
 
 }  // namespace nu::exp

@@ -119,10 +119,10 @@ struct GuardStats {
 };
 
 /// Run-wide probe counters. The four counts are deterministic and ride in
-/// snapshots; the last two fields describe this process only (host clock,
-/// and a byte sample that follows the process-wide path registry), so they
-/// stay out of snapshots and a resumed process counts them from 0. None of
-/// them changes modeled time, only how fast it is computed.
+/// snapshots; `overlay_bytes_saved` describes this process only (a byte
+/// sample that follows the process-wide path registry), so it stays out of
+/// snapshots and a resumed process counts it from 0. None of them changes
+/// modeled time, only how fast it is computed.
 struct ProbeStats {
   /// Cost probes answered from the per-event epoch-keyed cache.
   std::size_t probe_cache_hits = 0;
@@ -136,8 +136,6 @@ struct ProbeStats {
   /// Bytes of network state NOT copied thanks to overlays (approximate:
   /// deep-copy footprint at probe time, summed over overlay probes).
   double overlay_bytes_saved = 0.0;
-  /// Real wall-clock seconds spent inside cost probes.
-  double probe_wall_seconds = 0.0;
 };
 
 /// Run-wide checkpointing counters (all zero with checkpointing off).

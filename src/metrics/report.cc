@@ -30,8 +30,7 @@ std::string Report::DebugString() const {
     os << " probes{overlay=" << overlay_probes
        << " cache=" << probe_cache_hits << "h/" << probe_cache_misses
        << "m reuse=" << exec_plan_reuses
-       << " bytes_saved=" << overlay_bytes_saved
-       << " wall=" << probe_wall_seconds << "s}";
+       << " bytes_saved=" << overlay_bytes_saved << "}";
   }
   if (ckpt_snapshots > 0 || ckpt_recoveries > 0) {
     os << " ckpt{snapshots=" << ckpt_snapshots
@@ -113,7 +112,6 @@ Report BuildReport(const Collector& collector, double total_plan_time,
   report.exec_plan_reuses = probes.exec_plan_reuses;
   report.overlay_probes = probes.overlay_probes;
   report.overlay_bytes_saved = probes.overlay_bytes_saved;
-  report.probe_wall_seconds = probes.probe_wall_seconds;
   const CkptStats& ckpt = collector.ckpt_stats();
   report.ckpt_snapshots = ckpt.snapshots_taken;
   report.ckpt_wal_records = ckpt.wal_records;

@@ -67,7 +67,6 @@ struct Report {
   std::size_t exec_plan_reuses = 0;
   std::size_t overlay_probes = 0;
   double overlay_bytes_saved = 0.0;
-  double probe_wall_seconds = 0.0;
 
   // Checkpoint & crash-recovery aggregates (all zero with checkpointing
   // off). snapshots/wal_records are deterministic run totals (see

@@ -32,7 +32,7 @@ struct ReportField {
 
 /// Every Report member, in declaration order — which is also the report-CSV
 /// column order.
-inline constexpr std::array<ReportField, 57> kReportFields = {{
+inline constexpr std::array<ReportField, 56> kReportFields = {{
     {"events", &Report::event_count, nullptr, 0, FieldMean::kFirst},
     {"avg_ect", nullptr, &Report::avg_ect, 4, FieldMean::kMean},
     {"tail_ect", nullptr, &Report::tail_ect, 4, FieldMean::kMean},
@@ -90,8 +90,6 @@ inline constexpr std::array<ReportField, 57> kReportFields = {{
      FieldMean::kMean},
     {"overlay_probes", &Report::overlay_probes, nullptr, 0, FieldMean::kMean},
     {"overlay_bytes_saved", nullptr, &Report::overlay_bytes_saved, 0,
-     FieldMean::kMean},
-    {"probe_wall_seconds", nullptr, &Report::probe_wall_seconds, 6,
      FieldMean::kMean},
     {"ckpt_snapshots", &Report::ckpt_snapshots, nullptr, 0, FieldMean::kMean},
     {"ckpt_wal_records", &Report::ckpt_wal_records, nullptr, 0,

@@ -1,15 +1,17 @@
-// Per-shard execution counters for the sharded simulation engine. Two
-// strictly separated groups:
+// Counters of the sharded simulation engine. Two strictly separated
+// groups:
 //
-//   * Logical counters (fan-outs, tasks, mailbox messages, cross-shard
-//     events) — functions of the configuration and workload only. They are
-//     identical across thread counts and machines, land in snapshots, and
-//     the shard determinism test relies on that.
-//   * The fan-out wall time — host-dependent. It never enters snapshots,
-//     reports, or CSVs; bench_scale measures thread-count scaling end to
-//     end instead.
+//   * The fan-out count — a function of the configuration and workload
+//     only, identical across thread counts and machines.
+//   * The fan-out wall time — host-dependent.
+//
+// Neither enters snapshots, reports, or CSVs: a sharded run writes the
+// same snapshot bytes as an unsharded one, and a resumed process counts
+// from 0. bench_scale and perfbench read these fields from
+// SimResult::shard_stats.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 
 namespace nu::metrics {
@@ -21,24 +23,13 @@ struct ShardStats {
   /// Worker threads the run actually used.
   std::size_t threads = 0;
 
-  // --- Logical counters (deterministic; serialized in snapshots) ---
-  /// Parallel probe batches routed through the shard runtime.
+  /// Probe batches whose misses were planned on the worker pool.
   std::uint64_t probe_fanouts = 0;
-  /// Per-shard probe tasks dispatched (<= probe_fanouts * shards).
-  std::uint64_t probe_tasks = 0;
   /// Audit and reconcile read-back fan-outs. Always 0: both run serially
-  /// on the coordinator. Kept (and not serialized) because perfbench reads
-  /// them.
+  /// on the coordinator. Kept because perfbench reads them.
   std::uint64_t audit_fanouts = 0;
   std::uint64_t recon_fanouts = 0;
-  /// Messages posted through the inter-shard mailbox.
-  std::uint64_t mailbox_messages = 0;
-  /// Admitted events whose flows touch more than one shard (cross-pod).
-  std::uint64_t cross_shard_events = 0;
-  /// Distributed-argmin merges cross-checked against the global scan.
-  std::uint64_t argmin_merges = 0;
 
-  // --- Wall-clock measurement (host-dependent; never serialized) ---
   /// Wall seconds spent inside parallel regions (coordinator view).
   double fanout_wall_seconds = 0.0;
 };

@@ -3,15 +3,14 @@
 //
 // Every `period` seconds of virtual time the simulator runs one reconcile
 // PASS: prune stale divergence (flows that departed or rerouted away),
-// read back each drifting switch's rules (the DriftObservation list —
-// computed serially, or fanned out per shard through the deterministic
-// mailbox in sharded runs), classify each divergent rule by cause, and
-// repair it by RE-ISSUING the rule through the same grey install pipeline
-// that broke it, under a per-switch retry/backoff budget
-// (common/retry.h). A rule whose repair budget is exhausted is ABANDONED:
-// it stays visible as residual drift but stops gating run completion —
-// the auditor's drift invariant and the chaos drift-convergence oracle
-// are what turn unexcused residual into a failure.
+// read back each drifting switch's rules (the DriftObservation list),
+// classify each divergent rule by cause, and repair it by RE-ISSUING the
+// rule through the same grey install pipeline that broke it, under a
+// per-switch retry/backoff budget (common/retry.h). A rule whose repair
+// budget is exhausted is ABANDONED: it stays visible as residual drift but
+// stops gating run completion — the auditor's drift invariant and the
+// chaos drift-convergence oracle are what turn unexcused residual into a
+// failure.
 //
 // Each pass also feeds the per-switch health EWMA (recon/health.h); a
 // switch that keeps lying escalates Healthy -> Suspect -> Degraded
@@ -80,7 +79,6 @@ struct ReconStats {
 };
 
 /// One switch's read-back result: its divergent flows in ascending order.
-/// Pure data so shard workers can produce it and post it via the mailbox.
 struct DriftObservation {
   NodeId node;
   std::vector<FlowId> flows;

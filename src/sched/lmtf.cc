@@ -34,8 +34,7 @@ LmtfScheduler::Pick LmtfScheduler::PickCheapest(SchedulingContext& context,
   std::vector<Mbps> costs(candidates.size());
   context.ProbeCosts(candidates, costs);
   // Strict < : on ties the earlier arrival (smaller queue index) wins,
-  // preserving FIFO order whenever costs are equal. Shared with the sharded
-  // engine's distributed argmin (sched/select.h).
+  // preserving FIFO order whenever costs are equal (sched/select.h).
   const std::size_t cheapest = CheapestCandidate(candidates, costs);
   return Pick{.candidates = std::move(candidates), .cheapest = cheapest};
 }

@@ -53,9 +53,10 @@ class SchedulingContext {
 
   /// Batch form of ProbeCost: fills `out[i] = ProbeCost(indices[i])`.
   /// `out.size() >= indices.size()`. The default calls ProbeCost
-  /// sequentially; the simulator overrides it to fan the candidates out
-  /// across the pod-sharded engine when SimConfig::shards is on. Results
-  /// and all accounting are identical to the sequential calls by contract.
+  /// sequentially; the simulator overrides it to plan the cache misses
+  /// together, on the pod-sharded engine when SimConfig::shards is on.
+  /// Results and all accounting are identical to the sequential calls by
+  /// contract.
   virtual void ProbeCosts(std::span<const std::size_t> indices,
                           std::span<Mbps> out);
 

@@ -1,11 +1,6 @@
-// Candidate selection shared by the LMTF-family schedulers and the sharded
-// engine's distributed argmin. One rule, one implementation: the cheapest
+// Candidate selection of the LMTF-family schedulers: the cheapest
 // candidate wins under strict <, so on ties the earlier queue position
 // (candidates are listed in ascending arrival order) keeps FIFO order.
-// The sharded probe path computes each shard's local minimum with the same
-// rule and merges the shard minima; because strict-< with the position
-// tie-break is associative over ordered slices, the merge equals the global
-// scan — the property the engine NU_CHECKs on every batch.
 #pragma once
 
 #include <cstddef>
@@ -33,29 +28,6 @@ namespace nu::sched {
     }
   }
   return cheapest;
-}
-
-/// One shard's local minimum over its slice of the candidate list.
-struct ShardMinimum {
-  /// Queue position of the slice's cheapest candidate.
-  std::size_t candidate = 0;
-  Mbps cost = 0.0;
-  bool valid = false;
-};
-
-/// Folds a shard's (candidate, cost) pair into a running minimum. Merge
-/// order must follow ascending candidate position of the slices (the
-/// mailbox's canonical order provides it); then strict-< with
-/// earlier-position-wins reproduces the global scan exactly.
-inline void MergeShardMinimum(ShardMinimum& into, std::size_t candidate,
-                              Mbps cost) {
-  if (!into.valid || cost < into.cost) {
-    into.candidate = candidate;
-    into.cost = cost;
-    into.valid = true;
-  } else if (cost == into.cost && candidate < into.candidate) {
-    into.candidate = candidate;
-  }
 }
 
 }  // namespace nu::sched

@@ -3,7 +3,6 @@
 // 0 or restores a snapshot); Run() alternates scheduling rounds with drains
 // of the occurrence timeline, one handler per Occurrence::Kind.
 #include <algorithm>
-#include <future>
 #include <limits>
 #include <map>
 #include <unordered_set>
@@ -13,7 +12,6 @@
 #include "fault/injector.h"
 #include "net/admission.h"
 #include "net/overlay.h"
-#include "sched/select.h"
 #include "sim/shard_runtime.h"
 #include "sim/subsystems.h"
 #include "update/cost_estimate.h"
@@ -38,9 +36,9 @@ struct ProbeRuntime {
   bool cache_enabled = true;
   std::unordered_map<EventId::rep_type, ProbeCacheEntry> cache;
   /// Run-wide scratch for quick-probe scoring. Quick probes only ever run
-  /// on the simulation thread (the sharded batch path handles full probes
-  /// exclusively), so one arena serves the whole run and the steady-state
-  /// scoring loop stays allocation-free once warmed.
+  /// on the simulation thread (pool tasks plan full probes only), so one
+  /// arena serves the whole run and the steady-state scoring loop stays
+  /// allocation-free once warmed.
   Arena score_arena;
 };
 
@@ -86,51 +84,84 @@ class RoundContext final : public sched::SchedulingContext {
 
   Mbps ProbeCost(std::size_t index) override {
     NU_EXPECTS(index < queue_.size());
+    if (!config_.quick_cost_probes) {
+      Mbps cost = 0.0;
+      ProbeCosts(std::span<const std::size_t>(&index, 1),
+                 std::span<Mbps>(&cost, 1));
+      return cost;
+    }
+    // Estimate-based probe: much cheaper, and the winner is NOT marked
+    // probed — execution still pays for (and computes) the full plan.
     const update::UpdateEvent& event = *queue_[index].event;
     ++cost_probes_;
-
-    if (config_.quick_cost_probes) {
-      // Estimate-based probe: much cheaper, and the winner is NOT marked
-      // probed — execution still pays for (and computes) the full plan.
-      plan_time_ += config_.cost_model.quick_probe_factor *
-                    config_.cost_model.ProbeTime(event.flow_count());
-      if (const ProbeCacheEntry* entry = CacheLookup(event.id())) {
-        ++stats_.probe_cache_hits;
-        return entry->cost;
-      }
-      const auto start = WallClock::now();
-      const Mbps score = update::QuickCostScore(network_, planner_.paths(),
-                                                event, probe_rt_.score_arena);
-      stats_.probe_wall_seconds += SecondsSince(start);
-      CacheStore(event.id(), score, nullptr);
-      return score;
-    }
-
-    plan_time_ += config_.cost_model.ProbeTime(event.flow_count());
-    probed_bits_[index] = 1;
-
+    plan_time_ += config_.cost_model.quick_probe_factor *
+                  config_.cost_model.ProbeTime(event.flow_count());
     if (const ProbeCacheEntry* entry = CacheLookup(event.id())) {
       ++stats_.probe_cache_hits;
       return entry->cost;
     }
-    const auto start = WallClock::now();
-    update::EventPlan plan = OverlayProbe(network_, event);
-    stats_.probe_wall_seconds += SecondsSince(start);
-    const Mbps cost = ProbedCost(plan, event);
-    CacheStore(event.id(), cost, &plan);
-    return cost;
+    const Mbps score = update::QuickCostScore(network_, planner_.paths(),
+                                              event, probe_rt_.score_arena);
+    CacheStore(event.id(), score, nullptr);
+    return score;
   }
 
+  /// The one full-probe path (docs/model.md §9, §15); `indices` are
+  /// distinct queue positions. Cache hits resolve first, then the misses
+  /// are planned against the frozen round network — inline, or as one pool
+  /// task per home shard when the sharded engine is on and at least two
+  /// misses wait. Every counter, plan-time charge and cache store follows
+  /// in candidate order, so the result and all accounting equal sequential
+  /// probes at any thread count.
   void ProbeCosts(std::span<const std::size_t> indices,
                   std::span<Mbps> out) override {
-    // The sharded engine routes the batch through the per-shard mailbox; it
-    // only pays off for full probes on a real batch.
-    if (shard_rt_ != nullptr && !config_.quick_cost_probes &&
-        indices.size() >= 2) {
-      ShardedProbeCosts(indices, out);
+    NU_EXPECTS(out.size() >= indices.size());
+    if (config_.quick_cost_probes) {
+      sched::SchedulingContext::ProbeCosts(indices, out);
       return;
     }
-    sched::SchedulingContext::ProbeCosts(indices, out);
+    std::vector<char> hit(indices.size(), 0);
+    std::vector<const update::UpdateEvent*> missed;
+    for (std::size_t i = 0; i < indices.size(); ++i) {
+      NU_EXPECTS(indices[i] < queue_.size());
+      const update::UpdateEvent* event = queue_[indices[i]].event;
+      if (const ProbeCacheEntry* entry = CacheLookup(event->id())) {
+        hit[i] = 1;
+        out[i] = entry->cost;
+      } else {
+        missed.push_back(event);
+      }
+    }
+
+    // Sampled before the first plan: ApproxStateBytes includes the shared
+    // path registry, which planning grows.
+    if (!missed.empty()) (void)StateBytes();
+    std::vector<update::EventPlan> plans(missed.size());
+    const auto plan = [this, &missed, &plans](std::size_t j) {
+      plans[j] = planner_.Plan(network_, *missed[j]);
+    };
+    if (shard_rt_ != nullptr && missed.size() >= 2) {
+      shard_rt_->FanOut(missed, plan);
+    } else {
+      for (std::size_t j = 0; j < missed.size(); ++j) plan(j);
+    }
+
+    std::size_t j = 0;
+    for (std::size_t i = 0; i < indices.size(); ++i) {
+      const update::UpdateEvent& event = *queue_[indices[i]].event;
+      ++cost_probes_;
+      plan_time_ += config_.cost_model.ProbeTime(event.flow_count());
+      probed_bits_[indices[i]] = 1;
+      if (hit[i] != 0) {
+        ++stats_.probe_cache_hits;
+        continue;
+      }
+      ++stats_.overlay_probes;
+      stats_.overlay_bytes_saved += static_cast<double>(StateBytes());
+      out[i] = ProbedCost(plans[j], event);
+      CacheStore(event.id(), out[i], &plans[j]);
+      ++j;
+    }
   }
 
   bool ProbeCoFeasible(std::span<const std::size_t> selected,
@@ -141,10 +172,10 @@ class RoundContext final : public sched::SchedulingContext {
     ++cofeasibility_probes_;
     probed_bits_[index] = 1;
 
-    const auto start = WallClock::now();
     net::NetworkOverlay& scratch = EnsureScratch(selected);
-    const update::EventPlan plan = OverlayProbe(scratch, event);
-    stats_.probe_wall_seconds += SecondsSince(start);
+    ++stats_.overlay_probes;
+    stats_.overlay_bytes_saved += static_cast<double>(StateBytes());
+    const update::EventPlan plan = planner_.Plan(scratch, event);
     if (!plan.fully_feasible) return false;
     // Near-free wins only: co-scheduling should not buy parallelism with
     // migration cost that waiting (and churn) might avoid.
@@ -182,131 +213,6 @@ class RoundContext final : public sched::SchedulingContext {
   }
 
  private:
-  /// Sharded batch probe (docs/model.md §15). Phase 1 resolves cache hits
-  /// by value, groups the misses by home shard, and runs one planning task
-  /// per non-empty shard; each task posts its results to the inter-shard
-  /// mailbox tagged (shard, seq). The coordinator drains the round in the
-  /// canonical (shard, seq) order, restores candidate order via the slot
-  /// index, and then runs phase 2 — bookkeeping identical to sequential
-  /// ProbeCost calls, so the batch is bit-identical to the unsharded path.
-  /// Fan-out bookkeeping lands in ShardStats only; the report-visible probe
-  /// counters (cache hits/misses, overlay probes) advance exactly as the
-  /// unsharded run's do.
-  void ShardedProbeCosts(std::span<const std::size_t> indices,
-                         std::span<Mbps> out) {
-    NU_EXPECTS(out.size() >= indices.size());
-    const auto start = WallClock::now();
-    const std::size_t shards = shard_rt_->shard_count();
-    metrics::ShardStats& sstats = shard_rt_->stats();
-    // Prime the memoized state-bytes sample BEFORE any plan runs: the
-    // network's ApproxStateBytes includes the shared path registry, which
-    // planning grows, and the sequential path samples it at the round's
-    // first miss — before that miss's plan.
-    (void)StateBytes();
-
-    std::vector<char> is_hit(indices.size(), 0);
-    std::vector<Mbps> hit_cost(indices.size(), 0.0);
-    // Miss slots grouped by home shard; within a shard, slots ascend, so a
-    // task's seq numbers follow candidate order.
-    std::vector<std::vector<std::size_t>> shard_slots(shards);
-    for (std::size_t i = 0; i < indices.size(); ++i) {
-      const update::UpdateEvent& event = *queue_[indices[i]].event;
-      if (const ProbeCacheEntry* entry = CacheLookup(event.id())) {
-        is_hit[i] = 1;
-        hit_cost[i] = entry->cost;
-        continue;
-      }
-      shard_slots[shard_rt_->HomeShard(event)].push_back(i);
-    }
-
-    std::vector<update::EventPlan> plans(indices.size());
-    std::vector<char> have_plan(indices.size(), 0);
-    const std::uint64_t round = shard_rt_->NextMailboxRound();
-    shard_rt_->mailbox().BeginRound(round);
-    std::vector<std::future<void>> tasks;
-    for (std::size_t s = 0; s < shards; ++s) {
-      if (shard_slots[s].empty()) continue;
-      ++sstats.probe_tasks;
-      tasks.push_back(
-          shard_rt_->pool().Submit([this, s, &shard_slots, &indices] {
-            std::uint64_t seq = 0;
-            for (std::size_t slot : shard_slots[s]) {
-              ShardProbeResult res;
-              res.slot = slot;
-              res.plan = planner_.Plan(network_, *queue_[indices[slot]].event);
-              res.cost = ProbedCost(res.plan, *queue_[indices[slot]].event);
-              shard_rt_->mailbox().Post(s, seq++, std::move(res));
-            }
-          }));
-    }
-    if (!tasks.empty()) ++sstats.probe_fanouts;
-    for (std::future<void>& t : tasks) t.get();
-
-    // Canonical drain: messages arrive sorted by (shard, seq) regardless of
-    // worker interleaving; the slot index maps each back to its candidate.
-    // The per-shard minima merged here feed the distributed-argmin
-    // cross-check below.
-    sched::ShardMinimum merged;
-    auto drained = shard_rt_->mailbox().DrainRound(round);
-    sstats.mailbox_messages += drained.size();
-    for (auto& msg : drained) {
-      sched::MergeShardMinimum(merged, indices[msg.payload.slot],
-                               msg.payload.cost);
-      plans[msg.payload.slot] = std::move(msg.payload.plan);
-      have_plan[msg.payload.slot] = 1;
-    }
-    sstats.fanout_wall_seconds += SecondsSince(start);
-
-    // Phase 2 (simulation thread, candidate order): identical bookkeeping
-    // to sequential ProbeCost calls.
-    for (std::size_t i = 0; i < indices.size(); ++i) {
-      const update::UpdateEvent& event = *queue_[indices[i]].event;
-      ++cost_probes_;
-      plan_time_ += config_.cost_model.ProbeTime(event.flow_count());
-      probed_bits_[indices[i]] = 1;
-      if (is_hit[i] != 0) {
-        ++stats_.probe_cache_hits;
-        out[i] = hit_cost[i];
-        continue;
-      }
-      NU_CHECK(have_plan[i] != 0);
-      ++stats_.overlay_probes;
-      stats_.overlay_bytes_saved += static_cast<double>(StateBytes());
-      const Mbps cost = ProbedCost(plans[i], event);
-      CacheStore(event.id(), cost, &plans[i]);
-      out[i] = cost;
-    }
-    stats_.probe_wall_seconds += SecondsSince(start);
-
-    // Distributed-argmin cross-check: folding the cache hits into the
-    // mailbox-merged per-shard minimum must reproduce the scheduler's
-    // global first-listed-wins strict-< scan. Candidate lists ascend (the
-    // schedulers sort their samples), making the two tie-breaks coincide.
-    if (std::is_sorted(indices.begin(), indices.end())) {
-      for (std::size_t i = 0; i < indices.size(); ++i) {
-        if (is_hit[i] != 0) {
-          sched::MergeShardMinimum(merged, indices[i], out[i]);
-        }
-      }
-      if (merged.valid) {
-        // CheapestCandidate returns the winning candidate VALUE (a queue
-        // position), directly comparable to the merged minimum's candidate.
-        const std::size_t cheapest = sched::CheapestCandidate(
-            indices, std::span<const Mbps>(out.data(), indices.size()));
-        NU_CHECK(cheapest == merged.candidate);
-        ++sstats.argmin_merges;
-      }
-    }
-  }
-
-  /// One what-if plan of `event` on an overlay over `view`, counted.
-  update::EventPlan OverlayProbe(const net::NetworkView& view,
-                                 const update::UpdateEvent& event) {
-    ++stats_.overlay_probes;
-    stats_.overlay_bytes_saved += static_cast<double>(StateBytes());
-    return planner_.Plan(view, event);
-  }
-
   /// The probe cost the schedulers compare: migrated traffic, plus a 10x
   /// demand penalty per unplaceable flow — a blocked flow would stall the
   /// whole round, so such events are deprioritized.
@@ -551,11 +457,6 @@ class EventLoop {
       queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(*victim));
     }
     queue_.push_back(e);
-    if (shard_rt_.has_value() && shard_rt_->SpansShards(*e)) {
-      // Cross-pod update: some endpoint lives outside the home shard, so
-      // its probe reads boundary-link state owned by another shard.
-      ++shard_rt_->stats().cross_shard_events;
-    }
     collector_.OnQueueDepth(queue_.size());
     return true;
   }
@@ -1252,7 +1153,6 @@ class EventLoop {
     // Optional sections: present exactly when the config enables the
     // subsystem, so a reader with the same SimConfig always agrees.
     if (serve_rt_.has_value()) serve_rt_->SaveState(w);
-    if (shard_rt_.has_value()) shard_rt_->SaveState(w);
     if (recon_.on()) recon_.Save(w);
   }
 
@@ -1329,7 +1229,6 @@ class EventLoop {
     recon_.Recount(entries);
     timeline_.Restore(std::move(entries), next_seq);
     if (serve_rt_.has_value()) serve_rt_->LoadState(r);
-    if (shard_rt_.has_value()) shard_rt_->LoadState(r);
     if (recon_.on()) recon_.Load(r);
   }
 

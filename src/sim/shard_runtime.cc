@@ -1,6 +1,10 @@
 #include "sim/shard_runtime.h"
 
 #include <algorithm>
+#include <future>
+#include <vector>
+
+#include "sim/run_state.h"
 
 namespace nu::sim {
 
@@ -14,28 +18,26 @@ ShardRuntime::ShardRuntime(const topo::Graph& graph, std::size_t shards,
   stats_.threads = pool_->worker_count();
 }
 
-void ShardRuntime::SaveState(BinWriter& w) const {
-  w.U64(map_.Fingerprint());
-  w.U64(static_cast<std::uint64_t>(stats_.shards));
-  w.U64(stats_.probe_fanouts);
-  w.U64(stats_.probe_tasks);
-  w.U64(stats_.mailbox_messages);
-  w.U64(stats_.cross_shard_events);
-  w.U64(stats_.argmin_merges);
-}
-
-void ShardRuntime::LoadState(BinReader& r) {
-  if (r.U64() != map_.Fingerprint()) {
-    throw CorruptInput("shard map fingerprint mismatch");
+void ShardRuntime::FanOut(std::span<const update::UpdateEvent* const> events,
+                          const std::function<void(std::size_t)>& work) {
+  const auto start = WallClock::now();
+  std::vector<std::vector<std::size_t>> by_shard(map_.shard_count());
+  for (std::size_t j = 0; j < events.size(); ++j) {
+    by_shard[HomeShard(*events[j])].push_back(j);
   }
-  if (r.U64() != static_cast<std::uint64_t>(stats_.shards)) {
-    throw CorruptInput("shard count mismatch");
+  std::vector<std::future<void>> tasks;
+  for (const std::vector<std::size_t>& slots : by_shard) {
+    if (slots.empty()) continue;
+    tasks.push_back(pool_->Submit([&work, &slots] {
+      for (const std::size_t j : slots) work(j);
+    }));
   }
-  stats_.probe_fanouts = r.U64();
-  stats_.probe_tasks = r.U64();
-  stats_.mailbox_messages = r.U64();
-  stats_.cross_shard_events = r.U64();
-  stats_.argmin_merges = r.U64();
+  // Join every task before get() can rethrow: a task must not outlive the
+  // slot lists it reads.
+  for (std::future<void>& task : tasks) task.wait();
+  for (std::future<void>& task : tasks) task.get();
+  ++stats_.probe_fanouts;
+  stats_.fanout_wall_seconds += SecondsSince(start);
 }
 
 }  // namespace nu::sim

@@ -108,13 +108,12 @@ struct SimConfig {
   bool probe_cost_cache = true;
   /// Pod-sharded parallel engine (docs/model.md §15), the simulator's only
   /// parallel path: partition the fabric into this many shards (a k-ary
-  /// Fat-Tree is naturally k pods) and fan the per-round candidate probes
-  /// out across them on a worker pool, with results routed back through a
-  /// deterministic inter-shard mailbox. 0 or 1 = off. The coordinator
+  /// Fat-Tree is naturally k pods) and plan each round's probe misses on a
+  /// worker pool, one task per home shard. 0 or 1 = off. The coordinator
   /// remains the single decision/mutation authority, so a sharded run is
   /// bit-identical to an unsharded one — same decisions, same records,
-  /// same report — at any thread count. Effective only with full
-  /// (non-quick) probes.
+  /// same report, same snapshot bytes — at any thread count. Effective
+  /// only with full (non-quick) probes.
   std::size_t shards = 0;
   /// Worker threads for the sharded engine; 0 = min(shards, 8).
   std::size_t shard_threads = 0;
@@ -239,9 +238,9 @@ struct SimResult {
   /// Probe counters; also folded into `report`.
   metrics::ProbeStats probe_stats;
   /// Sharded-engine counters (enabled == false unless SimConfig::shards
-  /// >= 2). Logical counters are deterministic across thread counts; the
-  /// fan-out wall time is a host measurement and deliberately NOT part of
-  /// `report` or any CSV.
+  /// >= 2). The fan-out count is deterministic across thread counts; the
+  /// fan-out wall time is a host measurement. Neither is part of `report`,
+  /// any CSV or the snapshot.
   metrics::ShardStats shard_stats;
   /// What this process did to recover (all zero unless Resume ran); the
   /// per-process subset is also folded into `report` (ckpt_recoveries,

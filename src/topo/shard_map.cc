@@ -5,16 +5,6 @@
 namespace nu::topo {
 namespace {
 
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ULL;
-constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
-
-void FnvMix(std::uint64_t& hash, std::uint64_t value) {
-  for (int shift = 0; shift < 64; shift += 8) {
-    hash ^= (value >> shift) & 0xFF;
-    hash *= kFnvPrime;
-  }
-}
-
 /// Union-find over node ids (path-halving + union by smaller root, so the
 /// representative of each component is its smallest node id).
 class Components {
@@ -49,7 +39,6 @@ ShardMap::ShardMap(const Graph& graph, std::size_t shards)
     : shards_(shards == 0 ? 1 : shards) {
   const std::size_t n = graph.node_count();
   node_shard_.assign(n, 0);
-  shard_sizes_.assign(shards_, 0);
 
   // Components of the core-less subgraph. Each union uses the link's two
   // endpoints; links touching a core switch are skipped, so pods (or rack
@@ -87,29 +76,6 @@ ShardMap::ShardMap(const Graph& graph, std::size_t shards)
     // Too few components (e.g. a random graph with no core layer): stripe
     // every node by id so the map is total and balanced.
     for (std::size_t v = 0; v < n; ++v) node_shard_[v] = v % shards_;
-  }
-  for (std::size_t v = 0; v < n; ++v) ++shard_sizes_[node_shard_[v]];
-
-  // Boundary-link ownership: the pod (non-core) side owns the link.
-  link_owner_.assign(graph.link_count(), 0);
-  link_boundary_.assign(graph.link_count(), 0);
-  for (const Link& link : graph.links()) {
-    const std::size_t src_shard = node_shard_[link.src.value()];
-    const std::size_t dst_shard = node_shard_[link.dst.value()];
-    std::size_t owner = src_shard;
-    if (src_shard != dst_shard) {
-      link_boundary_[link.id.value()] = 1;
-      ++boundary_links_;
-      if (is_core(link.src) && !is_core(link.dst)) owner = dst_shard;
-    }
-    link_owner_[link.id.value()] = owner;
-  }
-
-  fingerprint_ = kFnvOffset;
-  FnvMix(fingerprint_, shards_);
-  for (std::size_t v = 0; v < n; ++v) FnvMix(fingerprint_, node_shard_[v]);
-  for (std::size_t l = 0; l < link_owner_.size(); ++l) {
-    FnvMix(fingerprint_, link_owner_[l]);
   }
 }
 

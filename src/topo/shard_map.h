@@ -2,27 +2,19 @@
 // Fat-Tree is naturally k shards: every pod (its hosts, edge and agg
 // switches, and their internal links) is one unit of locality, and only the
 // core layer is shared. ShardMap captures that partition generically:
-//
-//   * Node assignment — connected components of the subgraph with the core
-//     switches removed. In a Fat-Tree each component IS a pod; in a
-//     leaf-spine each component is a rack subtree. Components are numbered
-//     by their smallest node id (deterministic) and folded onto the
-//     requested shard count round-robin; core switches are striped the same
-//     way. Graphs whose component structure is too coarse (fewer components
-//     than shards) fall back to striping every node by id, so the map is
-//     total for any topology.
-//   * Boundary-link ownership — a link whose endpoints live in different
-//     shards (the pod<->core hops of every cross-pod path) is owned by the
-//     shard of its non-core endpoint: the pod side terminates the link's
-//     rules, so the pod-side shard audits it. Core-core links (none in a
-//     Fat-Tree) default to the source's shard.
+// connected components of the subgraph with the core switches removed. In a
+// Fat-Tree each component IS a pod; in a leaf-spine each component is a
+// rack subtree. Components are numbered by their smallest node id
+// (deterministic) and folded onto the requested shard count round-robin;
+// core switches are striped the same way. Graphs whose component structure
+// is too coarse (fewer components than shards) fall back to striping every
+// node by id, so the map is total for any topology.
 //
 // The map is immutable after construction and safe to share across worker
-// threads. Fingerprint() folds the full assignment into one value so
-// snapshots can verify that a restored run shards the fabric identically.
+// threads.
 #pragma once
 
-#include <cstdint>
+#include <cstddef>
 #include <vector>
 
 #include "topo/graph.h"
@@ -42,41 +34,9 @@ class ShardMap {
     return node_shard_[node.value()];
   }
 
-  /// Owning shard of a link (pod side of a boundary link; see above).
-  [[nodiscard]] std::size_t OwnerOf(LinkId link) const {
-    NU_EXPECTS(link.value() < link_owner_.size());
-    return link_owner_[link.value()];
-  }
-
-  /// True when the link's endpoints live in different shards.
-  [[nodiscard]] bool IsBoundary(LinkId link) const {
-    NU_EXPECTS(link.value() < link_boundary_.size());
-    return link_boundary_[link.value()] != 0;
-  }
-
-  /// Number of boundary links (both directions counted).
-  [[nodiscard]] std::size_t boundary_link_count() const {
-    return boundary_links_;
-  }
-
-  /// Nodes per shard (diagnostics / balance checks).
-  [[nodiscard]] const std::vector<std::size_t>& shard_sizes() const {
-    return shard_sizes_;
-  }
-
-  /// FNV-1a over the full node and link assignment. Two runs over the same
-  /// graph and shard count always agree; a snapshot stores this value so a
-  /// restored run can prove it re-derived the same partition.
-  [[nodiscard]] std::uint64_t Fingerprint() const { return fingerprint_; }
-
  private:
   std::size_t shards_ = 1;
-  std::vector<std::size_t> node_shard_;   // by NodeId
-  std::vector<std::size_t> link_owner_;   // by LinkId
-  std::vector<char> link_boundary_;       // by LinkId
-  std::vector<std::size_t> shard_sizes_;  // by shard
-  std::size_t boundary_links_ = 0;
-  std::uint64_t fingerprint_ = 0;
+  std::vector<std::size_t> node_shard_;  // by NodeId
 };
 
 }  // namespace nu::topo

@@ -12,9 +12,10 @@
 // (straight loads from the view's flat residual array) and reduced by the
 // SoA scan kernels (net/residual_scan.h). Results are bit-identical to the
 // historical scalar candidate loop — same strict-< first-wins winner, same
-// epsilon semantics — which the probe-cost cache and the sharded argmin
-// rely on; tests/update/batched_scoring_test.cc pins the equivalence
-// against a reference copy of the scalar implementation.
+// epsilon semantics — which the probe-cost cache and the schedulers'
+// cheapest-candidate scan rely on; tests/update/batched_scoring_test.cc
+// pins the equivalence against a reference copy of the scalar
+// implementation.
 #pragma once
 
 #include "common/arena.h"

@@ -53,7 +53,6 @@ TEST(ExportTest, ReportCsvHasAllColumns) {
   report.exec_plan_reuses = 6;
   report.overlay_probes = 40;
   report.overlay_bytes_saved = 1024.0;
-  report.probe_wall_seconds = 0.125;
   report.drift_checks = 9;
   report.drift_rules_detected = 8;
   report.grey_ack_lies = 3;
@@ -66,7 +65,7 @@ TEST(ExportTest, ReportCsvHasAllColumns) {
   WriteReportCsv(out, report);
   const CsvFile parsed = ParseCsv(out.str(), /*has_header=*/true);
   ASSERT_EQ(parsed.rows.size(), 1u);
-  EXPECT_EQ(parsed.header.size(), 57u);
+  EXPECT_EQ(parsed.header.size(), 56u);
   EXPECT_EQ(parsed.rows[0][*parsed.ColumnIndex("events")], "3");
   EXPECT_EQ(parsed.rows[0][*parsed.ColumnIndex("avg_ect")], "10.0000");
   EXPECT_EQ(parsed.rows[0][*parsed.ColumnIndex("makespan")], "25.0000");
@@ -83,8 +82,6 @@ TEST(ExportTest, ReportCsvHasAllColumns) {
   EXPECT_EQ(parsed.rows[0][*parsed.ColumnIndex("exec_plan_reuses")], "6");
   EXPECT_EQ(parsed.rows[0][*parsed.ColumnIndex("overlay_probes")], "40");
   EXPECT_EQ(parsed.rows[0][*parsed.ColumnIndex("overlay_bytes_saved")], "1024");
-  EXPECT_EQ(parsed.rows[0][*parsed.ColumnIndex("probe_wall_seconds")],
-            "0.125000");
   EXPECT_EQ(parsed.rows[0][*parsed.ColumnIndex("drift_checks")], "9");
   EXPECT_EQ(parsed.rows[0][*parsed.ColumnIndex("drift_rules_detected")], "8");
   EXPECT_EQ(parsed.rows[0][*parsed.ColumnIndex("grey_ack_lies")], "3");

@@ -113,7 +113,6 @@ std::string RecordsCsv(const SimResult& result) {
 /// all probe counters — must match exactly.
 std::string NormalizedReportCsv(const SimResult& result) {
   metrics::Report report = result.report;
-  report.probe_wall_seconds = 0.0;
   // overlay_bytes_saved sums Network::ApproxStateBytes(), which counts
   // vector CAPACITIES — an allocation artifact that differs between a
   // network grown in place and one rebuilt from a snapshot.
@@ -389,16 +388,21 @@ TEST(CrashRecoveryFallbackTest, InconsistentNewestSnapshotFallsBack) {
 
 /// Two identical runs in one process write byte-identical snapshots: no
 /// host clock reading, and no sample of process-wide state (the path
-/// registry earlier runs filled), rides in the payload.
+/// registry earlier runs filled), rides in the payload. The shard setting
+/// is not state either, so a sharded third run writes the same bytes.
 TEST(CrashRecoverySnapshotTest, IdenticalRunsWriteIdenticalBytes) {
   const Fixture fx;
   const auto events = MakeEvents(fx);
   std::vector<std::vector<std::string>> runs;
-  for (int run = 0; run < 2; ++run) {
+  for (int run = 0; run < 3; ++run) {
     TempDir dir("identical_" + std::to_string(run));
     SimConfig config = OracleConfig(fx);
     config.checkpoint.dir = dir.path().string();
     config.checkpoint.cadence = 1;
+    if (run == 2) {
+      config.shards = fx.ft.pod_count();
+      config.shard_threads = 2;
+    }
     (void)RunWith(fx, config, sched::SchedulerKind::kLmtf, events);
     std::vector<std::string> snapshots;
     for (const std::uint64_t round : ckpt::ListSnapshotRounds(dir.path())) {
@@ -410,9 +414,64 @@ TEST(CrashRecoverySnapshotTest, IdenticalRunsWriteIdenticalBytes) {
     runs.push_back(std::move(snapshots));
   }
   ASSERT_GE(runs[0].size(), 4u);
-  ASSERT_EQ(runs[0].size(), runs[1].size());
-  for (std::size_t i = 0; i < runs[0].size(); ++i) {
-    EXPECT_EQ(runs[0][i], runs[1][i]) << "snapshot " << i << " differs";
+  for (std::size_t run = 1; run < runs.size(); ++run) {
+    ASSERT_EQ(runs[0].size(), runs[run].size()) << "run " << run;
+    for (std::size_t i = 0; i < runs[0].size(); ++i) {
+      EXPECT_EQ(runs[0][i], runs[run][i])
+          << "run " << run << " snapshot " << i << " differs";
+    }
+  }
+}
+
+/// Because the snapshot carries no shard state, a run crashed under one
+/// shard setting resumes under the other — sharded to unsharded and back —
+/// and still reproduces the uninterrupted run byte for byte.
+TEST(CrashRecoveryShardTest, ResumesAcrossShardModes) {
+  const Fixture fx;
+  const auto events = MakeEvents(fx);
+  const sched::SchedulerKind kind = sched::SchedulerKind::kLmtf;
+  SimConfig plain = OracleConfig(fx);
+  plain.checkpoint.cadence = 2;
+  SimConfig sharded = plain;
+  sharded.shards = fx.ft.pod_count();
+  sharded.shard_threads = 2;
+
+  TempDir ref_dir("shard_modes_ref");
+  SimConfig ref_config = plain;
+  ref_config.checkpoint.dir = ref_dir.path().string();
+  const SimResult reference = RunWith(fx, ref_config, kind, events);
+  ASSERT_GE(reference.rounds, 4u);
+  const std::string want_records = RecordsCsv(reference);
+  const std::string want_report = NormalizedReportCsv(reference);
+
+  const struct {
+    const char* tag;
+    const SimConfig& crashed;
+    const SimConfig& resumed;
+  } legs[] = {{"sharded_to_plain", sharded, plain},
+              {"plain_to_sharded", plain, sharded}};
+  for (const auto& leg : legs) {
+    TempDir dir(std::string("shard_modes_") + leg.tag);
+    SimConfig crash_config = leg.crashed;
+    crash_config.checkpoint.dir = dir.path().string();
+    crash_config.faults.crash.at_round = 3;
+    crash_config.faults.crash.point = fault::CrashPoint::kMidRound;
+    {
+      Simulator sim(fx.network, fx.provider, crash_config);
+      const auto scheduler = sched::MakeScheduler(kind);
+      EXPECT_THROW((void)sim.Run(*scheduler, events), fault::ControllerCrash)
+          << leg.tag;
+    }
+    SimConfig resume_config = leg.resumed;
+    resume_config.checkpoint.dir = dir.path().string();
+    Simulator sim(fx.network, fx.provider, resume_config);
+    const auto scheduler = sched::MakeScheduler(kind);
+    const SimResult recovered = sim.Resume(*scheduler, events);
+    EXPECT_TRUE(recovered.recovery.recovered) << leg.tag;
+    EXPECT_EQ(recovered.shard_stats.enabled, leg.resumed.shards >= 2)
+        << leg.tag;
+    EXPECT_EQ(RecordsCsv(recovered), want_records) << leg.tag;
+    EXPECT_EQ(NormalizedReportCsv(recovered), want_report) << leg.tag;
   }
 }
 

@@ -4,10 +4,10 @@
 // CSVs byte-identical to the checked-in goldens, which were generated by the
 // legacy layout (unordered_map flow table and placements, deep topo::Path
 // copies per flow, unsorted link-flow lists) before the dense-store/path-
-// interning rewrite. Report CSVs are compared after zeroing the two
-// measuring-instrument columns (probe_wall_seconds is real wall clock;
-// overlay_bytes_saved is defined by ApproxStateBytes, whose accounting this
-// PR deliberately made honest) — every behavioral column must match exactly.
+// interning rewrite. Report CSVs are compared after zeroing the
+// measuring-instrument column overlay_bytes_saved (it is defined by
+// ApproxStateBytes, whose accounting that rewrite deliberately made
+// honest) — every behavioral column must match exactly.
 //
 // Regenerate (only for an intentional behavior change):
 //   NU_REGEN_LAYOUT_GOLDENS=1 build/tests/test_sim
@@ -85,12 +85,11 @@ std::string RecordsCsv(const SimResult& result) {
   return out.str();
 }
 
-/// Report CSV with the measuring-instrument columns zeroed (see file
+/// Report CSV with the measuring-instrument column zeroed (see file
 /// comment); everything else — costs, delays, fault/guard/probe counters —
 /// must be byte-identical across layouts.
 std::string NormalizedReportCsv(const SimResult& result) {
   metrics::Report report = result.report;
-  report.probe_wall_seconds = 0.0;
   report.overlay_bytes_saved = 0.0;
   std::ostringstream out;
   metrics::WriteReportCsv(out, report);

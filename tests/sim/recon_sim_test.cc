@@ -92,7 +92,6 @@ std::string RecordsCsv(const SimResult& result) {
 
 std::string NormalizedReportCsv(const SimResult& result) {
   metrics::Report report = result.report;
-  report.probe_wall_seconds = 0.0;
   report.overlay_bytes_saved = 0.0;
   std::ostringstream out;
   metrics::WriteReportCsv(out, report);

@@ -1,14 +1,15 @@
 // The sharded engine's determinism oracle: a pod-sharded run must produce
-// byte-identical per-event records and (wall-clock-normalized) report CSVs
-// to the plain single-shard run — per scheduler, with fault injection and
-// the auditor enabled, at EVERY worker thread count. The coordinator is the
-// only thread that mutates simulation state and consumes worker results in
-// the mailbox's canonical order, so nothing observable may depend on how
-// the OS schedules the pool.
+// byte-identical per-event records and report CSVs to the plain
+// single-shard run — per scheduler, with fault injection and the auditor
+// enabled, at EVERY worker thread count. The coordinator is the only thread
+// that mutates simulation state; each pool task writes only its own plan
+// slots, and the coordinator reads them in candidate order after joining
+// every task, so nothing observable may depend on how the OS schedules the
+// pool.
 //
 // Own main(): `--quick` restricts the sweep to 2 worker threads (the CI
 // sharded-smoke job runs this binary under TSan, where the full sweep is
-// needlessly slow; two threads already exercise every lock and barrier).
+// needlessly slow; two threads already run tasks concurrently).
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -77,8 +78,7 @@ std::vector<update::UpdateEvent> MakeEvents(const Fixture& fx) {
 }
 
 /// Faults + auditor + overload guard + watchdog on: the oracle must hold in
-/// the lossy regime, where audits run the sharded twins and probes replan
-/// against fault-mutated state.
+/// the lossy regime, where probes replan against fault-mutated state.
 SimConfig OracleConfig(const Fixture& fx) {
   SimConfig config;
   config.seed = 20260808;
@@ -107,15 +107,11 @@ std::string RecordsCsv(const SimResult& result) {
   return out.str();
 }
 
-/// Report CSV with the host-measurement columns zeroed (same normalization
-/// as the crash-recovery oracle): probe wall seconds are real elapsed time
-/// and legitimately differ run to run; every logical column must match
-/// exactly.
-std::string NormalizedReportCsv(const SimResult& result) {
-  metrics::Report report = result.report;
-  report.probe_wall_seconds = 0.0;
+/// Report CSV. Without checkpoints no column reads the host clock, so every
+/// column must match exactly.
+std::string ReportCsv(const SimResult& result) {
   std::ostringstream out;
-  metrics::WriteReportCsv(out, report);
+  metrics::WriteReportCsv(out, result.report);
   return out.str();
 }
 
@@ -143,7 +139,7 @@ TEST_P(ShardDeterminismTest, ShardedMatchesUnshardedAtAnyThreadCount) {
   (void)RunWith(fx, plain, GetParam(), events);
   const SimResult baseline = RunWith(fx, plain, GetParam(), events);
   const std::string want_records = RecordsCsv(baseline);
-  const std::string want_report = NormalizedReportCsv(baseline);
+  const std::string want_report = ReportCsv(baseline);
   ASSERT_GE(baseline.rounds, 3u);
   EXPECT_FALSE(baseline.shard_stats.enabled);
 
@@ -157,7 +153,7 @@ TEST_P(ShardDeterminismTest, ShardedMatchesUnshardedAtAnyThreadCount) {
     const SimResult result = RunWith(fx, sharded, GetParam(), events);
     SCOPED_TRACE("threads=" + std::to_string(threads));
     EXPECT_EQ(RecordsCsv(result), want_records);
-    EXPECT_EQ(NormalizedReportCsv(result), want_report);
+    EXPECT_EQ(ReportCsv(result), want_report);
     EXPECT_EQ(result.rounds, baseline.rounds);
     EXPECT_EQ(result.violations.size(), baseline.violations.size());
     EXPECT_TRUE(result.shard_stats.enabled);
@@ -166,8 +162,8 @@ TEST_P(ShardDeterminismTest, ShardedMatchesUnshardedAtAnyThreadCount) {
   }
 }
 
-// The logical shard counters are part of the determinism contract: thread
-// count must not change a single one of them.
+// The fan-out counts are part of the determinism contract: thread count
+// must not change them.
 TEST_P(ShardDeterminismTest, LogicalCountersAreThreadCountInvariant) {
   const Fixture fx;
   const auto events = MakeEvents(fx);
@@ -180,15 +176,11 @@ TEST_P(ShardDeterminismTest, LogicalCountersAreThreadCountInvariant) {
   const SimResult many = RunWith(fx, config, GetParam(), events);
 
   EXPECT_EQ(one.shard_stats.probe_fanouts, many.shard_stats.probe_fanouts);
-  EXPECT_EQ(one.shard_stats.probe_tasks, many.shard_stats.probe_tasks);
   EXPECT_EQ(one.shard_stats.audit_fanouts, many.shard_stats.audit_fanouts);
-  EXPECT_EQ(one.shard_stats.mailbox_messages,
-            many.shard_stats.mailbox_messages);
-  EXPECT_EQ(one.shard_stats.cross_shard_events,
-            many.shard_stats.cross_shard_events);
-  EXPECT_EQ(one.shard_stats.argmin_merges, many.shard_stats.argmin_merges);
-  // The workload straddles pods.
-  EXPECT_GT(one.shard_stats.cross_shard_events, 0u);
+  // The LMTF family probes batches with misses, so the pool really runs.
+  if (GetParam() != sched::SchedulerKind::kFifo) {
+    EXPECT_GT(one.shard_stats.probe_fanouts, 0u);
+  }
 }
 
 // With a lying dataplane and the reconciler on, the sharded run (probes fan
@@ -204,7 +196,7 @@ TEST_P(ShardDeterminismTest, GreyReconciliationIsThreadCountInvariant) {
   (void)RunWith(fx, plain, GetParam(), events);  // warm the path registry
   const SimResult baseline = RunWith(fx, plain, GetParam(), events);
   const std::string want_records = RecordsCsv(baseline);
-  const std::string want_report = NormalizedReportCsv(baseline);
+  const std::string want_report = ReportCsv(baseline);
   ASSERT_GT(baseline.report.drift_rules_detected, 0u);
 
   const std::vector<std::size_t> thread_counts =
@@ -217,7 +209,7 @@ TEST_P(ShardDeterminismTest, GreyReconciliationIsThreadCountInvariant) {
     const SimResult result = RunWith(fx, sharded, GetParam(), events);
     SCOPED_TRACE("grey threads=" + std::to_string(threads));
     EXPECT_EQ(RecordsCsv(result), want_records);
-    EXPECT_EQ(NormalizedReportCsv(result), want_report);
+    EXPECT_EQ(ReportCsv(result), want_report);
     EXPECT_TRUE(result.shard_stats.enabled);
   }
 }

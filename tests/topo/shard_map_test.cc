@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
 
 #include "topo/fat_tree.h"
 #include "topo/leaf_spine.h"
@@ -12,6 +13,15 @@ namespace {
 
 topo::FatTree MakeFatTree(std::size_t k) {
   return topo::FatTree(topo::FatTreeConfig{.k = k, .link_capacity = 100.0});
+}
+
+/// Nodes per shard.
+std::vector<std::size_t> ShardSizes(const Graph& graph, const ShardMap& map) {
+  std::vector<std::size_t> sizes(map.shard_count(), 0);
+  for (std::size_t v = 0; v < graph.node_count(); ++v) {
+    ++sizes.at(map.ShardOf(NodeId{static_cast<NodeId::rep_type>(v)}));
+  }
+  return sizes;
 }
 
 // With shards == pod_count, the component partition must put every node of
@@ -43,82 +53,13 @@ TEST(ShardMapTest, FatTreePodsMapToShards) {
   EXPECT_EQ(pod_shards.size(), ft.pod_count());
 }
 
-// A boundary link (agg<->core on every cross-pod path) is owned by its
-// pod-side shard; intra-pod links are not boundaries and are owned by the
-// shard both endpoints share.
-TEST(ShardMapTest, BoundaryLinksOwnedByPodSide) {
-  const topo::FatTree ft = MakeFatTree(4);
-  const Graph& g = ft.graph();
-  const ShardMap map(g, ft.pod_count());
-
-  std::size_t boundaries_seen = 0;
-  for (const Link& link : g.links()) {
-    const bool src_core = g.node(link.src).role == NodeRole::kCoreSwitch;
-    const bool dst_core = g.node(link.dst).role == NodeRole::kCoreSwitch;
-    if (map.ShardOf(link.src) == map.ShardOf(link.dst)) {
-      EXPECT_FALSE(map.IsBoundary(link.id));
-      EXPECT_EQ(map.OwnerOf(link.id), map.ShardOf(link.src));
-      continue;
-    }
-    ++boundaries_seen;
-    EXPECT_TRUE(map.IsBoundary(link.id));
-    // Fat-Tree boundaries are exactly the pod<->core hops, and the pod
-    // (non-core) side owns the link.
-    ASSERT_TRUE(src_core != dst_core);
-    const NodeId pod_side = src_core ? link.dst : link.src;
-    EXPECT_EQ(map.OwnerOf(link.id), map.ShardOf(pod_side));
-  }
-  EXPECT_EQ(map.boundary_link_count(), boundaries_seen);
-  // k=4: 4 cores x 4 pods x 2 directions = 32 core links; each core is
-  // striped onto one pod's shard, so its 2 links into that pod are
-  // intra-shard, leaving 32 - 4*2 = 24 boundaries.
-  EXPECT_EQ(map.boundary_link_count(), 24u);
-}
-
-// Every link on a cross-pod host path is owned by the shard of one of its
-// endpoints — a probe for a cross-pod flow therefore knows exactly which
-// shard to charge for each hop.
-TEST(ShardMapTest, CrossPodPathOwnershipIsEndpointLocal) {
-  const topo::FatTree ft = MakeFatTree(4);
-  const Graph& g = ft.graph();
-  const ShardMap map(g, ft.pod_count());
-  const NodeId src = ft.host(0);    // pod 0
-  const NodeId dst = ft.host(15);   // pod 3
-  ASSERT_NE(ft.PodOfHost(src), ft.PodOfHost(dst));
-
-  const auto paths = ft.HostPaths(src, dst);
-  ASSERT_FALSE(paths.empty());
-  for (const Path& path : paths) {
-    for (LinkId lid : path.links) {
-      const Link& link = g.link(lid);
-      const std::size_t owner = map.OwnerOf(lid);
-      EXPECT_TRUE(owner == map.ShardOf(link.src) ||
-                  owner == map.ShardOf(link.dst));
-    }
-  }
-}
-
-// The fingerprint is a pure function of (graph, shard count): identical
-// across instances, different across shard counts.
-TEST(ShardMapTest, FingerprintIsStable) {
-  const topo::FatTree ft = MakeFatTree(4);
-  const ShardMap a(ft.graph(), 4);
-  const ShardMap b(ft.graph(), 4);
-  const ShardMap c(ft.graph(), 2);
-  EXPECT_EQ(a.Fingerprint(), b.Fingerprint());
-  EXPECT_NE(a.Fingerprint(), c.Fingerprint());
-}
-
 // Folding more pods than shards round-robins the components; every shard
 // stays non-empty and the assignment remains total.
 TEST(ShardMapTest, MorePodsThanShardsRoundRobins) {
   const topo::FatTree ft = MakeFatTree(8);  // 8 pods
   const ShardMap map(ft.graph(), 4);
   ASSERT_EQ(map.shard_count(), 4u);
-  for (std::size_t size : map.shard_sizes()) EXPECT_GT(size, 0u);
-  std::size_t total = 0;
-  for (std::size_t size : map.shard_sizes()) total += size;
-  EXPECT_EQ(total, ft.graph().node_count());
+  for (std::size_t size : ShardSizes(ft.graph(), map)) EXPECT_GT(size, 0u);
 }
 
 // Fewer components than shards (here: a 2-leaf leaf-spine has only 2
@@ -129,10 +70,7 @@ TEST(ShardMapTest, FallbackStripingCoversDegenerateGraphs) {
       .leaves = 2, .spines = 2, .hosts_per_leaf = 4});
   const ShardMap map(ls.graph(), 4);
   ASSERT_EQ(map.shard_count(), 4u);
-  std::size_t total = 0;
-  for (std::size_t size : map.shard_sizes()) total += size;
-  EXPECT_EQ(total, ls.graph().node_count());
-  for (std::size_t size : map.shard_sizes()) EXPECT_GT(size, 0u);
+  for (std::size_t size : ShardSizes(ls.graph(), map)) EXPECT_GT(size, 0u);
 }
 
 }  // namespace

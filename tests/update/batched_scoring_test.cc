@@ -5,10 +5,10 @@
 // virtual reads) and the reroute scan from before residual rows reached
 // overlays (virtual Residual() plus a FlowUsesLink list search for
 // self-release); the production paths must reproduce their doubles and
-// winners exactly — the probe-cost cache and the sharded argmin both
-// assume a score computed twice is the same double, and the golden layout
-// tests assume admission tie-breaks never move. Every EXPECT on a double
-// here is exact equality on purpose.
+// winners exactly — the probe-cost cache and the cheapest-candidate scan
+// both assume a score computed twice is the same double, and the golden
+// layout tests assume admission tie-breaks never move. Every EXPECT on a
+// double here is exact equality on purpose.
 //
 // The kernel differentials (dispatch vs net::scalar::*) are what make the
 // NU_SIMD build tiers interchangeable: under -DNU_SIMD=OFF they compare the

@@ -39,8 +39,7 @@ struct CliOptions {
             << "                  [--out=DIR] [--replay=ARTIFACT]\n"
             << "--serve runs online-serving trials at LOAD x the base rate\n"
             << "(deadline-miss oracle armed; --events = stream seconds).\n"
-            << "--shards=N (>= 2) runs every trial on the pod-sharded engine,\n"
-            << "putting the mailbox and round-barrier under the oracles.\n"
+            << "--shards=N (>= 2) runs every trial on the pod-sharded engine.\n"
             << "--grey=MODEL pins a grey-failure model on every trial, e.g.\n"
             << "acklie:0.1+loss:0.05:1:4 (reconciler + drift oracle armed;\n"
             << "without it roughly a third of trials roll their own model).\n";
