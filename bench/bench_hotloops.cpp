@@ -1,21 +1,20 @@
-// Hot-loop microbenchmarks for the SoA/arena pass: each phase pits a
-// production hot path against a pinned copy of its pre-change
-// implementation on the scale tier (k=16 Fat-Tree, 50k background flows;
-// --quick drops to k=8 / 5k for CI smoke).
+// Hot-loop microbenchmarks: each phase pits a production hot path against
+// a pinned copy of its pre-change implementation on the scale tier (k=16
+// Fat-Tree, 50k background flows; --quick drops to k=8 / 5k for CI smoke).
 //
-//   congestion_scan  — gathered residual row + branch-free CountCongested
-//                      kernel vs the materializing CongestedLinks() vector
-//                      (what LeastCongestedPath used to call per candidate).
-//   batched_scoring  — arena-backed batched QuickCostScore vs the legacy
-//                      per-call-vector scalar estimator (verbatim copy).
-//   residual_update  — Place/Remove against the flat SoA residual store vs
-//                      the same cycle through a copy-on-write overlay.
-//   arena_vs_malloc  — the scorer's per-round scratch shape from a warmed
-//                      arena vs fresh heap vectors every round.
+//   congestion_scan  — an ApproxGe count straight over the flat residual
+//                      row (ResidualData) vs a virtual Residual() read per
+//                      link.
+//   batched_scoring  — the production QuickCostScore, which reads each
+//                      candidate's links in place from the flat row, vs the
+//                      legacy per-call-vector scalar estimator (verbatim
+//                      copy).
+//   residual_update  — Place/Remove against the flat residual store vs the
+//                      same cycle through a copy-on-write overlay.
 //
-// The batched scorer and the scan kernels are bit-identical to the legacy
-// code (tests/update/batched_scoring_test.cc), so the speedups here are
-// pure data-layout and allocation wins. Acceptance (landed in the JSON):
+// The production scorer is bit-identical to the legacy code
+// (tests/update/batched_scoring_test.cc), so the speedups here are pure
+// data-layout and allocation wins. Acceptance (landed in the JSON):
 // congestion_scan and batched_scoring must clear 3x at the full tier.
 //
 // Run:  ./bench_hotloops [--quick] [--csv=PATH] [--txt=PATH] [--json=PATH]
@@ -28,12 +27,10 @@
 #include <vector>
 
 #include "bench_common.h"
-#include "common/arena.h"
 #include "common/rng.h"
 #include "net/admission.h"
 #include "net/network.h"
 #include "net/overlay.h"
-#include "net/residual_scan.h"
 #include "topo/fat_tree.h"
 #include "topo/path_provider.h"
 #include "update/cost_estimate.h"
@@ -224,10 +221,10 @@ int main(int argc, char** argv) {
       bench::ArgOrStr(argc, argv, "json", "BENCH_hotloops.json");
 
   bench::PrintHeader(
-      "hot-loop microbenchmarks (SoA residual scan / batched scoring / arena)",
+      "hot-loop microbenchmarks (flat-row scan / batched scoring / residual "
+      "update)",
       quick ? "quick tier (CI): k=8, 5k flows"
             : "scale tier: k=16 Fat-Tree, 50k background flows");
-  std::printf("simd backend: %s\n\n", net::SimdBackend());
 
   topo::FatTree ft(
       topo::FatTreeConfig{.k = k, .link_capacity = quick ? 2000.0 : 4000.0});
@@ -245,7 +242,6 @@ int main(int argc, char** argv) {
   const std::size_t scan_trials = quick ? 20'000 : 200'000;
   const std::size_t score_sweeps = quick ? 50 : 200;
   const std::size_t update_cycles = quick ? 20'000 : 100'000;
-  const std::size_t arena_rounds = quick ? 50'000 : 500'000;
 
   // --- Phase 1: congestion scan ------------------------------------------
   {
@@ -253,8 +249,7 @@ int main(int argc, char** argv) {
     // Baseline is the pre-change access pattern — a virtual Residual() read
     // and an epsilon compare per link (what the auditor, the stress
     // monitor, and admission's per-link loops all did); the new path runs
-    // the branch-free CountCongested kernel straight over the flat SoA
-    // residual array.
+    // the same ApproxGe compare straight over the flat residual row.
     const std::size_t n = ft.graph().link_count();
     std::vector<Mbps> demands;
     demands.reserve(scan_trials);
@@ -279,7 +274,11 @@ int main(int argc, char** argv) {
     std::size_t sink_new = 0;
     const auto new_start = Clock::now();
     for (const Mbps demand : demands) {
-      sink_new += net::CountCongested(flat, n, demand);
+      std::size_t count = 0;
+      for (std::size_t i = 0; i < n; ++i) {
+        if (!ApproxGe(flat[i], demand)) ++count;
+      }
+      sink_new += count;
     }
     const double new_s = SecondsSince(new_start);
     if (sink_base != sink_new) {
@@ -307,12 +306,11 @@ int main(int argc, char** argv) {
     }
     const double base_s = SecondsSince(base_start);
 
-    Arena arena;
     Mbps sink_new = 0.0;
     const auto new_start = Clock::now();
     for (std::size_t s = 0; s < score_sweeps; ++s) {
       for (const update::UpdateEvent& e : events) {
-        sink_new += update::QuickCostScore(network, provider, e, arena);
+        sink_new += update::QuickCostScore(network, provider, e);
       }
     }
     const double new_s = SecondsSince(new_start);
@@ -364,52 +362,6 @@ int main(int argc, char** argv) {
                        overlay_s / flat_s, "ns/place+remove"});
   }
 
-  // --- Phase 4: arena vs malloc ------------------------------------------
-  {
-    // The scorer's per-round scratch shape: a WorstDeficit accumulator row
-    // plus a residual row per flow of an 8-flow event.
-    constexpr std::size_t kFlows = 8;
-    constexpr std::size_t kCandidates = 16;
-    constexpr std::size_t kRow = 12;
-
-    double sink_base = 0.0;
-    const auto base_start = Clock::now();
-    for (std::size_t r = 0; r < arena_rounds; ++r) {
-      for (std::size_t f = 0; f < kFlows; ++f) {
-        std::vector<net::WorstDeficit> worst(kCandidates);
-        std::vector<Mbps> row(kRow);
-        row[r % kRow] = static_cast<double>(r);
-        worst[r % kCandidates].deficit = row[r % kRow];
-        sink_base += worst[r % kCandidates].deficit;
-      }
-    }
-    const double malloc_s = SecondsSince(base_start);
-
-    Arena arena;
-    double sink_new = 0.0;
-    const auto new_start = Clock::now();
-    for (std::size_t r = 0; r < arena_rounds; ++r) {
-      arena.Reset();
-      for (std::size_t f = 0; f < kFlows; ++f) {
-        net::WorstDeficit* worst = arena.AllocArray<net::WorstDeficit>(kCandidates);
-        Mbps* row = arena.AllocArray<Mbps>(kRow);
-        row[r % kRow] = static_cast<double>(r);
-        worst[r % kCandidates] = net::WorstDeficit{};
-        worst[r % kCandidates].deficit = row[r % kRow];
-        sink_new += worst[r % kCandidates].deficit;
-      }
-    }
-    const double arena_s = SecondsSince(new_start);
-    if (sink_base != sink_new) {
-      std::fprintf(stderr, "arena phase mismatch\n");
-      return 1;
-    }
-    results.push_back({"arena_vs_malloc",
-                       malloc_s * 1e9 / static_cast<double>(arena_rounds),
-                       arena_s * 1e9 / static_cast<double>(arena_rounds),
-                       malloc_s / arena_s, "ns/round"});
-  }
-
   AsciiTable table({"phase", "baseline", "new", "speedup", "unit"});
   for (const PhaseResult& r : results) {
     table.AddRow({r.phase, FormatDouble(r.baseline_ns, 1),
@@ -435,7 +387,6 @@ int main(int argc, char** argv) {
        << (quick ? "true" : "false") << ",\n  \"k\": " << k
        << ",\n  \"background_flows\": " << placed
        << ",\n  \"links\": " << ft.graph().link_count()
-       << ",\n  \"simd_backend\": \"" << net::SimdBackend() << "\""
        << ",\n  \"phases\": [\n";
   for (std::size_t i = 0; i < results.size(); ++i) {
     const PhaseResult& r = results[i];
@@ -456,10 +407,9 @@ int main(int argc, char** argv) {
   std::printf("json written: %s\n", json_path.c_str());
 
   bench::PrintFooter(
-      "all four phases favor the new path: the batched scorer and the "
-      "gathered-row congestion scan clear 3x at the full tier (no per-call "
-      "link-count vectors, branch-free kernels over contiguous rows), the "
-      "flat SoA store beats the COW overlay on place/remove, and warmed "
-      "arena scratch beats fresh heap vectors per round");
+      "every phase favors the new path: the flat-row census and the quick "
+      "cost scorer clear 3x over the pinned pre-change loops at the full "
+      "tier (no virtual call per link, no per-call scratch vectors), and the "
+      "flat store beats the COW overlay on place/remove");
   return 0;
 }

@@ -1,12 +1,12 @@
 #include "guard/auditor.h"
 
 #include <cmath>
+#include <span>
 #include <sstream>
 #include <unordered_set>
 
 #include "common/check.h"
 #include "common/logging.h"
-#include "net/residual_scan.h"
 
 namespace nu::guard {
 namespace {
@@ -28,13 +28,9 @@ struct Finding {
 /// Capacity checks for one link given its independently recomputed load.
 /// Emission order (residual disagreement, overcommit, negative residual) is
 /// part of the canonical violation order.
-void CollectCapacityFindings(const topo::Graph& graph,
-                             const net::Network& network, Mbps load,
-                             std::size_t link_index, bool allow_overcommit,
+void CollectCapacityFindings(std::size_t link_index, Mbps capacity,
+                             Mbps load, Mbps residual, bool allow_overcommit,
                              std::vector<Finding>& out) {
-  const LinkId link{static_cast<LinkId::rep_type>(link_index)};
-  const Mbps capacity = graph.link(link).capacity;
-  const Mbps residual = network.Residual(link);
   if (std::abs((capacity - load) - residual) > kBandwidthEpsilon) {
     std::ostringstream os;
     os << "link " << link_index << ": residual " << residual
@@ -219,19 +215,14 @@ void Auditor::AuditPlacements(const net::Network& network, bool relaxed,
       link_load_[link.value()] += demand;
     }
   }
-  // Vectorized pre-scan over the flat SoA rows flags the (rare) violating
-  // links; the string-building finding collector then runs only on those.
-  // The scan's predicate is the exact union of the collector's three
-  // checks and flags ascend, so findings keep their canonical order.
-  flagged_.clear();
-  net::ScanCapacityViolations(network.ResidualArray().data(),
-                              link_load_.data(),
-                              network.CapacityArray().data(),
-                              graph.link_count(), /*allow_overcommit=*/relaxed,
-                              kBandwidthEpsilon, 0, flagged_);
+  // The three capacity invariants per link, in ascending link order (the
+  // canonical finding order), reading the flat residual row in place; the
+  // collector builds text only for a check that fails.
+  const Mbps* residual = network.ResidualData();
+  const std::span<const topo::Link> links = graph.links();
   std::vector<Finding> capacity;
-  for (const std::uint32_t i : flagged_) {
-    CollectCapacityFindings(graph, network, link_load_[i], i,
+  for (std::size_t i = 0; i < links.size(); ++i) {
+    CollectCapacityFindings(i, links[i].capacity, link_load_[i], residual[i],
                             /*allow_overcommit=*/relaxed, capacity);
   }
   for (Finding& f : capacity) Report(f.invariant, std::move(f.detail), found);

@@ -183,8 +183,6 @@ class Auditor {
   std::vector<Mbps> link_load_;
   /// Liveness this pass by PathRef value: 0 unknown, 1 alive, 2 dead.
   std::vector<std::uint8_t> alive_;
-  /// Link indices the capacity pre-scan flagged (usually empty).
-  std::vector<std::uint32_t> flagged_;
   /// Context of the pass currently running (stamped onto its violations).
   AuditContext context_;
   std::vector<AuditViolation> violations_;

@@ -1,6 +1,5 @@
 #include "guard/overload.h"
 
-#include "common/arena.h"
 #include "common/check.h"
 #include "common/logging.h"
 #include "update/cost_estimate.h"
@@ -43,13 +42,10 @@ std::optional<std::size_t> ChooseShedVictim(
     case OverloadPolicy::kShedCostliest: {
       // Ties go to the incoming event (prefer keeping admitted work), then
       // to the earliest queue position — deterministic for equal scores.
-      // One arena serves the whole sweep (each score call resets it).
-      Arena scratch;
-      Mbps worst = update::QuickCostScore(network, paths, incoming, scratch);
+      Mbps worst = update::QuickCostScore(network, paths, incoming);
       std::optional<std::size_t> victim;
       for (std::size_t i = 0; i < queue.size(); ++i) {
-        const Mbps score =
-            update::QuickCostScore(network, paths, *queue[i], scratch);
+        const Mbps score = update::QuickCostScore(network, paths, *queue[i]);
         if (score > worst) {
           worst = score;
           victim = i;

@@ -92,7 +92,8 @@ struct FaultStats {
   /// Placed flows removed because a fault killed their path.
   std::size_t flows_killed = 0;
   /// Disruption -> successful reinstall latencies (seconds), per recovered
-  /// flow. Mean/percentiles feed the report; raw samples feed histograms.
+  /// flow. Mean/percentiles feed the report; the raw samples are kept so a
+  /// resumed run's percentiles match an uninterrupted one's.
   Samples recovery_latency;
   /// Recovery latencies of flows stranded by GROUP incidents specifically —
   /// the per-SRLG recovery story, separate from single-element faults.

@@ -3,70 +3,60 @@
 #include <algorithm>
 #include <limits>
 
-#include "common/arena.h"
 #include "common/check.h"
-#include "net/residual_scan.h"
 
 namespace nu::net {
 namespace {
 
-/// Per-thread scratch for the batched candidate scans. Admission runs
-/// concurrently on the planner's probe workers, so the arena cannot be a
-/// shared static; per-thread is safe (calls never nest) and a warmed arena
-/// keeps the steady-state admission path allocation-free.
-thread_local Arena t_scan_arena;
+/// One pass over a candidate's links, read in place from the view's flat
+/// residual row.
+struct PathScan {
+  /// Links failing ApproxGe(residual, demand): the congested set E^c of
+  /// Definition 1, link by link as CanPlace and CongestedLinks test it.
+  std::size_t congested = 0;
+  /// Minimum residual over the path.
+  Mbps bottleneck = std::numeric_limits<double>::infinity();
+  /// Residual summed in path-link order: tie-breaks compare exact doubles,
+  /// so reassociating the sum would flip near-tie decisions.
+  Mbps total = 0.0;
+};
 
-std::size_t MaxLinkCount(const std::vector<topo::Path>& candidates) {
-  std::size_t max_links = 0;
-  for (const topo::Path& p : candidates) {
-    max_links = std::max(max_links, p.links.size());
+PathScan ScanPath(const Mbps* residuals, const topo::Path& path,
+                  Mbps demand) {
+  PathScan scan;
+  for (const LinkId lid : path.links) {
+    const Mbps residual = residuals[lid.value()];
+    if (!ApproxGe(residual, demand)) ++scan.congested;
+    scan.bottleneck = std::min(scan.bottleneck, residual);
+    scan.total += residual;
   }
-  return max_links;
+  return scan;
 }
 
 }  // namespace
-
-Mbps BottleneckResidual(const NetworkView& network, const topo::Path& path) {
-  Mbps bottleneck = std::numeric_limits<double>::infinity();
-  for (LinkId lid : path.links) {
-    bottleneck = std::min(bottleneck, network.Residual(lid));
-  }
-  return bottleneck;
-}
 
 const topo::Path* FindFeasiblePathPtr(const NetworkView& network,
                                       const topo::PathProvider& paths,
                                       NodeId src, NodeId dst, Mbps demand,
                                       PathSelection selection) {
-  const std::vector<topo::Path>& candidates = paths.Paths(src, dst);
-  if (candidates.empty()) return nullptr;
-  Arena& arena = t_scan_arena;
-  arena.Reset();
-  Mbps* row = arena.AllocArray<Mbps>(MaxLinkCount(candidates));
   const Mbps* residuals = network.ResidualData();
-
   const topo::Path* best = nullptr;
   Mbps best_bottleneck = 0.0;
   Mbps best_total = 0.0;
-  for (const topo::Path& p : candidates) {
+  for (const topo::Path& p : paths.Paths(src, dst)) {
     if (!network.PathAlive(p)) continue;
-    const std::span<const LinkId> links = p.links;
-    GatherResiduals(residuals, links, row);
-    // Feasible iff no link of the row is congested for `demand` — the same
-    // ApproxGe predicate CanPlace applies link by link.
-    if (CountCongested(row, links.size(), demand) != 0) continue;
+    const PathScan scan = ScanPath(residuals, p, demand);
+    if (scan.congested != 0) continue;
+    const Mbps b = scan.bottleneck;
+    const Mbps t = scan.total;
     switch (selection) {
       case PathSelection::kFirstFit:
         return &p;
-      case PathSelection::kWidest: {
+      case PathSelection::kWidest:
         // Primary: max bottleneck. Secondary: max total residual — in
         // multi-rooted trees every candidate shares the host links, so the
         // bottleneck alone frequently ties and would always pack the first
-        // fabric path. The total stays a scalar sum in path-link order:
-        // tie-breaks compare exact doubles.
-        const Mbps b = MinValue(row, links.size());
-        Mbps t = 0.0;
-        for (std::size_t i = 0; i < links.size(); ++i) t += row[i];
+        // fabric path.
         if (best == nullptr || b > best_bottleneck ||
             (b == best_bottleneck && t > best_total)) {
           best = &p;
@@ -74,11 +64,7 @@ const topo::Path* FindFeasiblePathPtr(const NetworkView& network,
           best_total = t;
         }
         break;
-      }
-      case PathSelection::kBestFit: {
-        const Mbps b = MinValue(row, links.size());
-        Mbps t = 0.0;
-        for (std::size_t i = 0; i < links.size(); ++i) t += row[i];
+      case PathSelection::kBestFit:
         if (best == nullptr || b < best_bottleneck ||
             (b == best_bottleneck && t < best_total)) {
           best = &p;
@@ -86,7 +72,6 @@ const topo::Path* FindFeasiblePathPtr(const NetworkView& network,
           best_total = t;
         }
         break;
-      }
     }
   }
   return best;
@@ -113,24 +98,18 @@ const topo::Path& LeastCongestedPath(const NetworkView& network,
                                      NodeId src, NodeId dst, Mbps demand) {
   const std::vector<topo::Path>& candidates = paths.Paths(src, dst);
   NU_EXPECTS(!candidates.empty());
-  Arena& arena = t_scan_arena;
-  arena.Reset();
-  Mbps* row = arena.AllocArray<Mbps>(MaxLinkCount(candidates));
   const Mbps* residuals = network.ResidualData();
-
   const topo::Path* best = nullptr;
   std::size_t best_congested = 0;
   Mbps best_bottleneck = 0.0;
   for (const topo::Path& p : candidates) {
-    const std::span<const LinkId> links = p.links;
-    GatherResiduals(residuals, links, row);
-    const std::size_t congested = CountCongested(row, links.size(), demand);
-    const Mbps bottleneck = MinValue(row, links.size());
-    if (best == nullptr || congested < best_congested ||
-        (congested == best_congested && bottleneck > best_bottleneck)) {
+    const PathScan scan = ScanPath(residuals, p, demand);
+    if (best == nullptr || scan.congested < best_congested ||
+        (scan.congested == best_congested &&
+         scan.bottleneck > best_bottleneck)) {
       best = &p;
-      best_congested = congested;
-      best_bottleneck = bottleneck;
+      best_congested = scan.congested;
+      best_bottleneck = scan.bottleneck;
     }
   }
   return *best;

@@ -26,12 +26,12 @@ enum class PathSelection : std::uint8_t {
 /// Returns a feasible path for (src, dst, demand) under `selection`, or
 /// nullptr when no candidate path has enough residual everywhere. The
 /// returned path is owned by the provider (stable until its caches are
-/// invalidated — within one planning pass). All candidates are scored in a
-/// batched pass over gathered residual rows (net/residual_scan.h) with
-/// thread-local arena scratch: no allocation, no optional<Path> deep copy.
-/// Tie-breaks are bit-identical to the historical per-link scalar loop
-/// (the kWidest total-residual tie-break sums in path-link order on
-/// purpose — reassociating it would flip near-tie decisions).
+/// invalidated — within one planning pass). Each candidate is scanned
+/// once, in place in the view's flat residual row (ResidualData): the
+/// ApproxGe fit CanPlace applies, the bottleneck and the total residual,
+/// with no allocation and no optional<Path> deep copy. The total sums in
+/// path-link order on purpose — reassociating it would flip near-tie
+/// decisions.
 [[nodiscard]] const topo::Path* FindFeasiblePathPtr(
     const NetworkView& network, const topo::PathProvider& paths, NodeId src,
     NodeId dst, Mbps demand, PathSelection selection = PathSelection::kWidest);
@@ -46,10 +46,6 @@ enum class PathSelection : std::uint8_t {
 [[nodiscard]] bool CanAdmit(const NetworkView& network,
                             const topo::PathProvider& paths, NodeId src,
                             NodeId dst, Mbps demand);
-
-/// Bottleneck residual of a path: min residual over its links.
-[[nodiscard]] Mbps BottleneckResidual(const NetworkView& network,
-                                      const topo::Path& path);
 
 /// The candidate path with the fewest congested links for `demand`; used as
 /// the "desired path" on which the migration optimizer then works when no

@@ -29,11 +29,7 @@ std::uint32_t Rep32(FlowId id) {
 Network::Network(const topo::Graph& graph)
     : graph_(&graph), registry_(std::make_shared<topo::PathRegistry>()) {
   residual_.reserve(graph.link_count());
-  capacity_.reserve(graph.link_count());
-  for (const topo::Link& l : graph.links()) {
-    residual_.push_back(l.capacity);
-    capacity_.push_back(l.capacity);
-  }
+  for (const topo::Link& l : graph.links()) residual_.push_back(l.capacity);
   link_flows_.resize(graph.link_count());
   link_up_.assign(graph.link_count(), 1);
   node_up_.assign(graph.node_count(), 1);

@@ -11,8 +11,8 @@
 // never reused, which is what makes dense slots and sorted lists canonical.
 //
 // Network is copyable on purpose (copies share the registry, so PathRefs
-// remain valid across ScopedTransaction saves and legacy deep-copy probes),
-// but planners normally evaluate what-if scenarios against a copy-on-write
+// stay valid in every copy, and a copy carries the fault state too), but
+// planners normally evaluate what-if scenarios against a copy-on-write
 // NetworkOverlay (net/overlay.h) and commit only the chosen plan to the
 // real instance.
 #pragma once
@@ -45,21 +45,14 @@ class Network final : public MutableNetwork {
   [[nodiscard]] Mbps Residual(LinkId link) const override;
 
   /// The residual store IS a flat array here (updated incrementally by
-  /// Occupy/Release); expose it for the SoA scan kernels.
+  /// Occupy/Release); path scans read it in place.
   [[nodiscard]] const Mbps* ResidualData() const override {
     return residual_.data();
   }
 
-  /// Flat structure-of-arrays rows indexed by LinkId value, for batched
-  /// scans (guard::Auditor's capacity pass, bench_hotloops). The capacity
-  /// row is derived from the graph at construction — it is not serialized
-  /// (snapshot format unchanged) and not counted by ApproxStateBytes (it
-  /// duplicates immutable graph data, so deep copies could share it).
+  /// The same row as a span, indexed by LinkId value.
   [[nodiscard]] std::span<const Mbps> ResidualArray() const {
     return residual_;
-  }
-  [[nodiscard]] std::span<const Mbps> CapacityArray() const {
-    return capacity_;
   }
 
   /// Utilization of a link in [0, 1].
@@ -248,9 +241,6 @@ class Network final : public MutableNetwork {
   std::shared_ptr<topo::PathRegistry> registry_;
   flow::FlowTable flows_;
   std::vector<Mbps> residual_;  // by LinkId
-  /// Immutable per-link capacities mirrored from the graph (SoA row for
-  /// batched scans; see CapacityArray()).
-  std::vector<Mbps> capacity_;  // by LinkId
   /// Flow ids on each link, ascending (canonical), 32-bit reps.
   std::vector<std::vector<std::uint32_t>> link_flows_;  // by LinkId
   /// Path ref of each placed flow, indexed by flow id; invalid() = absent.

@@ -39,10 +39,11 @@ class NetworkView {
 
   /// Contiguous per-link residual array indexed by LinkId value, never
   /// null: element i bitwise-equals Residual(LinkId{i}) for every link, so
-  /// the SoA scan kernels (net/residual_scan.h) and the reroute scan read
-  /// it directly. A copy-on-write overlay serves its base's array until
-  /// its first residual write and its own copy from then on. Valid until
-  /// the next mutation of this view or of any view beneath it.
+  /// the path scans (admission, quick cost estimation, the reroute scan)
+  /// read it in place instead of one virtual call per link. A
+  /// copy-on-write overlay serves its base's array until its first
+  /// residual write and its own copy from then on. Valid until the next
+  /// mutation of this view or of any view beneath it.
   [[nodiscard]] virtual const Mbps* ResidualData() const = 0;
 
   [[nodiscard]] virtual bool LinkUp(LinkId link) const = 0;

@@ -7,7 +7,6 @@
 #include <map>
 #include <unordered_set>
 
-#include "common/arena.h"
 #include "fault/cascade.h"
 #include "fault/injector.h"
 #include "net/admission.h"
@@ -35,11 +34,6 @@ struct ProbeRuntime {
   /// Epoch-keyed cost/plan caching (SimConfig::probe_cost_cache).
   bool cache_enabled = true;
   std::unordered_map<EventId::rep_type, ProbeCacheEntry> cache;
-  /// Run-wide scratch for quick-probe scoring. Quick probes only ever run
-  /// on the simulation thread (pool tasks plan full probes only), so one
-  /// arena serves the whole run and the steady-state scoring loop stays
-  /// allocation-free once warmed.
-  Arena score_arena;
 };
 
 /// SchedulingContext implementation for one round: charges probe costs to
@@ -100,8 +94,8 @@ class RoundContext final : public sched::SchedulingContext {
       ++stats_.probe_cache_hits;
       return entry->cost;
     }
-    const Mbps score = update::QuickCostScore(network_, planner_.paths(),
-                                              event, probe_rt_.score_arena);
+    const Mbps score =
+        update::QuickCostScore(network_, planner_.paths(), event);
     CacheStore(event.id(), score, nullptr);
     return score;
   }

@@ -1,16 +1,24 @@
 #include "update/cost_estimate.h"
 
-#include <algorithm>
-
-#include "net/residual_scan.h"
+#include <limits>
 
 namespace nu::update {
+namespace {
+
+/// A congested link of one candidate path: the shortfall `deficit` of
+/// placing the demand there, and the residual that produced it.
+struct WorstLink {
+  Mbps deficit = 0.0;
+  LinkId link{};
+  Mbps residual = 0.0;
+};
+
+}  // namespace
 
 QuickCostResult QuickCostEstimate(const net::NetworkView& network,
                                   const topo::PathProvider& paths,
-                                  const UpdateEvent& event, Arena& scratch) {
+                                  const UpdateEvent& event) {
   QuickCostResult result;
-  scratch.Reset();
   const Mbps* residuals = network.ResidualData();
 
   for (const flow::Flow& f : event.flows()) {
@@ -20,38 +28,35 @@ QuickCostResult QuickCostEstimate(const net::NetworkView& network,
       continue;
     }
 
-    // Batched pass: gather each candidate's residual row into contiguous
-    // scratch and reduce it with the MaxDeficit kernel. Winner selection is
-    // the historical control flow verbatim — strict < with the first
-    // candidate winning ties, early exit the moment the running best fits
-    // outright (a later candidate can only tie at deficit 0 and would lose
-    // the tie anyway) — so results are bit-identical to the scalar loop.
-    const std::size_t n = candidates.size();
-    net::WorstDeficit* worst = scratch.AllocArray<net::WorstDeficit>(n);
-    std::size_t max_links = 0;
+    // Running best over the candidates: strict < keeps the first of equal
+    // deficits, and the scan stops once the best fits outright (a later
+    // candidate could only tie at deficit 0 and would lose the tie).
+    WorstLink best{.deficit = std::numeric_limits<double>::infinity()};
     for (const topo::Path& p : candidates) {
-      max_links = std::max(max_links, p.links.size());
+      // The candidate's worst link: strict > keeps the first of equal
+      // deficits, read in place from the flat residual row.
+      WorstLink worst;
+      for (const LinkId lid : p.links) {
+        const Mbps residual = residuals[lid.value()];
+        if (ApproxGe(residual, f.demand)) continue;
+        const Mbps deficit = f.demand - residual;
+        if (deficit > worst.deficit) worst = {deficit, lid, residual};
+      }
+      if (worst.deficit < best.deficit) {
+        best = worst;
+        if (best.deficit <= kBandwidthEpsilon) break;  // fits outright
+      }
     }
-    Mbps* row = scratch.AllocArray<Mbps>(max_links);
-    std::size_t best = 0;
-    for (std::size_t c = 0; c < n; ++c) {
-      const std::span<const LinkId> links = candidates[c].links;
-      net::GatherResiduals(residuals, links, row);
-      worst[c] = net::MaxDeficit(row, links.size(), f.demand);
-      if (c > 0 && worst[c].deficit < worst[best].deficit) best = c;
-      if (worst[best].deficit <= kBandwidthEpsilon) break;  // fits outright
-    }
-    if (worst[best].deficit <= kBandwidthEpsilon) continue;  // fits outright
+    if (best.deficit <= kBandwidthEpsilon) continue;  // fits outright
 
     ++result.flows_with_deficit;
-    result.deficit_sum += worst[best].deficit;
+    result.deficit_sum += best.deficit;
     // Movable traffic on the winning candidate's worst link: capacity minus
-    // the GATHERED residual (recomputing it from the deficit would not be
+    // the residual read there (recomputing it from the deficit would not be
     // bit-identical).
-    const LinkId worst_link = candidates[best].links[worst[best].index];
     const Mbps movable =
-        network.graph().link(worst_link).capacity - worst[best].residual;
-    if (worst[best].deficit > movable + kBandwidthEpsilon) {
+        network.graph().link(best.link).capacity - best.residual;
+    if (best.deficit > movable + kBandwidthEpsilon) {
       // Even migrating everything off the congested links cannot free
       // enough: the shortfall is structural (e.g. a saturated host uplink).
       ++result.likely_blocked;
@@ -60,18 +65,10 @@ QuickCostResult QuickCostEstimate(const net::NetworkView& network,
   return result;
 }
 
-QuickCostResult QuickCostEstimate(const net::NetworkView& network,
-                                  const topo::PathProvider& paths,
-                                  const UpdateEvent& event) {
-  Arena scratch;
-  return QuickCostEstimate(network, paths, event, scratch);
-}
-
 Mbps QuickCostScore(const net::NetworkView& network,
-                    const topo::PathProvider& paths, const UpdateEvent& event,
-                    Arena& scratch) {
-  const QuickCostResult estimate =
-      QuickCostEstimate(network, paths, event, scratch);
+                    const topo::PathProvider& paths,
+                    const UpdateEvent& event) {
+  const QuickCostResult estimate = QuickCostEstimate(network, paths, event);
   Mbps score = estimate.deficit_sum;
   // Mirror the simulator's full-probe penalty: blocked flows are charged
   // their demand at 10x. We do not know which specific flows are blocked
@@ -82,13 +79,6 @@ Mbps QuickCostScore(const net::NetworkView& network,
     score += 10.0 * mean_demand * static_cast<double>(estimate.likely_blocked);
   }
   return score;
-}
-
-Mbps QuickCostScore(const net::NetworkView& network,
-                    const topo::PathProvider& paths,
-                    const UpdateEvent& event) {
-  Arena scratch;
-  return QuickCostScore(network, paths, event, scratch);
 }
 
 }  // namespace nu::update

@@ -7,18 +7,16 @@
 // order-correlates with the exact cost, so a scheduler can rank candidates
 // with it and pay for one full plan only at execution.
 //
-// The estimator scores all of a flow's candidate paths in one batched pass:
-// each candidate's residual row is gathered into contiguous arena scratch
-// (straight loads from the view's flat residual array) and reduced by the
-// SoA scan kernels (net/residual_scan.h). Results are bit-identical to the
-// historical scalar candidate loop — same strict-< first-wins winner, same
-// epsilon semantics — which the probe-cost cache and the schedulers'
-// cheapest-candidate scan rely on; tests/update/batched_scoring_test.cc
-// pins the equivalence against a reference copy of the scalar
-// implementation.
+// The estimator reads each candidate's links in place from the view's flat
+// residual row (NetworkView::ResidualData) and keeps a running best: no
+// scratch, no allocation. Results are bit-identical to the historical
+// scalar candidate loop — same strict-< first-wins winner, same strict->
+// first worst link, same epsilon semantics — which the probe-cost cache and
+// the schedulers' cheapest-candidate scan rely on;
+// tests/update/batched_scoring_test.cc pins the equivalence against a
+// reference copy of the scalar implementation.
 #pragma once
 
-#include "common/arena.h"
 #include "net/network_view.h"
 #include "topo/path_provider.h"
 #include "update/update_event.h"
@@ -43,26 +41,12 @@ struct QuickCostResult {
 /// and — unlike EventPlanner::Plan — does not account for intra-event
 /// contention (earlier flows of the same event consuming capacity), which
 /// is the main source of underestimation.
-///
-/// `scratch` holds the batched pass's per-candidate rows and accumulators;
-/// it is Reset() on entry (the call owns it for its duration) and a warmed
-/// arena makes the call allocation-free. The overload without an arena is
-/// the cold-path convenience form: it pays one arena construction per call.
-[[nodiscard]] QuickCostResult QuickCostEstimate(const net::NetworkView& network,
-                                                const topo::PathProvider& paths,
-                                                const UpdateEvent& event,
-                                                Arena& scratch);
-
 [[nodiscard]] QuickCostResult QuickCostEstimate(const net::NetworkView& network,
                                                 const topo::PathProvider& paths,
                                                 const UpdateEvent& event);
 
 /// Scalar ranking value mirroring the simulator's probe semantics: the
 /// deficit sum plus a 10x penalty on likely-blocked flows' demands.
-[[nodiscard]] Mbps QuickCostScore(const net::NetworkView& network,
-                                  const topo::PathProvider& paths,
-                                  const UpdateEvent& event, Arena& scratch);
-
 [[nodiscard]] Mbps QuickCostScore(const net::NetworkView& network,
                                   const topo::PathProvider& paths,
                                   const UpdateEvent& event);

@@ -102,16 +102,6 @@ TEST(AdmissionTest, FirstFitDeterministic) {
   EXPECT_EQ(*a, *b);
 }
 
-TEST(AdmissionTest, BottleneckResidual) {
-  FatTreeFixture fx;
-  const auto path = FindFeasiblePath(fx.network, fx.provider, fx.ft.host(0),
-                                     fx.ft.host(2), 30.0);
-  ASSERT_TRUE(path.has_value());
-  EXPECT_DOUBLE_EQ(BottleneckResidual(fx.network, *path), 100.0);
-  fx.network.Place(fx.MakeFlow(fx.ft.host(0), fx.ft.host(2), 30.0), *path);
-  EXPECT_DOUBLE_EQ(BottleneckResidual(fx.network, *path), 70.0);
-}
-
 TEST(AdmissionTest, LeastCongestedPathPrefersFewerDeficits) {
   FatTreeFixture fx;
   const NodeId src = fx.ft.host(0);

@@ -176,13 +176,36 @@ TEST(NetworkTest, ForcePlaceAllowsOversubscription) {
 
 TEST(NetworkTest, CopyIsIndependent) {
   LineFixture fx;
+  const NodeId spare = fx.graph.AddNode(NodeRole::kGeneric);  // on no path
   Network net(fx.graph);
   const Path p = fx.AbcPath();
   net.Place(fx.MakeFlow(50.0), p);
+  // Fault state travels with a copy: down marks, down counts and the
+  // topology epoch. Neither down element is on the placed path.
+  const LinkId spare_link = fx.graph.links().back().id;  // c -> b
+  net.SetLinkUp(spare_link, false);
+  net.SetNodeUp(spare, false);
+  const std::uint64_t epoch = net.topology_epoch();
   Network copy = net;
+  EXPECT_FALSE(copy.LinkUp(spare_link));
+  EXPECT_FALSE(copy.NodeUp(spare));
+  EXPECT_EQ(copy.down_link_count(), 1u);
+  EXPECT_EQ(copy.down_node_count(), 1u);
+  EXPECT_EQ(copy.topology_epoch(), epoch);
+
   copy.Place(fx.MakeFlow(25.0), p);
+  copy.SetLinkUp(spare_link, true);
+  copy.SetNodeUp(spare, true);
   EXPECT_DOUBLE_EQ(net.Residual(p.links[0]), 50.0);
   EXPECT_DOUBLE_EQ(copy.Residual(p.links[0]), 25.0);
+  EXPECT_FALSE(net.LinkUp(spare_link));
+  EXPECT_FALSE(net.NodeUp(spare));
+  EXPECT_EQ(net.down_link_count(), 1u);
+  EXPECT_EQ(net.down_node_count(), 1u);
+  EXPECT_EQ(net.topology_epoch(), epoch);
+  EXPECT_EQ(copy.down_link_count(), 0u);
+  EXPECT_EQ(copy.down_node_count(), 0u);
+  EXPECT_GT(copy.topology_epoch(), epoch);
   EXPECT_TRUE(net.CheckInvariants());
   EXPECT_TRUE(copy.CheckInvariants());
 }

@@ -5,25 +5,35 @@
 // vector of FlowIds is exercised as a positive control to prove the counter
 // sees allocations. The placement
 // path is guarded the same way: Graph::IsValidPath, a warmed
-// PathProvider::Paths hit and a warmed churn draw allocate nothing.
+// PathProvider::Paths hit and a warmed churn draw allocate nothing. So is
+// the per-round scoring/admission loop: once the path caches are warm, the
+// quick-probe scoring sweep of each scheduler shape (fifo's head-of-queue
+// admission check, lmtf's alpha+1 candidate scoring, p-lmtf's wider sweep)
+// must not touch the heap at all.
 //
 // The counting operator new/delete below replaces the global ones for this
 // whole test binary, which is why these tests live in their own binary
 // (test_span_alloc) rather than inside test_net.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <new>
 #include <span>
+#include <vector>
 
 #include "common/rng.h"
+#include "net/admission.h"
 #include "net/network.h"
 #include "net/overlay.h"
+#include "sched/select.h"
 #include "topo/fat_tree.h"
 #include "topo/ksp.h"
 #include "topo/path_provider.h"
 #include "trace/background.h"
+#include "update/cost_estimate.h"
+#include "update/update_event.h"
 
 namespace {
 
@@ -170,6 +180,107 @@ TEST(SpanAllocTest, WarmedChurnDrawDoesNotAllocate) {
   const std::size_t after = g_allocations.load(std::memory_order_relaxed);
   EXPECT_EQ(after, before) << "churn draw allocated";
   EXPECT_EQ(found, 100u);
+}
+
+// --- Steady-state round-loop assertion ----------------------------------
+
+struct RoundLoopFixture {
+  RoundLoopFixture()
+      : ft(topo::FatTreeConfig{.k = 4, .link_capacity = 100.0}),
+        provider(ft),
+        network(ft.graph()) {
+    // Background congestion: saturate a few fabric links so scoring
+    // exercises the deficit paths, not just the all-fits early outs.
+    for (std::size_t i = 0; i < 12; ++i) {
+      const NodeId src = ft.host(i % ft.host_count());
+      const NodeId dst = ft.host((i + 3) % ft.host_count());
+      const auto& paths = provider.Paths(src, dst);
+      flow::Flow f;
+      f.src = src;
+      f.dst = dst;
+      f.demand = 60.0;
+      f.duration = 100.0;
+      network.ForcePlace(std::move(f), paths[i % paths.size()]);
+    }
+    // The candidate queue a scheduler scores each round.
+    for (std::size_t e = 0; e < 6; ++e) {
+      std::vector<flow::Flow> flows;
+      for (std::size_t j = 0; j < 3; ++j) {
+        flow::Flow f;
+        f.src = ft.host((e + j) % ft.host_count());
+        f.dst = ft.host((e + j + 7) % ft.host_count());
+        f.demand = 50.0;
+        f.duration = 5.0;
+        flows.push_back(f);
+      }
+      events.emplace_back(EventId{e + 1}, 0.0, std::move(flows));
+    }
+  }
+
+  topo::FatTree ft;
+  topo::FatTreePathProvider provider;
+  Network network;
+  std::vector<update::UpdateEvent> events;
+};
+
+TEST(RoundLoopAllocTest, SteadyStateScoringSweepsAreAllocationFree) {
+  RoundLoopFixture fx;
+
+  // The round shapes of the three schedulers' inner loops: fifo checks
+  // head-of-queue admission only (alpha = 0); lmtf scores alpha+1
+  // candidates; p-lmtf sweeps a wider window. (Plan EXECUTION materializes
+  // plans and timeline entries and legitimately allocates; the assertion
+  // covers the per-round scoring/admission loop, which dominates probe
+  // count — see BENCH_probe.json.)
+  struct Shape {
+    const char* name;
+    std::size_t alpha;
+  };
+  const Shape shapes[] = {{"fifo", 0}, {"lmtf", 3}, {"p-lmtf", 5}};
+
+  std::vector<Mbps> costs(fx.events.size(), 0.0);
+  std::vector<std::size_t> candidates(fx.events.size(), 0);
+  for (std::size_t i = 0; i < candidates.size(); ++i) candidates[i] = i;
+
+  // Warm-up round: the provider fills its path caches.
+  for (const update::UpdateEvent& event : fx.events) {
+    (void)update::QuickCostScore(fx.network, fx.provider, event);
+    for (const flow::Flow& f : event.flows()) {
+      (void)FindFeasiblePathPtr(fx.network, fx.provider, f.src, f.dst,
+                                f.demand);
+      (void)CanAdmit(fx.network, fx.provider, f.src, f.dst, f.demand);
+    }
+  }
+
+  for (const Shape& shape : shapes) {
+    const std::size_t before = g_allocations.load(std::memory_order_relaxed);
+    std::size_t winner_accum = 0;
+    for (int round = 0; round < 50; ++round) {
+      if (shape.alpha == 0) {
+        // fifo: head-of-queue admission probe per flow.
+        for (const flow::Flow& f : fx.events.front().flows()) {
+          if (FindFeasiblePathPtr(fx.network, fx.provider, f.src, f.dst,
+                                  f.demand) != nullptr) {
+            ++winner_accum;
+          }
+        }
+        continue;
+      }
+      // lmtf / p-lmtf: score the alpha+1 window, pick the cheapest with
+      // the shared strict-< argmin.
+      const std::size_t window = std::min(shape.alpha + 1, fx.events.size());
+      for (std::size_t i = 0; i < window; ++i) {
+        costs[i] =
+            update::QuickCostScore(fx.network, fx.provider, fx.events[i]);
+      }
+      winner_accum += sched::CheapestCandidate(
+          std::span<const std::size_t>(candidates.data(), window),
+          std::span<const Mbps>(costs.data(), window));
+    }
+    const std::size_t after = g_allocations.load(std::memory_order_relaxed);
+    EXPECT_EQ(after, before)
+        << shape.name << " steady-state scoring sweep allocated";
+  }
 }
 
 TEST(SpanAllocTest, CounterSeesMaterializingRead) {

@@ -1,33 +1,29 @@
-// Differential tests pinning the batched candidate scorer, the reroute
-// scan and the SoA scan kernels to the historical scalar implementations,
-// bit for bit. The reference copies below are the pre-batching code
-// verbatim (per-call vector scratch, early-exit candidate loop, per-link
-// virtual reads) and the reroute scan from before residual rows reached
-// overlays (virtual Residual() plus a FlowUsesLink list search for
-// self-release); the production paths must reproduce their doubles and
-// winners exactly — the probe-cost cache and the cheapest-candidate scan
-// both assume a score computed twice is the same double, and the golden
-// layout tests assume admission tie-breaks never move. Every EXPECT on a
-// double here is exact equality on purpose.
-//
-// The kernel differentials (dispatch vs net::scalar::*) are what make the
-// NU_SIMD build tiers interchangeable: under -DNU_SIMD=OFF they compare the
-// scalar dispatch against itself (trivially green), under SSE2/AVX2 they
-// compare the vector kernels against the always-compiled scalar reference.
+// Differential tests pinning the quick cost estimator, the admission scans
+// and the reroute scan — each of which reads the view's flat residual row
+// in place — to the historical scalar implementations, bit for bit. The
+// reference copies below are the pre-batching code verbatim (per-call
+// vector scratch, early-exit candidate loop, per-link virtual reads) and
+// the reroute scan from before residual rows reached overlays (virtual
+// Residual() plus a FlowUsesLink list search for self-release); the
+// production paths must reproduce their doubles and winners exactly — the
+// probe-cost cache and the cheapest-candidate scan both assume a score
+// computed twice is the same double, and the golden layout tests assume
+// admission tie-breaks never move. Every EXPECT on a double here is exact
+// equality on purpose.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cmath>
+#include <array>
 #include <cstdint>
 #include <limits>
 #include <span>
+#include <tuple>
 #include <vector>
 
 #include "common/rng.h"
 #include "net/admission.h"
 #include "net/network.h"
 #include "net/overlay.h"
-#include "net/residual_scan.h"
 #include "topo/fat_tree.h"
 #include "topo/path_provider.h"
 #include "update/cost_estimate.h"
@@ -40,6 +36,16 @@ namespace {
 // --- Reference: the pre-batching scalar estimator, copied verbatim -------
 
 namespace reference {
+
+// The bottleneck helper the pre-batching admission loops called, verbatim.
+Mbps BottleneckResidual(const net::NetworkView& network,
+                        const topo::Path& path) {
+  Mbps bottleneck = std::numeric_limits<double>::infinity();
+  for (LinkId lid : path.links) {
+    bottleneck = std::min(bottleneck, network.Residual(lid));
+  }
+  return bottleneck;
+}
 
 class ResidualScratch {
  public:
@@ -151,7 +157,7 @@ std::optional<topo::Path> FindFeasiblePath(const net::NetworkView& network,
       case net::PathSelection::kFirstFit:
         return p;
       case net::PathSelection::kWidest: {
-        const Mbps b = net::BottleneckResidual(network, p);
+        const Mbps b = BottleneckResidual(network, p);
         const Mbps t = total_residual(p);
         if (best == nullptr || b > best_bottleneck ||
             (b == best_bottleneck && t > best_total)) {
@@ -162,7 +168,7 @@ std::optional<topo::Path> FindFeasiblePath(const net::NetworkView& network,
         break;
       }
       case net::PathSelection::kBestFit: {
-        const Mbps b = net::BottleneckResidual(network, p);
+        const Mbps b = BottleneckResidual(network, p);
         const Mbps t = total_residual(p);
         if (best == nullptr || b < best_bottleneck ||
             (b == best_bottleneck && t < best_total)) {
@@ -184,11 +190,11 @@ const topo::Path& LeastCongestedPath(const net::NetworkView& network,
   const std::vector<topo::Path>& candidates = paths.Paths(src, dst);
   const topo::Path* best = &candidates.front();
   std::size_t best_congested = network.CongestedLinks(demand, *best).size();
-  Mbps best_bottleneck = net::BottleneckResidual(network, *best);
+  Mbps best_bottleneck = BottleneckResidual(network, *best);
   for (std::size_t i = 1; i < candidates.size(); ++i) {
     const topo::Path& p = candidates[i];
     const std::size_t congested = network.CongestedLinks(demand, p).size();
-    const Mbps bottleneck = net::BottleneckResidual(network, p);
+    const Mbps bottleneck = BottleneckResidual(network, p);
     if (congested < best_congested ||
         (congested == best_congested && bottleneck > best_bottleneck)) {
       best = &p;
@@ -296,31 +302,28 @@ struct RandomFixture {
 };
 
 void ExpectSameEstimate(const net::NetworkView& view, RandomFixture& fx,
-                        const UpdateEvent& event, Arena& scratch) {
+                        const UpdateEvent& event) {
   const QuickCostResult ref =
       reference::QuickCostEstimate(view, fx.provider, event);
-  const QuickCostResult got =
-      QuickCostEstimate(view, fx.provider, event, scratch);
+  const QuickCostResult got = QuickCostEstimate(view, fx.provider, event);
   EXPECT_EQ(got.deficit_sum, ref.deficit_sum);  // exact, not DOUBLE_EQ
   EXPECT_EQ(got.likely_blocked, ref.likely_blocked);
   EXPECT_EQ(got.flows_with_deficit, ref.flows_with_deficit);
-  EXPECT_EQ(QuickCostScore(view, fx.provider, event, scratch),
+  EXPECT_EQ(QuickCostScore(view, fx.provider, event),
             reference::QuickCostScore(view, fx.provider, event));
 }
 
 TEST(BatchedScoringTest, BitIdenticalToScalarReferenceOnFlatNetwork) {
-  Arena scratch;
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
     RandomFixture fx(seed);
     ASSERT_NE(fx.network.ResidualData(), nullptr);  // SoA fast path active
     for (std::uint64_t e = 1; e <= 20; ++e) {
-      ExpectSameEstimate(fx.network, fx, fx.RandomEvent(e), scratch);
+      ExpectSameEstimate(fx.network, fx, fx.RandomEvent(e));
     }
   }
 }
 
 TEST(BatchedScoringTest, BitIdenticalToScalarReferenceOnOverlay) {
-  Arena scratch;
   for (std::uint64_t seed = 101; seed <= 104; ++seed) {
     RandomFixture fx(seed);
     net::NetworkOverlay overlay(fx.network);
@@ -341,7 +344,7 @@ TEST(BatchedScoringTest, BitIdenticalToScalarReferenceOnOverlay) {
     ASSERT_NE(overlay.ResidualData(), fx.network.ResidualData())
         << "the dirtied overlay must serve its own row";
     for (std::uint64_t e = 1; e <= 12; ++e) {
-      ExpectSameEstimate(overlay, fx, fx.RandomEvent(e), scratch);
+      ExpectSameEstimate(overlay, fx, fx.RandomEvent(e));
     }
   }
 }
@@ -466,87 +469,59 @@ TEST(RerouteScanTest, SameTargetAsReferenceOnEveryViewKind) {
   EXPECT_GT(found, 0u) << "no lookup ever found a target";
 }
 
-// --- Kernel differentials: dispatch vs always-compiled scalar -------------
+// --- Worst-link ties --------------------------------------------------
 
-struct KernelArrays {
-  std::vector<Mbps> residual;
-  std::vector<Mbps> load;
-  std::vector<Mbps> capacity;
-};
-
-KernelArrays RandomArrays(Rng& rng, std::size_t n) {
-  KernelArrays a;
-  a.residual.reserve(n);
-  a.load.reserve(n);
-  a.capacity.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const Mbps cap = 100.0;
-    // Quantize half the values so exact ties and exact demand hits occur.
-    Mbps used = rng.Uniform(-10.0, 120.0);
-    if (rng.Index(2) == 0) used = std::floor(used);
-    a.capacity.push_back(cap);
-    a.load.push_back(used);
-    // Mostly consistent residual; occasionally skewed to trip the
-    // conservation check in ScanCapacityViolations.
-    Mbps res = cap - used;
-    if (rng.Index(8) == 0) res += rng.Uniform(-1.0, 1.0);
-    a.residual.push_back(res);
+TEST(BatchedScoringTest, WorstLinkTieKeepsFirstLink) {
+  // Line a - b - c: a<->b carries 100 Mbps, b<->c only 30. One-hop
+  // blockers leave a residual of exactly 10 on all four directed links, so
+  // a 40 Mbps flow over two hops is 30 short on both of its links. The
+  // first of the tied worst links decides likely_blocked: a 100 Mbps link
+  // can shed 90 (30 is movable, not blocked), a 30 Mbps link only 20
+  // (blocked). Uniform Fat-Tree capacities make both picks agree.
+  topo::Graph g;
+  const NodeId a = g.AddNode(topo::NodeRole::kHost);
+  const NodeId b = g.AddNode(topo::NodeRole::kGeneric);
+  const NodeId c = g.AddNode(topo::NodeRole::kHost);
+  g.AddBidirectional(a, b, 100.0);
+  g.AddBidirectional(b, c, 30.0);
+  net::Network network(g);
+  const topo::KspPathProvider provider(g, 1);
+  auto make_flow = [](NodeId src, NodeId dst, Mbps demand) {
+    flow::Flow f;
+    f.src = src;
+    f.dst = dst;
+    f.demand = demand;
+    f.duration = 1.0;
+    return f;
+  };
+  for (const auto& [src, dst, demand] :
+       {std::tuple{a, b, 90.0}, std::tuple{b, a, 90.0},
+        std::tuple{b, c, 20.0}, std::tuple{c, b, 20.0}}) {
+    const std::array<NodeId, 2> seq{src, dst};
+    network.Place(make_flow(src, dst, demand), g.MakePath(seq));
   }
-  return a;
-}
 
-TEST(ScanKernelTest, DispatchMatchesScalarBitwise) {
-  Rng rng(42);
-  // Sizes straddle every vector-width remainder (AVX2 = 4 doubles/lane).
-  for (const std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{2},
-                              std::size_t{3}, std::size_t{4}, std::size_t{5},
-                              std::size_t{7}, std::size_t{8}, std::size_t{15},
-                              std::size_t{16}, std::size_t{33},
-                              std::size_t{100}}) {
-    for (int trial = 0; trial < 20; ++trial) {
-      const KernelArrays a = RandomArrays(rng, n);
-      Mbps demand = rng.Uniform(0.0, 100.0);
-      if (rng.Index(2) == 0) demand = std::floor(demand);
-      const Mbps* row = a.residual.data();
+  // a -> c: the 100 Mbps link comes first.
+  const UpdateEvent forward(EventId{1}, 0.0, {make_flow(a, c, 40.0)});
+  const QuickCostResult fwd = QuickCostEstimate(network, provider, forward);
+  EXPECT_EQ(fwd.flows_with_deficit, 1u);
+  EXPECT_EQ(fwd.deficit_sum, 30.0);
+  EXPECT_EQ(fwd.likely_blocked, 0u);
 
-      EXPECT_EQ(net::CountCongested(row, n, demand),
-                net::scalar::CountCongested(row, n, demand));
-      EXPECT_EQ(net::MinValue(row, n), net::scalar::MinValue(row, n));
-      if (n > 0) {
-        const net::WorstDeficit got = net::MaxDeficit(row, n, demand);
-        const net::WorstDeficit ref = net::scalar::MaxDeficit(row, n, demand);
-        EXPECT_EQ(got.deficit, ref.deficit);
-        EXPECT_EQ(got.index, ref.index);  // first occurrence of the max
-        EXPECT_EQ(got.residual, ref.residual);
-      }
-      for (const bool allow_overcommit : {false, true}) {
-        std::vector<std::uint32_t> got, ref;
-        net::ScanCapacityViolations(a.residual.data(), a.load.data(),
-                                    a.capacity.data(), n, allow_overcommit,
-                                    kBandwidthEpsilon, 7, got);
-        net::scalar::ScanCapacityViolations(a.residual.data(), a.load.data(),
-                                            a.capacity.data(), n,
-                                            allow_overcommit,
-                                            kBandwidthEpsilon, 7, ref);
-        EXPECT_EQ(got, ref);
-      }
-    }
+  // c -> a: the 30 Mbps link comes first.
+  const UpdateEvent backward(EventId{2}, 0.0, {make_flow(c, a, 40.0)});
+  const QuickCostResult bwd = QuickCostEstimate(network, provider, backward);
+  EXPECT_EQ(bwd.flows_with_deficit, 1u);
+  EXPECT_EQ(bwd.deficit_sum, 30.0);
+  EXPECT_EQ(bwd.likely_blocked, 1u);
+
+  for (const UpdateEvent* event : {&forward, &backward}) {
+    const QuickCostResult ref =
+        reference::QuickCostEstimate(network, provider, *event);
+    const QuickCostResult got = QuickCostEstimate(network, provider, *event);
+    EXPECT_EQ(got.likely_blocked, ref.likely_blocked);
+    EXPECT_EQ(got.deficit_sum, ref.deficit_sum);
   }
-}
-
-TEST(ScanKernelTest, MaxDeficitPrefersFirstOfEqualMaxima) {
-  // Hand-built tie: links 1 and 3 share the exact worst residual.
-  const Mbps row[] = {50.0, 10.0, 30.0, 10.0, 60.0};
-  const net::WorstDeficit got = net::MaxDeficit(row, 5, 40.0);
-  EXPECT_EQ(got.index, 1u);
-  EXPECT_EQ(got.deficit, 30.0);
-  EXPECT_EQ(got.residual, 10.0);
-}
-
-TEST(ScanKernelTest, BackendReportsActiveTier) {
-  const std::string backend = net::SimdBackend();
-  EXPECT_TRUE(backend == "avx2" || backend == "sse2" || backend == "scalar")
-      << backend;
 }
 
 }  // namespace
