@@ -58,37 +58,75 @@ std::optional<std::size_t> ChooseShedVictim(
   return std::nullopt;
 }
 
-std::vector<LinkId> LinkStressMonitor::Observe(const net::Network& network,
-                                               Seconds now) {
-  const std::size_t links = network.graph().link_count();
-  if (overload_since_.size() < links) {
-    overload_since_.resize(links, -1.0);
-    tripped_.resize(links, 0);
+bool LinkStressMonitor::Overloaded(std::size_t i, Seconds now) {
+  if (overload_since_[i] < 0.0) overload_since_[i] = now;
+  if (!tripped_[i] && now - overload_since_[i] >= options_.hold_time) {
+    tripped_[i] = 1;
+    return true;
   }
-  std::vector<LinkId> crossed;
-  for (std::size_t i = 0; i < links; ++i) {
+  return false;
+}
+
+void LinkStressMonitor::Sweep(const net::Network& network, Seconds now,
+                              std::vector<LinkId>& crossed) {
+  const std::span<const topo::Link> links = network.graph().links();
+  if (overload_since_.size() < links.size()) {
+    overload_since_.resize(links.size(), -1.0);
+    tripped_.resize(links.size(), 0);
+  }
+  const Mbps* residual = network.ResidualData();
+  const bool any_down = network.down_link_count() > 0;
+  open_.clear();
+  for (std::size_t i = 0; i < links.size(); ++i) {
     const LinkId link{static_cast<LinkId::rep_type>(i)};
-    if (!network.LinkUp(link)) {
+    if (any_down && !network.LinkUp(link)) {
       overload_since_[i] = -1.0;
       continue;
     }
-    if (network.Utilization(link) >= options_.utilization_threshold) {
-      if (overload_since_[i] < 0.0) overload_since_[i] = now;
-      if (!tripped_[i] && now - overload_since_[i] >= options_.hold_time) {
-        tripped_[i] = 1;
+    // Network::Utilization's expression, read from the flat rows in place.
+    if (1.0 - residual[i] / links[i].capacity >=
+        options_.utilization_threshold) {
+      if (Overloaded(i, now)) {
         crossed.push_back(link);
+      } else if (!tripped_[i]) {
+        open_.push_back(static_cast<std::uint32_t>(i));
       }
     } else {
       overload_since_[i] = -1.0;
       tripped_[i] = 0;  // episode over: a future episode may trip again
     }
   }
+  swept_network_ = &network;
+  swept_epoch_ = network.state_epoch();
+}
+
+std::vector<LinkId> LinkStressMonitor::Observe(const net::Network& network,
+                                               Seconds now) {
+  NU_EXPECTS(now >= 0.0);
+  std::vector<LinkId> crossed;
+  if (&network != swept_network_ || network.state_epoch() != swept_epoch_) {
+    Sweep(network, now, crossed);
+    return crossed;
+  }
+  // Unchanged state since the last sweep: every other link would repeat
+  // its last observation, so only open episodes can cross the hold time.
+  std::size_t kept = 0;
+  for (const std::uint32_t i : open_) {
+    if (Overloaded(i, now)) {
+      crossed.push_back(LinkId{i});
+    } else {
+      open_[kept++] = i;
+    }
+  }
+  open_.resize(kept);
   return crossed;
 }
 
 void LinkStressMonitor::Reset() {
   overload_since_.clear();
   tripped_.clear();
+  swept_network_ = nullptr;
+  open_.clear();
 }
 
 void LinkStressMonitor::SaveState(BinWriter& w) const {
@@ -97,10 +135,16 @@ void LinkStressMonitor::SaveState(BinWriter& w) const {
 }
 
 void LinkStressMonitor::LoadState(BinReader& r) {
-  overload_since_ =
+  std::vector<Seconds> since =
       r.Vec<Seconds>([](BinReader& in) { return in.F64(); });
-  tripped_ = r.Vec<char>(
+  std::vector<char> tripped = r.Vec<char>(
       [](BinReader& in) { return static_cast<char>(in.U8() != 0 ? 1 : 0); });
+  if (tripped.size() != since.size()) {
+    throw CorruptInput("stress monitor rows differ in length");
+  }
+  Reset();
+  overload_since_ = std::move(since);
+  tripped_ = std::move(tripped);
 }
 
 }  // namespace nu::guard

@@ -21,6 +21,7 @@
 // metrics::GuardStats.
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <span>
 #include <string>
@@ -79,6 +80,13 @@ struct OverloadConfig {
 /// BELOW the threshold while up — so a link that trips, fails, recovers,
 /// and gets overloaded again can trip again, but a single sustained episode
 /// fires exactly once.
+///
+/// Cost follows change, not fabric size: a full sweep over every link runs
+/// only when the observed network object or its state_epoch() differs from
+/// the last sweep's. Otherwise no link's utilization or liveness can have
+/// moved, so only the links with an open, untripped episode are checked
+/// against the hold time. That memo is never serialized; Reset and
+/// LoadState clear it.
 class LinkStressMonitor {
  public:
   struct Options {
@@ -91,10 +99,12 @@ class LinkStressMonitor {
 
   explicit LinkStressMonitor(Options options) : options_(options) {}
 
-  /// Samples every link's utilization at virtual time `now` and returns the
-  /// links (ascending id order) whose sustained overload just crossed the
-  /// hold time. Down links are skipped and their episodes cleared — a dead
-  /// link cannot be stressed.
+  /// Samples every link's utilization at virtual time `now` (>= 0) and
+  /// returns the links (ascending id order) whose sustained overload just
+  /// crossed the hold time. Down links are skipped and their episodes
+  /// cleared — a dead link cannot be stressed. A caller that restores or
+  /// reassigns the observed network in place restores or resets this
+  /// monitor with it.
   [[nodiscard]] std::vector<LinkId> Observe(const net::Network& network,
                                             Seconds now);
 
@@ -104,13 +114,28 @@ class LinkStressMonitor {
   // Episode state is part of the simulation's hot state: checkpoints carry
   // it so a recovered run trips the same cascades at the same times.
   void SaveState(BinWriter& w) const;
+  /// Throws CorruptInput when the episode and latch rows differ in length.
   void LoadState(BinReader& r);
 
  private:
+  /// One overloaded observation of up link `i`: opens its episode if none
+  /// is open and latches it once the episode has lasted the hold time.
+  /// True when it latched now.
+  bool Overloaded(std::size_t i, Seconds now);
+  /// Observe's full pass over every link; rebuilds `open_`.
+  void Sweep(const net::Network& network, Seconds now,
+             std::vector<LinkId>& crossed);
+
   Options options_;
   /// Virtual time each link's current overload episode began; < 0 = none.
   std::vector<Seconds> overload_since_;
   std::vector<char> tripped_;  // latched: already reported this episode
+  /// The network and state epoch of the last full sweep (not serialized).
+  const net::Network* swept_network_ = nullptr;
+  std::uint64_t swept_epoch_ = 0;
+  /// Up links with an open, untripped episode as of the last observation,
+  /// ascending — all an observation of unchanged state can latch.
+  std::vector<std::uint32_t> open_;
 };
 
 }  // namespace nu::guard

@@ -74,23 +74,46 @@ void PercentileSketch::MigrateToBuckets() {
   exact_.shrink_to_fit();
 }
 
+namespace {
+
+/// Exact-phase quantile over ascending `sorted`, with the same
+/// interpolation as Samples::Percentile: rank q * (n - 1) between order
+/// statistics (bitwise agreement matters for the exact-phase unit tests).
+double SortedQuantile(const std::vector<double>& sorted, double q) {
+  if (sorted.size() == 1) return sorted.front();
+  const double rank = q * static_cast<double>(sorted.size() - 1);
+  const auto lo = static_cast<std::size_t>(rank);
+  const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
+  const double frac = rank - static_cast<double>(lo);
+  return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
+}
+
+}  // namespace
+
 double PercentileSketch::Quantile(double q) const {
+  double out = 0.0;
+  Quantiles({&q, 1}, {&out, 1});
+  return out;
+}
+
+void PercentileSketch::Quantiles(std::span<const double> qs,
+                                 std::span<double> out) const {
   NU_EXPECTS(count_ > 0);
-  q = std::clamp(q, 0.0, 1.0);
-  if (!bucketed_) {
-    // Same interpolation as Samples::Percentile: rank q * (n - 1) between
-    // order statistics.
-    std::vector<double> sorted = exact_;
-    std::sort(sorted.begin(), sorted.end());
-    if (sorted.size() == 1) return sorted.front();
-    const double rank = q * static_cast<double>(sorted.size() - 1);
-    const auto lo = static_cast<std::size_t>(rank);
-    const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
-    const double frac = rank - static_cast<double>(lo);
-    // Identical formula to Samples::Percentile (bitwise agreement matters
-    // for the exact-phase unit tests).
-    return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
+  NU_EXPECTS(qs.size() == out.size());
+  if (bucketed_) {
+    for (std::size_t i = 0; i < qs.size(); ++i) {
+      out[i] = BucketQuantile(std::clamp(qs[i], 0.0, 1.0));
+    }
+    return;
   }
+  std::vector<double> sorted = exact_;
+  std::sort(sorted.begin(), sorted.end());
+  for (std::size_t i = 0; i < qs.size(); ++i) {
+    out[i] = SortedQuantile(sorted, std::clamp(qs[i], 0.0, 1.0));
+  }
+}
+
+double PercentileSketch::BucketQuantile(double q) const {
   if (q <= 0.0) return min_;
   if (q >= 1.0) return max_;
   // Walk bucket counts to the target rank; answer the bucket midpoint,
@@ -133,6 +156,25 @@ void PercentileSketch::LoadState(BinReader& r) {
   max_ = r.F64();
   exact_ = r.Vec<double>([](BinReader& in) { return in.F64(); });
   buckets_ = r.Vec<std::uint64_t>([](BinReader& in) { return in.U64(); });
+  if (!bucketed_) {
+    if (exact_.size() != count_ || exact_.size() > options_.exact_capacity ||
+        !buckets_.empty()) {
+      throw CorruptInput("sketch exact phase disagrees with its count");
+    }
+    return;
+  }
+  // Bucket counts are unsigned: a running sum past count_ is a mismatch
+  // caught before it could wrap back onto it.
+  std::uint64_t total = 0;
+  for (const std::uint64_t bucket : buckets_) {
+    if (bucket > count_ - total) {
+      throw CorruptInput("sketch buckets disagree with its count");
+    }
+    total += bucket;
+  }
+  if (!exact_.empty() || total != count_) {
+    throw CorruptInput("sketch buckets disagree with its count");
+  }
 }
 
 }  // namespace nu::metrics

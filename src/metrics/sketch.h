@@ -23,6 +23,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/binio.h"
@@ -62,6 +63,10 @@ class PercentileSketch {
   /// non-empty sketch.
   [[nodiscard]] double Quantile(double q) const;
 
+  /// Quantile(qs[i]) into out[i] for every i (equal lengths), sorting the
+  /// exact-phase values once for all of them. Requires a non-empty sketch.
+  void Quantiles(std::span<const double> qs, std::span<double> out) const;
+
   /// True once the sketch has spilled from exact storage into buckets.
   [[nodiscard]] bool bucketed() const { return bucketed_; }
 
@@ -70,13 +75,19 @@ class PercentileSketch {
   void Reset();
 
   // Snapshot support: full sketch state (phase, exact values in insertion
-  // order, bucket counts) round-trips bitwise.
+  // order, bucket counts) round-trips bitwise. LoadState throws
+  // CorruptInput when the stored values disagree with the count: in the
+  // exact phase a value row that is not `count` long (or outgrows
+  // exact_capacity) or any bucket; in the bucket phase any exact value or
+  // bucket counts that do not sum to `count`.
   void SaveState(BinWriter& w) const;
   void LoadState(BinReader& r);
 
  private:
   [[nodiscard]] std::size_t BucketIndex(double value) const;
   [[nodiscard]] double BucketMid(std::size_t index) const;
+  /// Bucket-phase quantile of a clamped q.
+  [[nodiscard]] double BucketQuantile(double q) const;
   void MigrateToBuckets();
 
   Options options_;

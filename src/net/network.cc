@@ -113,10 +113,15 @@ double Network::Utilization(LinkId link) const {
   return 1.0 - Residual(link) / l.capacity;
 }
 
+// The sums below read the residual row in place, in link order, with
+// Utilization's expression, so they add the same doubles in the same order.
+
 double Network::AverageUtilization() const {
   if (graph_->link_count() == 0) return 0.0;
   double sum = 0.0;
-  for (const topo::Link& l : graph_->links()) sum += Utilization(l.id);
+  for (const topo::Link& l : graph_->links()) {
+    sum += 1.0 - residual_[l.id.value()] / l.capacity;
+  }
   return sum / static_cast<double>(graph_->link_count());
 }
 
@@ -128,7 +133,7 @@ double Network::FabricUtilization() const {
         graph_->node(l.src).role == topo::NodeRole::kHost ||
         graph_->node(l.dst).role == topo::NodeRole::kHost;
     if (touches_host) continue;
-    sum += Utilization(l.id);
+    sum += 1.0 - residual_[l.id.value()] / l.capacity;
     ++fabric_links;
   }
   if (fabric_links == 0) return AverageUtilization();
@@ -140,7 +145,7 @@ double Network::ActiveLinkUtilization() const {
   std::size_t active = 0;
   for (const topo::Link& l : graph_->links()) {
     if (!link_flows_[l.id.value()].empty()) {
-      sum += Utilization(l.id);
+      sum += 1.0 - residual_[l.id.value()] / l.capacity;
       ++active;
     }
   }

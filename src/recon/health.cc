@@ -1,5 +1,7 @@
 #include "recon/health.h"
 
+#include <algorithm>
+
 #include "common/check.h"
 
 namespace nu::recon {
@@ -25,42 +27,67 @@ HealthLevel SwitchHealthTracker::LevelFor(double score) const {
   return HealthLevel::kHealthy;
 }
 
-HealthLevel SwitchHealthTracker::Observe(NodeId node, bool incident) {
-  State& state = states_[node.value()];
-  state.score = config_.ewma_alpha * (incident ? 1.0 : 0.0) +
-                (1.0 - config_.ewma_alpha) * state.score;
-  if (state.level == HealthLevel::kQuarantined) return state.level;  // latched
-  const HealthLevel next = LevelFor(state.score);
-  if (next == state.level) return state.level;
-  const bool was_usable = state.level < HealthLevel::kDegraded;
+HealthLevel SwitchHealthTracker::Fold(Entry& entry, bool incident) {
+  entry.score = config_.ewma_alpha * (incident ? 1.0 : 0.0) +
+                (1.0 - config_.ewma_alpha) * entry.score;
+  if (entry.level == HealthLevel::kQuarantined) return entry.level;  // latched
+  const HealthLevel next = LevelFor(entry.score);
+  if (next == entry.level) return entry.level;
+  const bool was_usable = entry.level < HealthLevel::kDegraded;
   const bool now_usable = next < HealthLevel::kDegraded;
-  if (state.level == HealthLevel::kDegraded) --degraded_;
+  if (entry.level == HealthLevel::kDegraded) --degraded_;
   if (next == HealthLevel::kDegraded) {
     ++degraded_;
     ++ever_degraded_;
   }
   if (next == HealthLevel::kQuarantined) ++quarantined_;
-  state.level = next;
+  entry.level = next;
   if (was_usable != now_usable) ++epoch_;
-  return state.level;
+  return entry.level;
+}
+
+namespace {
+
+/// The first of the ascending `entries` whose node is not below `node`.
+template <typename Entries>
+auto LowerBound(Entries& entries, NodeId node) {
+  return std::lower_bound(
+      entries.begin(), entries.end(), node.value(),
+      [](const auto& e, NodeId::rep_type rep) { return e.node < rep; });
+}
+
+}  // namespace
+
+HealthLevel SwitchHealthTracker::Observe(NodeId node, bool incident) {
+  const auto it = LowerBound(entries_, node);
+  if (it == entries_.end() || it->node != node.value()) {
+    return Fold(*entries_.insert(it, Entry{node.value()}), incident);
+  }
+  return Fold(*it, incident);
+}
+
+const SwitchHealthTracker::Entry* SwitchHealthTracker::Find(
+    NodeId node) const {
+  const auto it = LowerBound(entries_, node);
+  return it != entries_.end() && it->node == node.value() ? &*it : nullptr;
 }
 
 HealthLevel SwitchHealthTracker::LevelOf(NodeId node) const {
-  const auto it = states_.find(node.value());
-  return it == states_.end() ? HealthLevel::kHealthy : it->second.level;
+  const Entry* entry = Find(node);
+  return entry == nullptr ? HealthLevel::kHealthy : entry->level;
 }
 
 double SwitchHealthTracker::ScoreOf(NodeId node) const {
-  const auto it = states_.find(node.value());
-  return it == states_.end() ? 0.0 : it->second.score;
+  const Entry* entry = Find(node);
+  return entry == nullptr ? 0.0 : entry->score;
 }
 
 void SwitchHealthTracker::SaveState(BinWriter& w) const {
-  w.Size(states_.size());
-  for (const auto& [node, state] : states_) {
-    w.U32(node);
-    w.F64(state.score);
-    w.U8(static_cast<std::uint8_t>(state.level));
+  w.Size(entries_.size());
+  for (const Entry& entry : entries_) {
+    w.U32(entry.node);
+    w.F64(entry.score);
+    w.U8(static_cast<std::uint8_t>(entry.level));
   }
   w.U64(epoch_);
   // U64, not Size: these are counters, not length prefixes, and Size()
@@ -71,42 +98,39 @@ void SwitchHealthTracker::SaveState(BinWriter& w) const {
 }
 
 void SwitchHealthTracker::LoadState(BinReader& r) {
-  states_.clear();
+  entries_.clear();
   const std::size_t count = r.Size();
+  std::size_t degraded = 0;
+  std::size_t quarantined = 0;
   for (std::size_t i = 0; i < count; ++i) {
-    const NodeId::rep_type node = r.U32();
-    State state;
-    state.score = r.F64();
+    Entry entry;
+    entry.node = r.U32();
+    entry.score = r.F64();
     const std::uint8_t level = r.U8();
     if (level > static_cast<std::uint8_t>(HealthLevel::kQuarantined)) {
       throw CorruptInput("bad health level");
     }
-    state.level = static_cast<HealthLevel>(level);
-    const auto [it, inserted] = states_.try_emplace(node, state);
-    if (!inserted) throw CorruptInput("duplicate health entry");
+    entry.level = static_cast<HealthLevel>(level);
+    if (!entries_.empty() && entries_.back().node >= entry.node) {
+      throw CorruptInput("health entries not ascending and unique");
+    }
+    if (entry.level == HealthLevel::kDegraded) ++degraded;
+    if (entry.level == HealthLevel::kQuarantined) ++quarantined;
+    entries_.push_back(entry);
   }
   epoch_ = r.U64();
   degraded_ = static_cast<std::size_t>(r.U64());
   quarantined_ = static_cast<std::size_t>(r.U64());
   ever_degraded_ = static_cast<std::size_t>(r.U64());
+  if (degraded_ != degraded || quarantined_ != quarantined) {
+    throw CorruptInput("health counts disagree with levels");
+  }
 }
 
 bool operator==(const SwitchHealthTracker& a, const SwitchHealthTracker& b) {
-  if (a.epoch_ != b.epoch_ || a.degraded_ != b.degraded_ ||
-      a.quarantined_ != b.quarantined_ ||
-      a.ever_degraded_ != b.ever_degraded_) {
-    return false;
-  }
-  if (a.states_.size() != b.states_.size()) return false;
-  auto ia = a.states_.begin();
-  auto ib = b.states_.begin();
-  for (; ia != a.states_.end(); ++ia, ++ib) {
-    if (ia->first != ib->first || ia->second.score != ib->second.score ||
-        ia->second.level != ib->second.level) {
-      return false;
-    }
-  }
-  return true;
+  return a.epoch_ == b.epoch_ && a.degraded_ == b.degraded_ &&
+         a.quarantined_ == b.quarantined_ &&
+         a.ever_degraded_ == b.ever_degraded_ && a.entries_ == b.entries_;
 }
 
 }  // namespace nu::recon

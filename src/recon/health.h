@@ -19,14 +19,15 @@
 // quarantines an EVENT that keeps missing deadlines, the health tracker
 // quarantines a SWITCH that keeps lying about installs.
 //
-// The tracker is deterministic plain data (std::map, no draws); `epoch()`
-// bumps whenever any switch crosses the kDegraded boundary in either
-// direction so path-provider caches keyed on it invalidate exactly when
-// the usable-switch set changes.
+// The tracker is deterministic plain data (a flat entry vector sorted by
+// switch id, no draws); `epoch()` bumps whenever any switch crosses the
+// kDegraded boundary in either direction so path-provider caches keyed on
+// it invalidate exactly when the usable-switch set changes.
 #pragma once
 
 #include <cstdint>
-#include <map>
+#include <span>
+#include <vector>
 
 #include "common/binio.h"
 #include "common/types.h"
@@ -62,8 +63,37 @@ class SwitchHealthTracker {
   /// level never drops regardless of later observations.
   HealthLevel Observe(NodeId node, bool incident);
 
+  /// One reconcile pass: observes every switch in `incidents` (ascending,
+  /// unique) with an incident and every other tracked switch clean, in
+  /// ascending id order, as one merge of the two ascending lists.
+  /// Untracked incident switches join the list. Calls
+  /// `fn(NodeId, bool incident, HealthLevel before, HealthLevel after)`
+  /// after each observation.
+  template <typename Fn>
+  void ObservePass(std::span<const NodeId> incidents, Fn&& fn) {
+    std::size_t next = 0;
+    for (std::size_t i = 0; i < entries_.size() || next < incidents.size();
+         ++i) {
+      const bool newcomer =
+          next < incidents.size() &&
+          (i == entries_.size() || incidents[next].value() < entries_[i].node);
+      if (newcomer) {
+        entries_.insert(entries_.begin() + static_cast<std::ptrdiff_t>(i),
+                        Entry{incidents[next].value()});
+      }
+      Entry& entry = entries_[i];
+      const bool incident =
+          next < incidents.size() && incidents[next].value() == entry.node;
+      if (incident) ++next;
+      const HealthLevel before = entry.level;
+      fn(NodeId{entry.node}, incident, before, Fold(entry, incident));
+    }
+  }
+
   /// kHealthy for switches never observed.
   [[nodiscard]] HealthLevel LevelOf(NodeId node) const;
+  /// True once `node` has been observed.
+  [[nodiscard]] bool Tracks(NodeId node) const { return Find(node) != nullptr; }
   [[nodiscard]] double ScoreOf(NodeId node) const;
 
   /// True when paths through `node` may be used for planning (level below
@@ -84,27 +114,38 @@ class SwitchHealthTracker {
   /// Visits tracked switches in ascending id order.
   template <typename Fn>
   void ForEach(Fn&& fn) const {
-    for (const auto& [node, state] : states_) {
-      fn(NodeId{node}, state.score, state.level);
+    for (const Entry& entry : entries_) {
+      fn(NodeId{entry.node}, entry.score, entry.level);
     }
   }
 
   void SaveState(BinWriter& w) const;
+  /// Throws CorruptInput on a bad level, a node id out of ascending order
+  /// (or repeated), or degraded/quarantined counts that disagree with the
+  /// loaded levels.
   void LoadState(BinReader& r);
 
   friend bool operator==(const SwitchHealthTracker& a,
                          const SwitchHealthTracker& b);
 
  private:
-  struct State {
+  struct Entry {
+    NodeId::rep_type node = 0;
     double score = 0.0;
     HealthLevel level = HealthLevel::kHealthy;
+
+    friend bool operator==(const Entry&, const Entry&) = default;
   };
 
   [[nodiscard]] HealthLevel LevelFor(double score) const;
+  /// Folds one observation into `entry` and returns its new level.
+  HealthLevel Fold(Entry& entry, bool incident);
+  /// The entry of `node`, or nullptr when untracked.
+  [[nodiscard]] const Entry* Find(NodeId node) const;
 
   HealthConfig config_;
-  std::map<NodeId::rep_type, State> states_;
+  /// Tracked switches, ascending by node id.
+  std::vector<Entry> entries_;
   std::uint64_t epoch_ = 0;
   std::size_t degraded_ = 0;
   std::size_t quarantined_ = 0;

@@ -116,49 +116,38 @@ PassResult Reconciler::Pass(const std::vector<DriftObservation>& drift,
   }
 
   // Health scoring over the union of switches seen drifting this pass and
-  // switches already tracked — clean observations decay old suspicion.
-  // Iterate a merged ascending id list so the order (and therefore level
-  // transitions and the epoch counter) is canonical.
-  std::vector<NodeId::rep_type> drifting;
+  // switches already tracked — clean observations decay old suspicion. Both
+  // lists are ascending, so one merge visits the union in canonical order
+  // (which fixes level transitions and the epoch counter), and the drift
+  // streaks are rebuilt alongside from the previous ascending list.
+  std::vector<NodeId> drifting;
   drifting.reserve(drift.size());
   for (const DriftObservation& obs : drift) {
-    if (!obs.flows.empty()) drifting.push_back(obs.node.value());
+    if (obs.flows.empty()) continue;
+    NU_EXPECTS(drifting.empty() || drifting.back() < obs.node);
+    drifting.push_back(obs.node);
   }
-  std::vector<NodeId::rep_type> scored = drifting;
-  health_.ForEach([&](NodeId node, double, HealthLevel) {
-    scored.push_back(node.value());
-  });
-  std::sort(scored.begin(), scored.end());
-  scored.erase(std::unique(scored.begin(), scored.end()), scored.end());
-  for (const NodeId::rep_type rep : scored) {
-    const NodeId node{rep};
-    const bool incident =
-        std::binary_search(drifting.begin(), drifting.end(), rep);
-    const HealthLevel before = health_.LevelOf(node);
-    const HealthLevel after = health_.Observe(node, incident);
+  std::vector<DriftStreak> streaks;
+  std::size_t prior = 0;  // cursor into streaks_
+  health_.ObservePass(drifting, [&](NodeId node, bool incident,
+                                    HealthLevel before, HealthLevel after) {
     if (after == HealthLevel::kQuarantined &&
         before != HealthLevel::kQuarantined) {
       result.quarantine.push_back(node);
       ++stats_.switches_quarantined;
     }
     // Drift streaks for the auditor: consecutive passes at drift.
+    while (prior < streaks_.size() && streaks_[prior].node < node) ++prior;
     if (incident && after != HealthLevel::kQuarantined) {
-      ++streaks_[rep];
-    } else {
-      streaks_.erase(rep);
+      const bool continued =
+          prior < streaks_.size() && streaks_[prior].node == node;
+      streaks.push_back(
+          DriftStreak{node, continued ? streaks_[prior].passes + 1 : 1});
     }
-  }
+  });
+  streaks_ = std::move(streaks);
   stats_.switches_degraded = health_.ever_degraded();
   return result;
-}
-
-std::vector<DriftStreak> Reconciler::DriftStreaks() const {
-  std::vector<DriftStreak> out;
-  out.reserve(streaks_.size());
-  for (const auto& [node, passes] : streaks_) {
-    out.push_back(DriftStreak{NodeId{node}, passes});
-  }
-  return out;
 }
 
 namespace {
@@ -187,9 +176,9 @@ void Reconciler::SaveState(BinWriter& w) const {
     w.F64(state.next_attempt);
   }
   w.Size(streaks_.size());
-  for (const auto& [node, passes] : streaks_) {
-    w.U32(node);
-    w.U64(passes);
+  for (const DriftStreak& streak : streaks_) {
+    w.U32(streak.node.value());
+    w.U64(streak.passes);
   }
   w.U64(stats_.passes);
   w.U64(stats_.rules_issued);
@@ -223,11 +212,17 @@ void Reconciler::LoadState(BinReader& r) {
   streaks_.clear();
   const std::size_t streaks = r.Size();
   for (std::size_t i = 0; i < streaks; ++i) {
-    const NodeId::rep_type node = r.U32();
+    const NodeId node{r.U32()};
     const std::size_t passes = static_cast<std::size_t>(r.U64());
-    if (!streaks_.try_emplace(node, passes).second) {
-      throw CorruptInput("duplicate streak entry");
+    if (!streaks_.empty() && !(streaks_.back().node < node)) {
+      throw CorruptInput("streak entries not ascending and unique");
     }
+    // A pass keeps a streak only on a tracked, unquarantined switch.
+    if (passes == 0 || !health_.Tracks(node) ||
+        health_.LevelOf(node) == HealthLevel::kQuarantined) {
+      throw CorruptInput("streak on a switch the pass would not keep");
+    }
+    streaks_.push_back(DriftStreak{node, passes});
   }
   stats_ = ReconStats{};
   stats_.passes = r.U64();
@@ -252,10 +247,14 @@ bool operator==(const Reconciler& a, const Reconciler& b) {
            x.second.consecutive_failures == y.second.consecutive_failures &&
            x.second.next_attempt == y.second.next_attempt;
   };
+  auto streak_eq = [](const DriftStreak& x, const DriftStreak& y) {
+    return x.node == y.node && x.passes == y.passes;
+  };
   return a.health_ == b.health_ &&
          std::equal(a.repair_.begin(), a.repair_.end(), b.repair_.begin(),
                     b.repair_.end(), repair_eq) &&
-         a.streaks_ == b.streaks_;
+         std::equal(a.streaks_.begin(), a.streaks_.end(), b.streaks_.begin(),
+                    b.streaks_.end(), streak_eq);
 }
 
 }  // namespace nu::recon

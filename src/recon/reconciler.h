@@ -138,7 +138,9 @@ class Reconciler {
 
   /// Current consecutive-drift streaks (ascending by switch id);
   /// quarantined switches are excluded (their drift is excused).
-  [[nodiscard]] std::vector<DriftStreak> DriftStreaks() const;
+  [[nodiscard]] std::vector<DriftStreak> DriftStreaks() const {
+    return streaks_;
+  }
 
   void SaveState(BinWriter& w) const;
   void LoadState(BinReader& r);
@@ -155,7 +157,8 @@ class Reconciler {
   SwitchHealthTracker health_;
   ReconStats stats_;
   std::map<NodeId::rep_type, RepairState> repair_;
-  std::map<NodeId::rep_type, std::size_t> streaks_;
+  /// Ascending by switch id, each on a tracked, unquarantined switch.
+  std::vector<DriftStreak> streaks_;
 };
 
 }  // namespace nu::recon

@@ -1,5 +1,6 @@
 #include "serve/runtime.h"
 
+#include <array>
 #include <sstream>
 #include <utility>
 
@@ -9,6 +10,9 @@
 
 namespace nu::serve {
 namespace {
+
+/// The ECT quantiles the timeseries rows and the summary report.
+constexpr std::array<double, 4> kEctQuantiles{0.5, 0.9, 0.99, 0.999};
 
 std::vector<double> RosterWeights(const std::vector<TenantSpec>& roster) {
   std::vector<double> weights;
@@ -208,9 +212,8 @@ void ServeRuntime::Finish(Seconds now, std::size_t queue_length,
 
 void ServeRuntime::EmitRow(Seconds time, const char* row_type,
                            const std::string& detail) {
-  auto quantile = [this](double q) {
-    return sketch_.empty() ? 0.0 : sketch_.Quantile(q);
-  };
+  std::array<double, kEctQuantiles.size()> ect{};
+  if (!sketch_.empty()) sketch_.Quantiles(kEctQuantiles, ect);
   recorder_.Append({
       FormatDouble(time, 3),
       row_type,
@@ -228,10 +231,10 @@ void ServeRuntime::EmitRow(Seconds time, const char* row_type,
       std::to_string(completed_),
       std::to_string(slo_misses_),
       FormatDouble(MissRate(), 4),
-      FormatDouble(quantile(0.5), 4),
-      FormatDouble(quantile(0.9), 4),
-      FormatDouble(quantile(0.99), 4),
-      FormatDouble(quantile(0.999), 4),
+      FormatDouble(ect[0], 4),
+      FormatDouble(ect[1], 4),
+      FormatDouble(ect[2], 4),
+      FormatDouble(ect[3], 4),
       detail,
   });
 }
@@ -249,10 +252,12 @@ ServeSummary ServeRuntime::BuildSummary() const {
   summary.quarantined = quarantined_;
   summary.slo_misses = slo_misses_;
   if (!sketch_.empty()) {
-    summary.ect_p50 = sketch_.Quantile(0.5);
-    summary.ect_p90 = sketch_.Quantile(0.9);
-    summary.ect_p99 = sketch_.Quantile(0.99);
-    summary.ect_p999 = sketch_.Quantile(0.999);
+    std::array<double, kEctQuantiles.size()> ect{};
+    sketch_.Quantiles(kEctQuantiles, ect);
+    summary.ect_p50 = ect[0];
+    summary.ect_p90 = ect[1];
+    summary.ect_p99 = ect[2];
+    summary.ect_p999 = ect[3];
   }
   summary.jain_ect = accountant_.JainEct();
   summary.jain_admission = accountant_.JainAdmission();

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -158,6 +160,67 @@ TEST(PercentileSketchTest, RestoredSketchContinuesIdentically) {
   }
   for (const double q : kQuantiles) {
     EXPECT_DOUBLE_EQ(restored.Quantile(q), original.Quantile(q)) << "q=" << q;
+  }
+}
+
+TEST(PercentileSketchTest, QuantilesMatchOneAtATime) {
+  // One sort for several quantiles answers exactly what one call per
+  // quantile does, in both phases.
+  Rng rng(31);
+  PercentileSketch sketch;
+  for (std::size_t i = 0; i < 1000; ++i) {
+    sketch.Add(rng.Uniform(0.0, 80.0));
+    if (i != 0 && i != 255 && i != 999) continue;
+    std::vector<double> got(kQuantiles.size());
+    sketch.Quantiles(kQuantiles, got);
+    for (std::size_t j = 0; j < kQuantiles.size(); ++j) {
+      EXPECT_EQ(got[j], sketch.Quantile(kQuantiles[j])) << "n=" << i + 1;
+    }
+  }
+}
+
+/// A sketch payload in SaveState's layout.
+std::string Payload(bool bucketed, std::uint64_t count,
+                    const std::vector<double>& exact,
+                    const std::vector<std::uint64_t>& buckets) {
+  BinWriter w;
+  w.Bool(bucketed);
+  w.U64(count);
+  w.F64(1.0);  // sum
+  w.F64(0.5);  // min
+  w.F64(2.0);  // max
+  w.Vec(exact, [](BinWriter& out, double v) { out.F64(v); });
+  w.Vec(buckets, [](BinWriter& out, std::uint64_t c) { out.U64(c); });
+  return w.buffer();
+}
+
+void ExpectCorrupt(const std::string& bytes) {
+  PercentileSketch sketch(PercentileSketch::Options{.exact_capacity = 4});
+  BinReader r(bytes);
+  EXPECT_THROW(sketch.LoadState(r), CorruptInput);
+}
+
+TEST(PercentileSketchTest, LoadRejectsValuesThatDisagreeWithCount) {
+  // Exact phase with a count but no values: Quantile would read
+  // sorted[size() - 1] of an empty row.
+  ExpectCorrupt(Payload(false, 3, {}, {}));
+  ExpectCorrupt(Payload(false, 1, {1.0, 2.0}, {}));
+  // More exact values than the exact phase ever holds.
+  ExpectCorrupt(Payload(false, 5, {1, 2, 3, 4, 5}, {}));
+  ExpectCorrupt(Payload(false, 1, {1.0}, {1}));
+  // Bucket phase: leftover exact values, or counts that miss the total,
+  // including a sum that would wrap back onto it.
+  ExpectCorrupt(Payload(true, 2, {1.0}, {0, 2}));
+  ExpectCorrupt(Payload(true, 3, {}, {1, 1}));
+  ExpectCorrupt(Payload(true, 2, {}, {3, ~std::uint64_t{0}}));
+
+  // Consistent payloads of both phases load.
+  for (const std::string& bytes :
+       {Payload(false, 2, {1.0, 2.0}, {}), Payload(true, 3, {}, {1, 0, 2})}) {
+    PercentileSketch sketch(PercentileSketch::Options{.exact_capacity = 4});
+    BinReader r(bytes);
+    sketch.LoadState(r);
+    EXPECT_GE(sketch.Quantile(0.5), 0.5);
   }
 }
 
