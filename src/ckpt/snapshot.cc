@@ -14,12 +14,13 @@ constexpr std::uint64_t kMagic = 0x313050414E53554EULL;
 
 std::uint64_t WriteSnapshotFile(const std::filesystem::path& path,
                                 std::string_view payload) {
-  BinWriter frame;
-  frame.U64(kMagic);
-  frame.U32(kSnapshotVersion);
-  frame.U64(payload.size());
-  frame.U32(Crc32(payload));
-  frame.Bytes(payload.data(), payload.size());
+  // The header goes out first and the payload straight after it from the
+  // caller's buffer, so the payload is never copied into a frame.
+  BinWriter header;
+  header.U64(kMagic);
+  header.U32(kSnapshotVersion);
+  header.U64(payload.size());
+  header.U32(Crc32(payload));
 
   const std::filesystem::path tmp = path.string() + ".tmp";
   {
@@ -28,15 +29,16 @@ std::uint64_t WriteSnapshotFile(const std::filesystem::path& path,
       throw std::runtime_error("cannot open snapshot tmp file: " +
                                tmp.string());
     }
-    out.write(frame.buffer().data(),
-              static_cast<std::streamsize>(frame.size()));
+    out.write(header.buffer().data(),
+              static_cast<std::streamsize>(header.size()));
+    out.write(payload.data(), static_cast<std::streamsize>(payload.size()));
     out.flush();
     if (!out) {
       throw std::runtime_error("snapshot write failed: " + tmp.string());
     }
   }
   std::filesystem::rename(tmp, path);
-  return frame.size();
+  return header.size() + payload.size();
 }
 
 std::string ReadSnapshotFile(const std::filesystem::path& path) {

@@ -47,7 +47,10 @@ namespace nu::ckpt {
 /// counters and the fan-out counters left the payload.
 /// v8: the shard section is gone; a sharded run writes the same bytes as
 /// an unsharded one, so a run may resume with a different shard setting.
-inline constexpr std::uint32_t kSnapshotVersion = 8;
+/// v9: the network section drops the per-link flow lists (LoadState
+/// rebuilds them from the placements), and the serve timeseries stores
+/// typed fixed-width rows instead of formatted CSV strings.
+inline constexpr std::uint32_t kSnapshotVersion = 9;
 
 /// Thrown when a snapshot file fails frame validation (bad magic, version
 /// mismatch, truncation, or checksum failure).

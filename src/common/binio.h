@@ -59,6 +59,9 @@ class BinWriter {
 
   [[nodiscard]] const std::string& buffer() const { return buffer_; }
   [[nodiscard]] std::string TakeBuffer() { return std::move(buffer_); }
+  /// Empties the buffer and keeps its capacity, so a writer reused for
+  /// payloads of similar size stops regrowing from nothing.
+  void Clear() { buffer_.clear(); }
   [[nodiscard]] std::size_t size() const { return buffer_.size(); }
 
  private:

@@ -60,7 +60,10 @@ void FlowTable::LoadState(BinReader& r) {
   slots_.clear();
   live_ = 0;
   next_id_ = r.U64();
-  NU_CHECK(next_id_ < std::numeric_limits<std::uint32_t>::max());
+  // Add's 32-bit bound: the link lists hold 32-bit ids.
+  if (next_id_ >= std::numeric_limits<std::uint32_t>::max()) {
+    throw CorruptInput("next flow id out of the 32-bit range");
+  }
   slots_.resize(static_cast<std::size_t>(next_id_));
   const std::size_t count = r.Size();
   for (std::size_t i = 0; i < count; ++i) {

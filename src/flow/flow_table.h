@@ -76,6 +76,8 @@ class FlowTable {
   void SaveState(BinWriter& w) const;
 
   /// Restores a table serialized by SaveState, replacing all contents.
+  /// Throws CorruptInput on a next id at or above 2^32 - 1, a record id at
+  /// or above the next id, or a duplicated record.
   void LoadState(BinReader& r);
 
  private:

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <unordered_map>
 
 namespace nu::net {
 namespace {
@@ -321,31 +320,27 @@ void Network::SaveState(BinWriter& w) const {
   w.U32(TopologyFingerprint());
   flows_.SaveState(w);
   w.Vec(residual_, [](BinWriter& out, Mbps v) { out.F64(v); });
-  w.Size(link_flows_.size());
-  for (const auto& flows : link_flows_) {
-    w.Vec(flows, [](BinWriter& out, std::uint32_t rep) {
-      out.U64(rep);  // U64 on the wire for format stability
-    });
-  }
   // Used-paths table: distinct paths in first-use order over ascending flow
-  // ids. Depends only on the logical state — never on PathRef numbering.
-  std::unordered_map<std::uint32_t, std::size_t> table_index;
+  // ids, found through a dense ref -> table index row. Depends only on the
+  // logical state — never on PathRef numbering.
+  constexpr std::uint32_t kUnused = std::numeric_limits<std::uint32_t>::max();
+  std::vector<std::uint32_t> table_index(registry_->size(), kUnused);
   std::vector<PathRef> table;
-  std::vector<std::pair<std::uint64_t, std::size_t>> placed;  // id, index
-  placed.reserve(placed_count_);
-  for (std::size_t i = 0; i < placements_.size(); ++i) {
-    const PathRef ref = placements_[i];
+  for (const PathRef ref : placements_) {
     if (!ref.valid()) continue;
-    const auto [it, inserted] = table_index.emplace(ref.value(), table.size());
-    if (inserted) table.push_back(ref);
-    placed.emplace_back(static_cast<std::uint64_t>(i), it->second);
+    std::uint32_t& index = table_index[ref.value()];
+    if (index != kUnused) continue;
+    index = static_cast<std::uint32_t>(table.size());
+    table.push_back(ref);
   }
   w.Size(table.size());
   for (const PathRef ref : table) SavePath(w, registry_->Get(ref));
-  w.Size(placed.size());
-  for (const auto& [id, index] : placed) {
-    w.U64(id);
-    w.Size(index);
+  w.Size(placed_count_);
+  for (std::size_t i = 0; i < placements_.size(); ++i) {
+    const PathRef ref = placements_[i];
+    if (!ref.valid()) continue;
+    w.U64(static_cast<std::uint64_t>(i));
+    w.Size(table_index[ref.value()]);
   }
   w.Vec(link_up_, [](BinWriter& out, char v) { out.U8(static_cast<std::uint8_t>(v)); });
   w.Vec(node_up_, [](BinWriter& out, char v) { out.U8(static_cast<std::uint8_t>(v)); });
@@ -363,23 +358,6 @@ void Network::LoadState(BinReader& r) {
   if (residual_.size() != graph_->link_count()) {
     throw CorruptInput("residual row length differs from the link count");
   }
-  const std::size_t link_count = r.Size();
-  if (link_count != graph_->link_count()) {
-    throw CorruptInput("link table length differs from the link count");
-  }
-  link_flows_.assign(link_count, {});
-  for (std::size_t i = 0; i < link_count; ++i) {
-    link_flows_[i] = r.Vec<std::uint32_t>([](BinReader& in) {
-      const std::uint64_t rep = in.U64();
-      if (rep >= std::numeric_limits<std::uint32_t>::max()) {
-        throw CorruptInput("link flow id out of the 32-bit range");
-      }
-      return static_cast<std::uint32_t>(rep);
-    });
-    if (!std::is_sorted(link_flows_[i].begin(), link_flows_[i].end())) {
-      throw CorruptInput("link flow list not sorted");
-    }
-  }
   // Re-intern the used-paths table into the live registry; ref VALUES are
   // allocated fresh here (and may differ from the saving run's), which is
   // fine — only path contents are state.
@@ -395,7 +373,9 @@ void Network::LoadState(BinReader& r) {
   const std::size_t placed = r.Size();
   for (std::size_t i = 0; i < placed; ++i) {
     const FlowId id{r.U64()};
-    const std::size_t index = r.Size();
+    // An index, not a length: bounded by the table below, not by the bytes
+    // left in the payload.
+    const std::uint64_t index = r.U64();
     if (!flows_.Contains(id)) {  // also bounds id below placements_.size()
       throw CorruptInput("placement for an unknown flow id");
     }
@@ -405,11 +385,12 @@ void Network::LoadState(BinReader& r) {
     if (placements_[static_cast<std::size_t>(id.value())].valid()) {
       throw CorruptInput("flow placed twice");
     }
-    StorePlacement(id, table[index]);
+    StorePlacement(id, table[static_cast<std::size_t>(index)]);
   }
   if (placed_count_ != flows_.size()) {
     throw CorruptInput("stored flow without a placement");
   }
+  RebuildLinkFlows();
   link_up_ = r.Vec<char>([](BinReader& in) { return static_cast<char>(in.U8()); });
   node_up_ = r.Vec<char>([](BinReader& in) { return static_cast<char>(in.U8()); });
   if (link_up_.size() != graph_->link_count()) {
@@ -419,17 +400,43 @@ void Network::LoadState(BinReader& r) {
     throw CorruptInput("node_up length differs from the node count");
   }
   // PathAlive's fast path trusts these counts, so they must match the
-  // up-arrays exactly.
-  down_links_ = r.Size();
-  down_nodes_ = r.Size();
-  if (down_links_ != static_cast<std::size_t>(
-                         std::count(link_up_.begin(), link_up_.end(), 0)) ||
-      down_nodes_ != static_cast<std::size_t>(
-                         std::count(node_up_.begin(), node_up_.end(), 0))) {
+  // up-arrays exactly. They are counts, not lengths: the up-arrays bound
+  // them, not the bytes left in the payload.
+  const std::uint64_t down_links = r.U64();
+  const std::uint64_t down_nodes = r.U64();
+  if (down_links != static_cast<std::uint64_t>(
+                        std::count(link_up_.begin(), link_up_.end(), 0)) ||
+      down_nodes != static_cast<std::uint64_t>(
+                        std::count(node_up_.begin(), node_up_.end(), 0))) {
     throw CorruptInput("down counts disagree with the up-arrays");
   }
+  down_links_ = static_cast<std::size_t>(down_links);
+  down_nodes_ = static_cast<std::size_t>(down_nodes);
   epoch_ = r.U64();
   state_epoch_ = r.U64();
+}
+
+void Network::RebuildLinkFlows() {
+  // Visiting flows in ascending id order appends each id once per link
+  // occurrence on its path: the ascending lists, repeats included, that
+  // Occupy keeps. The first pass sizes every list exactly, leaving no
+  // growth slack for ApproxStateBytes to count.
+  std::vector<std::size_t> lengths(graph_->link_count(), 0);
+  for (const PathRef ref : placements_) {
+    if (!ref.valid()) continue;
+    for (LinkId lid : registry_->Get(ref).links) ++lengths[lid.value()];
+  }
+  link_flows_.assign(graph_->link_count(), {});
+  for (std::size_t i = 0; i < link_flows_.size(); ++i) {
+    link_flows_[i].reserve(lengths[i]);
+  }
+  for (std::size_t i = 0; i < placements_.size(); ++i) {
+    const PathRef ref = placements_[i];
+    if (!ref.valid()) continue;
+    for (LinkId lid : registry_->Get(ref).links) {
+      link_flows_[lid.value()].push_back(static_cast<std::uint32_t>(i));
+    }
+  }
 }
 
 bool Network::CheckInvariants() const {

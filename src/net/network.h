@@ -209,26 +209,27 @@ class Network final : public MutableNetwork {
   /// topology fails loudly instead of decoding garbage.
   [[nodiscard]] std::uint32_t TopologyFingerprint() const;
 
-  /// Serializes the complete mutable state (snapshot payload format v2).
-  /// Link-flow lists are written in their canonical ascending order. Paths
-  /// are written as a per-snapshot used-paths table (distinct paths in
-  /// first-use order over ascending flow ids) plus a table index per
+  /// Serializes the complete mutable state (snapshot payload format v9).
+  /// Paths are written as a per-snapshot used-paths table (distinct paths
+  /// in first-use order over ascending flow ids) plus a table index per
   /// placement — raw PathRef values never reach the wire, because ref
   /// numbering depends on interning order (parallel probing may intern in
-  /// any order) while the table depends only on the logical state.
+  /// any order) while the table depends only on the logical state. The
+  /// per-link flow lists are not written: the placements determine them.
   void SaveState(BinWriter& w) const;
 
   /// Restores state serialized by SaveState. The graph itself is not
   /// persisted — the caller reconstructs it and this network must already
   /// be bound to an identical graph (checked via TopologyFingerprint).
-  /// Table entries are re-interned into the live registry. A node, link,
+  /// Table entries are re-interned into the live registry, and the
+  /// per-link flow lists are rebuilt from the placements. A node, link,
   /// flow or table id outside this network's range throws CorruptInput
   /// before any state is indexed by it. So does a payload that is
-  /// inconsistent in itself: a row or table of the wrong length, an
-  /// unsorted link list, a flow record duplicated, placed twice or not
-  /// placed, or down counts that disagree with the up-arrays. Path
-  /// structure (shape, contiguity, loops, endpoints) is left for
-  /// guard::Auditor to report. A foreign topology still aborts.
+  /// inconsistent in itself: a row of the wrong length, a flow record
+  /// duplicated, placed twice or not placed, or down counts that disagree
+  /// with the up-arrays. Path structure (shape, contiguity, loops,
+  /// endpoints) is left for guard::Auditor to report. A foreign topology
+  /// still aborts.
   void LoadState(BinReader& r);
 
  private:
@@ -236,6 +237,8 @@ class Network final : public MutableNetwork {
   void Release(const topo::Path& path, Mbps demand, FlowId id);
   /// Records `ref` as flow `id`'s placement, growing the dense store.
   void StorePlacement(FlowId id, PathRef ref);
+  /// Rebuilds every per-link flow list from the placements.
+  void RebuildLinkFlows();
 
   const topo::Graph* graph_;
   std::shared_ptr<topo::PathRegistry> registry_;

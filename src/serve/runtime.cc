@@ -182,11 +182,13 @@ void ServeRuntime::ObserveAndLog(Seconds now, std::size_t queue_length) {
   for (std::size_t i = transitions_before; i < brownout_.transitions().size();
        ++i) {
     const BrownoutTransition& t = brownout_.transitions()[i];
-    EmitRow(t.time, "transition",
-            std::string(ToString(t.from)) + "->" + ToString(t.to));
+    EmitRow({.time = t.time,
+             .kind = RowKind::kTransition,
+             .from = t.from,
+             .to = t.to});
   }
   while (recorder_.SampleDue(now)) {
-    EmitRow(recorder_.next_sample(), "sample", "");
+    EmitRow({.time = recorder_.next_sample()});
     recorder_.Advance();
   }
 }
@@ -207,36 +209,19 @@ void ServeRuntime::Finish(Seconds now, std::size_t queue_length,
       ObserveAndLog(now, queue_length);
     }
   }
-  EmitRow(now, "sample", "final");
+  EmitRow({.time = now, .kind = RowKind::kFinal});
 }
 
-void ServeRuntime::EmitRow(Seconds time, const char* row_type,
-                           const std::string& detail) {
-  std::array<double, kEctQuantiles.size()> ect{};
-  if (!sketch_.empty()) sketch_.Quantiles(kEctQuantiles, ect);
-  recorder_.Append({
-      FormatDouble(time, 3),
-      row_type,
-      ToString(brownout_.state()),
-      std::to_string(brownout_.DegradationLevel()),
-      FormatDouble(brownout_.last_pressure(), 4),
-      std::to_string(last_queue_length_),
-      std::to_string(last_active_),
-      std::to_string(arrivals_),
-      std::to_string(admitted_),
-      std::to_string(rejected_budget_),
-      std::to_string(rejected_deadline_),
-      std::to_string(rejected_priority_),
-      std::to_string(shed_queue_),
-      std::to_string(completed_),
-      std::to_string(slo_misses_),
-      FormatDouble(MissRate(), 4),
-      FormatDouble(ect[0], 4),
-      FormatDouble(ect[1], 4),
-      FormatDouble(ect[2], 4),
-      FormatDouble(ect[3], 4),
-      detail,
-  });
+void ServeRuntime::EmitRow(TimeseriesRow row) {
+  row.health = brownout_.state();
+  row.pressure = brownout_.last_pressure();
+  row.counts = {last_queue_length_, last_active_,       arrivals_,
+                admitted_,          rejected_budget_,   rejected_deadline_,
+                rejected_priority_, shed_queue_,        completed_,
+                slo_misses_};
+  row.miss_rate = MissRate();
+  if (!sketch_.empty()) sketch_.Quantiles(kEctQuantiles, row.ect);
+  recorder_.Append(row);
 }
 
 ServeSummary ServeRuntime::BuildSummary() const {

@@ -17,8 +17,8 @@
 //
 // The runtime draws from no Rng and is driven purely by the simulator's
 // virtual-time call sequence, so serve-mode runs stay bit-reproducible; its
-// full state (including the formatted timeseries rows) snapshots with the
-// run as part of payload format v4.
+// full state (including the typed timeseries rows) snapshots with the run
+// as the payload's serve section.
 #pragma once
 
 #include <array>
@@ -197,7 +197,9 @@ class ServeRuntime {
   /// Ages the sliding windows to `now`, feeds one observation to the
   /// brownout controller, and emits transition + due sample rows.
   void ObserveAndLog(Seconds now, std::size_t queue_length);
-  void EmitRow(Seconds time, const char* row_type, const std::string& detail);
+  /// Fills `row` (time and kind set by the caller) from the current state
+  /// and appends it to the timeseries.
+  void EmitRow(TimeseriesRow row);
   [[nodiscard]] int PriorityOf(const update::UpdateEvent& event) const;
 
   ServeOptions options_;

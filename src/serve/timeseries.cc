@@ -5,8 +5,33 @@
 
 #include "common/check.h"
 #include "common/csv.h"
+#include "common/table.h"
 
 namespace nu::serve {
+namespace {
+
+HealthState LoadHealth(BinReader& r) {
+  const std::uint8_t v = r.U8();
+  if (v > static_cast<std::uint8_t>(HealthState::kShedding)) {
+    throw CorruptInput("timeseries health state out of range");
+  }
+  return static_cast<HealthState>(v);
+}
+
+/// The `detail` column: the transition edge, "final", or empty.
+std::string Detail(const TimeseriesRow& row) {
+  switch (row.kind) {
+    case RowKind::kSample:
+      return "";
+    case RowKind::kFinal:
+      return "final";
+    case RowKind::kTransition:
+      return std::string(ToString(row.from)) + "->" + ToString(row.to);
+  }
+  return "";
+}
+
+}  // namespace
 
 TimeseriesRecorder::TimeseriesRecorder(Seconds sample_period)
     : sample_period_(sample_period) {
@@ -29,15 +54,29 @@ const std::vector<std::string>& TimeseriesRecorder::Header() {
   return kHeader;
 }
 
-void TimeseriesRecorder::Append(std::vector<std::string> row) {
-  NU_EXPECTS(row.size() == Header().size());
-  rows_.push_back(std::move(row));
-}
-
 void TimeseriesRecorder::WriteCsv(std::ostream& out) const {
   CsvWriter writer(out);
   writer.WriteRow(Header());
-  for (const std::vector<std::string>& row : rows_) writer.WriteRow(row);
+  std::vector<std::string> cells;
+  cells.reserve(Header().size());
+  for (const TimeseriesRow& row : rows_) {
+    cells.clear();
+    cells.push_back(FormatDouble(row.time, 3));
+    cells.emplace_back(row.kind == RowKind::kTransition ? "transition"
+                                                        : "sample");
+    cells.emplace_back(ToString(row.health));
+    cells.push_back(std::to_string(static_cast<int>(row.health)));
+    cells.push_back(FormatDouble(row.pressure, 4));
+    for (const std::uint64_t count : row.counts) {
+      cells.push_back(std::to_string(count));
+    }
+    cells.push_back(FormatDouble(row.miss_rate, 4));
+    for (const double quantile : row.ect) {
+      cells.push_back(FormatDouble(quantile, 4));
+    }
+    cells.push_back(Detail(row));
+    writer.WriteRow(cells);
+  }
 }
 
 std::string TimeseriesRecorder::ToCsv() const {
@@ -49,9 +88,16 @@ std::string TimeseriesRecorder::ToCsv() const {
 void TimeseriesRecorder::SaveState(BinWriter& w) const {
   w.F64(next_sample_);
   w.Size(rows_.size());
-  for (const std::vector<std::string>& row : rows_) {
-    w.Size(row.size());
-    for (const std::string& field : row) w.Str(field);
+  for (const TimeseriesRow& row : rows_) {
+    w.F64(row.time);
+    w.U8(static_cast<std::uint8_t>(row.kind));
+    w.U8(static_cast<std::uint8_t>(row.from));
+    w.U8(static_cast<std::uint8_t>(row.to));
+    w.U8(static_cast<std::uint8_t>(row.health));
+    w.F64(row.pressure);
+    for (const std::uint64_t count : row.counts) w.U64(count);
+    w.F64(row.miss_rate);
+    for (const double quantile : row.ect) w.F64(quantile);
   }
 }
 
@@ -61,11 +107,21 @@ void TimeseriesRecorder::LoadState(BinReader& r) {
   const std::size_t n = r.Size();
   rows_.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
-    std::vector<std::string> row;
-    const std::size_t fields = r.Size();
-    row.reserve(fields);
-    for (std::size_t f = 0; f < fields; ++f) row.push_back(r.Str());
-    rows_.push_back(std::move(row));
+    TimeseriesRow row;
+    row.time = r.F64();
+    const std::uint8_t kind = r.U8();
+    if (kind > static_cast<std::uint8_t>(RowKind::kTransition)) {
+      throw CorruptInput("timeseries row kind out of range");
+    }
+    row.kind = static_cast<RowKind>(kind);
+    row.from = LoadHealth(r);
+    row.to = LoadHealth(r);
+    row.health = LoadHealth(r);
+    row.pressure = r.F64();
+    for (std::uint64_t& count : row.counts) count = r.U64();
+    row.miss_rate = r.F64();
+    for (double& quantile : row.ect) quantile = r.F64();
+    rows_.push_back(row);
   }
 }
 

@@ -842,8 +842,8 @@ class EventLoop {
     // activation is removed, returning its bandwidth. In-flight install
     // occurrences and departures become stale (generation mismatch /
     // missing flows) and are skipped when they fire. Removal runs in
-    // ascending flow-id order (the map's order): Remove() reshuffles
-    // per-link flow lists, whose order is serialized state.
+    // ascending flow-id order (the map's order), so the residuals add the
+    // released demands in a fixed order.
     for (const auto& [fid_rep, _] : it->second.flow_index) {
       const FlowId fid{fid_rep};
       if (network_.HasFlow(fid)) network_.Remove(fid);

@@ -24,7 +24,8 @@ namespace nu::sim {
 
 /// Checkpoint bookkeeping (docs/model.md §11): the journal writer, the
 /// journal records a restored run has left to verify, the current segment,
-/// and the byte and wall-time totals. A disabled config touches no files.
+/// the payload buffer every snapshot reuses, and the byte and wall-time
+/// totals. A disabled config touches no files.
 /// The journal is a determinism cross-check, not a redo log: a resumed run
 /// re-executes from the restored snapshot and verifies each regenerated
 /// operation bitwise against the journal.
@@ -129,11 +130,11 @@ class Checkpointer {
     NU_CHECK(replay_pos_ == replay_.size());  // segments end at rotations
     const auto start = WallClock::now();
     collector_.OnSnapshotTaken();
-    BinWriter w;
-    save(w);
+    payload_.Clear();
+    save(payload_);
     wal_.Close();
     bytes_written_ += ckpt::WriteSnapshotFile(
-        ckpt::SnapshotPath(config_.dir, round), w.buffer());
+        ckpt::SnapshotPath(config_.dir, round), payload_.buffer());
     wal_round_ = round;
     wal_keep_bytes_ = 0;
     wal_.Open(ckpt::JournalPath(config_.dir, wal_round_), 0);
@@ -203,6 +204,9 @@ class Checkpointer {
   // Set when the restored snapshot sits exactly at a cadence point, so the
   // re-entered hook must not write (or count) a duplicate snapshot.
   bool skip_snapshot_once_ = false;
+  // One payload buffer for every snapshot: it keeps its capacity, so a
+  // snapshot does not regrow a fresh buffer to the full payload size.
+  BinWriter payload_;
   std::uint64_t bytes_written_ = 0;
   double wall_seconds_ = 0.0;
 };

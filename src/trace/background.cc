@@ -42,6 +42,36 @@ const topo::Path* FindPathWithHeadroom(const net::Network& network,
   return best;
 }
 
+/// Slack over the rounding in the utilization sums and the residual
+/// updates: a mean of n terms in [0, 1] is off by at most about n * 2^-53,
+/// far below this for any topology that fits in memory.
+constexpr double kRiseSlack = 1e-9;
+
+/// Per-link rise of the injection's utilization measure per Mbps placed:
+/// 1 / (capacity * counted links) on each link the measure averages over,
+/// 0 elsewhere. The fabric measure counts links that touch no host and,
+/// like FabricUtilization, falls back to every link when there are none.
+std::vector<double> UtilizationRisePerMbps(const topo::Graph& graph,
+                                           bool fabric) {
+  const auto fabric_link = [&](const topo::Link& l) {
+    return graph.node(l.src).role != topo::NodeRole::kHost &&
+           graph.node(l.dst).role != topo::NodeRole::kHost;
+  };
+  const std::span<const topo::Link> links = graph.links();
+  const auto fabric_links = static_cast<std::size_t>(
+      std::count_if(links.begin(), links.end(), fabric_link));
+  const bool every_link = !fabric || fabric_links == 0;
+  const double counted =
+      static_cast<double>(every_link ? links.size() : fabric_links);
+  std::vector<double> rise(links.size(), 0.0);
+  for (const topo::Link& l : links) {
+    if (every_link || fabric_link(l)) {
+      rise[l.id.value()] = 1.0 / (l.capacity * counted);
+    }
+  }
+  return rise;
+}
+
 }  // namespace
 
 std::vector<Mbps> HeadroomReserve(const topo::Graph& graph,
@@ -97,9 +127,29 @@ BackgroundResult InjectBackground(net::Network& network,
     return options.target_fabric_utilization ? network.FabricUtilization()
                                              : network.AverageUtilization();
   };
+  // Place only lowers residuals, so the measure never falls, and a
+  // placement raises it by at most its demand times the rise row summed
+  // over its path. `measured` is the last exact value and `rise` bounds the
+  // growth since; the pass over every link runs only once that bound
+  // reaches the target, so the loop stops where measuring every time did.
+  const std::vector<double> rise_per_mbps = UtilizationRisePerMbps(
+      network.graph(), options.target_fabric_utilization);
+  double measured = measured_utilization();
+  double rise = 0.0;
+  bool stale = false;
+  const auto below_target = [&] {
+    if (stale) {
+      if (measured + rise + kRiseSlack < options.target_utilization) {
+        return true;
+      }
+      measured = measured_utilization();
+      rise = 0.0;
+      stale = false;
+    }
+    return measured < options.target_utilization;
+  };
 
-  while (measured_utilization() < options.target_utilization &&
-         result.placed_flows < options.max_flows &&
+  while (below_target() && result.placed_flows < options.max_flows &&
          consecutive_failures < options.max_consecutive_failures) {
     const FlowSpec spec = generator.Next();
     const topo::Path* path = nullptr;
@@ -126,6 +176,10 @@ BackgroundResult InjectBackground(net::Network& network,
     f.demand = spec.demand;
     f.duration = spec.duration;
     f.origin = flow::FlowOrigin::kBackground;
+    for (LinkId lid : path->links) {
+      rise += spec.demand * rise_per_mbps[lid.value()];
+    }
+    stale = true;
     network.Place(std::move(f), *path);
     ++result.placed_flows;
   }

@@ -25,7 +25,9 @@ struct CraftedPlacement {
   topo::Path path;
 };
 
-/// Every field of a Network::SaveState payload, in write order.
+/// Every field of a Network::SaveState payload (format v9), in write order.
+/// The per-link flow lists are not among them: LoadState rebuilds them from
+/// the placements.
 struct NetworkFieldValues {
   std::uint32_t fingerprint = 0;
   /// FlowTable section: the next id, then one record per entry of `flows`
@@ -33,8 +35,6 @@ struct NetworkFieldValues {
   std::uint64_t next_id = 0;
   std::vector<flow::Flow> flows;
   std::vector<Mbps> residual;
-  /// Per-link flow id lists (U64 on the wire).
-  std::vector<std::vector<std::uint64_t>> link_flows;
   /// Used-paths table, then (flow id, table index) placements.
   std::vector<topo::Path> table;
   std::vector<std::pair<std::uint64_t, std::size_t>> placed;
@@ -57,7 +57,6 @@ inline NetworkFieldValues NetworkFields(
   NetworkFieldValues v;
   v.fingerprint = net::Network(graph).TopologyFingerprint();
   v.next_id = placements.size();
-  v.link_flows.resize(graph.link_count());
   for (const topo::Link& l : graph.links()) v.residual.push_back(l.capacity);
   for (std::size_t i = 0; i < placements.size(); ++i) {
     const CraftedPlacement& p = placements[i];
@@ -67,7 +66,6 @@ inline NetworkFieldValues NetworkFields(
     for (LinkId link : p.path.links) {
       if (link.value() >= graph.link_count()) continue;
       v.residual[link.value()] -= p.flow.demand;
-      v.link_flows[link.value()].push_back(i);
     }
     v.table.push_back(p.path);
     v.placed.emplace_back(first_id + i, i);
@@ -92,10 +90,6 @@ inline std::string SerializeNetwork(const NetworkFieldValues& v) {
     w.U64(f.event.value());
   }
   w.Vec(v.residual, [](BinWriter& out, Mbps r) { out.F64(r); });
-  w.Size(v.link_flows.size());
-  for (const auto& ids : v.link_flows) {
-    w.Vec(ids, [](BinWriter& out, std::uint64_t id) { out.U64(id); });
-  }
   w.Size(v.table.size());
   for (const topo::Path& path : v.table) {
     w.Vec(path.nodes, [](BinWriter& out, NodeId n) { out.U32(n.value()); });
