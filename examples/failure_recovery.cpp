@@ -45,7 +45,10 @@ void SimulatorUnderFaults() {
   config.sim.faults.flaky.failure_probability = 0.3;
   config.sim.faults.flaky.latency_jitter_frac = 0.2;
   config.sim.faults.retry.max_attempts = 3;
-  config.sim.validate_invariants = true;  // re-verified after every batch
+  // Audited after every batch; a violation throws guard::AuditFailure.
+  config.sim.guard.auditor = {.enabled = true,
+                              .mode = guard::AuditMode::kFailFast,
+                              .cadence = 1};
 
   for (const fault::FaultSpec& spec : config.sim.faults.plan.specs()) {
     std::printf("  t=%5.1f  %s\n", spec.time,

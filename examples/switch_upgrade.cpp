@@ -13,6 +13,7 @@
 // Run:  ./switch_upgrade
 #include <cstdio>
 
+#include "guard/auditor.h"
 #include "topo/fat_tree.h"
 #include "topo/path_provider.h"
 #include "trace/background.h"
@@ -76,7 +77,7 @@ int main() {
     std::printf("[A] flows still crossing after drain: %zu; network "
                 "consistent: %s\n\n",
                 update::FlowsThroughNode(drained, busiest).size(),
-                drained.CheckInvariants() ? "yes" : "NO");
+                guard::Auditor().Audit(drained, {}) == 0 ? "yes" : "NO");
   }
 
   // --- B: the event-level view (feeds the paper's update queue) ---
@@ -95,7 +96,7 @@ int main() {
                 result.plan.migration_moves, result.deferred_flows.size());
     std::printf("[B] flows still crossing: %zu; network consistent: %s\n",
                 update::FlowsThroughNode(replaced, busiest).size(),
-                replaced.CheckInvariants() ? "yes" : "NO");
+                guard::Auditor().Audit(replaced, {}) == 0 ? "yes" : "NO");
   }
   return 0;
 }

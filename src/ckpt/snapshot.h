@@ -50,7 +50,8 @@ namespace nu::ckpt {
 /// v9: the network section drops the per-link flow lists (LoadState
 /// rebuilds them from the placements), and the serve timeseries stores
 /// typed fixed-width rows instead of formatted CSV strings.
-inline constexpr std::uint32_t kSnapshotVersion = 9;
+/// v10: the collector section drops the overlay-probe counter.
+inline constexpr std::uint32_t kSnapshotVersion = 10;
 
 /// Thrown when a snapshot file fails frame validation (bad magic, version
 /// mismatch, truncation, or checksum failure).

@@ -287,15 +287,6 @@ sim::SimResult RunScenario(const ChaosScenario& scenario) {
   return RunScheduler(workload, scenario.scheduler);
 }
 
-std::string NormalizedReportCsv(const sim::SimResult& result) {
-  metrics::Report report = result.report;
-  report.ckpt_snapshot_wall_seconds = 0.0;
-  report.ckpt_recovery_wall_seconds = 0.0;
-  std::ostringstream out;
-  metrics::WriteReportCsv(out, report);
-  return out.str();
-}
-
 ChaosVerdict JudgeScenario(const ChaosScenario& scenario,
                            const ChaosOptions& options) {
   ChaosVerdict verdict;
@@ -305,11 +296,6 @@ ChaosVerdict JudgeScenario(const ChaosScenario& scenario,
     } catch (const sim::RecoveryError& e) {
       verdict.failed = true;
       verdict.oracle = "recovery-error";
-      verdict.detail = e.what();
-      return false;
-    } catch (const guard::AuditFailure& e) {
-      verdict.failed = true;
-      verdict.oracle = "audit-failure";
       verdict.detail = e.what();
       return false;
     }
@@ -358,10 +344,14 @@ ChaosVerdict JudgeScenario(const ChaosScenario& scenario,
   if (options.check_determinism) {
     sim::SimResult second;
     if (!run_once(second)) return verdict;
-    if (NormalizedReportCsv(first) != NormalizedReportCsv(second)) {
+    std::ostringstream first_csv;
+    std::ostringstream second_csv;
+    metrics::WriteReportCsv(first_csv, first.report);
+    metrics::WriteReportCsv(second_csv, second.report);
+    if (first_csv.str() != second_csv.str()) {
       verdict.failed = true;
       verdict.oracle = "nondeterminism";
-      verdict.detail = "normalized report CSVs differ across identical runs";
+      verdict.detail = "report CSVs differ across identical runs";
       return verdict;
     }
     if (first.serve_timeseries_csv != second.serve_timeseries_csv) {

@@ -70,8 +70,8 @@ struct ChaosScenario {
 struct ChaosVerdict {
   bool failed = false;
   /// Which oracle fired: "audit-violation" | "recovery-error" |
-  /// "audit-failure" | "deadline-miss" | "drift-residual" |
-  /// "nondeterminism" | "injected-bug"; empty when none.
+  /// "deadline-miss" | "drift-residual" | "nondeterminism" |
+  /// "injected-bug"; empty when none.
   std::string oracle;
   std::string detail;
 };
@@ -82,8 +82,8 @@ struct ChaosOptions {
   /// Workload shape for generated scenarios.
   std::size_t fat_tree_k = 4;
   std::size_t event_count = 6;
-  /// Rerun every judged scenario and byte-compare the normalized report
-  /// CSVs (the determinism oracle). Doubles the simulation cost.
+  /// Rerun every judged scenario and byte-compare the report CSVs (the
+  /// determinism oracle). Doubles the simulation cost.
   bool check_determinism = true;
   /// Planted deterministic defect for exercising the full find -> shrink ->
   /// replay loop end to end: the oracle additionally fails any run in which
@@ -164,10 +164,5 @@ struct ChaosCampaignResult {
 /// round-trip number formatting as the fault-plan format).
 [[nodiscard]] std::string SerializeArtifact(const ChaosScenario& scenario);
 [[nodiscard]] ChaosScenario ParseArtifact(const std::string& text);
-
-/// Report CSV with the wall-clock columns (ckpt_snapshot_wall_seconds,
-/// ckpt_recovery_wall_seconds) zeroed — the byte string the determinism
-/// oracle and replay verification compare.
-[[nodiscard]] std::string NormalizedReportCsv(const sim::SimResult& result);
 
 }  // namespace nu::exp

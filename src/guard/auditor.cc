@@ -12,8 +12,7 @@ namespace nu::guard {
 namespace {
 
 /// Residual/occupancy comparisons tolerate accumulated floating-point noise
-/// from incremental Occupy/Release updates (same spirit as the network's
-/// own CheckInvariants).
+/// from incremental Occupy/Release updates.
 constexpr double kBandwidthEpsilon = 1e-6;
 
 /// One violation detected by a recompute: text only, no side effects.

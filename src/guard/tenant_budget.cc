@@ -66,8 +66,9 @@ void TenantBudgets::SaveState(BinWriter& w) const {
 }
 
 void TenantBudgets::LoadState(BinReader& r) {
-  const std::size_t n = r.Size();
-  NU_CHECK(n == buckets_.size());
+  if (r.Size() != buckets_.size()) {
+    throw CorruptInput("tenant budget count disagrees with the roster");
+  }
   for (TokenBucket& b : buckets_) b.LoadState(r);
 }
 

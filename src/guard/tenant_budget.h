@@ -84,6 +84,7 @@ class TenantBudgets {
   [[nodiscard]] const TokenBucket& bucket(TenantId tenant) const;
 
   void SaveState(BinWriter& w) const;
+  /// Throws CorruptInput when the stored bucket count is not the roster's.
   void LoadState(BinReader& r);
 
  private:

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "common/check.h"
 
@@ -60,8 +61,10 @@ void Watchdog::LoadState(BinReader& r) {
   for (std::size_t i = 0; i < count; ++i) {
     const EventId::rep_type rep = r.U64();
     const std::size_t misses = r.U64();
-    const auto [_, inserted] = failures_.emplace(rep, misses);
-    NU_CHECK(inserted);
+    if (!failures_.emplace(rep, misses).second) {
+      throw CorruptInput("watchdog state repeats event " +
+                         std::to_string(rep));
+    }
   }
 }
 

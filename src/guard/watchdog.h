@@ -68,7 +68,8 @@ class Watchdog {
   /// the run configuration on restore.
   void SaveState(BinWriter& w) const;
 
-  /// Restores miss counts serialized by SaveState.
+  /// Restores miss counts serialized by SaveState. Throws CorruptInput on
+  /// a repeated event id.
   void LoadState(BinReader& r);
 
  private:

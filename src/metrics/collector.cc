@@ -229,7 +229,6 @@ void Collector::SaveState(BinWriter& w) const {
   w.U64(probe_stats_.probe_cache_hits);
   w.U64(probe_stats_.probe_cache_misses);
   w.U64(probe_stats_.exec_plan_reuses);
-  w.U64(probe_stats_.overlay_probes);
   w.U64(ckpt_stats_.snapshots_taken);
   w.U64(ckpt_stats_.wal_records);
 }
@@ -276,7 +275,6 @@ void Collector::LoadState(BinReader& r) {
   probe_stats_.probe_cache_hits = r.U64();
   probe_stats_.probe_cache_misses = r.U64();
   probe_stats_.exec_plan_reuses = r.U64();
-  probe_stats_.overlay_probes = r.U64();
   ckpt_stats_.snapshots_taken = r.U64();
   ckpt_stats_.wal_records = r.U64();
 }

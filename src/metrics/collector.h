@@ -119,11 +119,9 @@ struct GuardStats {
   std::size_t max_queue_length = 0;
 };
 
-/// Run-wide probe counters. The four counts are deterministic and ride in
-/// snapshots; `overlay_bytes_saved` describes this process only (a byte
-/// sample that follows the process-wide path registry), so it stays out of
-/// snapshots and a resumed process counts it from 0. None of them changes
-/// modeled time, only how fast it is computed.
+/// Run-wide probe counters. All three are deterministic and ride in
+/// snapshots. None of them changes modeled time, only how fast it is
+/// computed.
 struct ProbeStats {
   /// Cost probes answered from the per-event epoch-keyed cache.
   std::size_t probe_cache_hits = 0;
@@ -132,11 +130,6 @@ struct ProbeStats {
   /// Winner executions that replayed the cached probe plan instead of
   /// re-planning the event at commit time.
   std::size_t exec_plan_reuses = 0;
-  /// What-if plans evaluated on a copy-on-write overlay.
-  std::size_t overlay_probes = 0;
-  /// Bytes of network state NOT copied thanks to overlays (approximate:
-  /// deep-copy footprint at probe time, summed over overlay probes).
-  double overlay_bytes_saved = 0.0;
 };
 
 /// Run-wide checkpointing counters (all zero with checkpointing off).

@@ -1,61 +1,10 @@
 #include "metrics/report.h"
 
 #include <algorithm>
-#include <sstream>
 
 #include "common/check.h"
 
 namespace nu::metrics {
-
-std::string Report::DebugString() const {
-  std::ostringstream os;
-  os << "report{events=" << event_count << " avg_ect=" << avg_ect
-     << " tail_ect=" << tail_ect << " avg_qdelay=" << avg_queuing_delay
-     << " worst_qdelay=" << worst_queuing_delay << " cost=" << total_cost
-     << " plan_time=" << total_plan_time << " makespan=" << makespan;
-  if (installs_attempted > 0 || flows_killed > 0) {
-    os << " installs=" << installs_attempted << "/" << installs_retried
-       << "r/" << installs_failed << "f aborted=" << events_aborted
-       << " replanned=" << events_replanned << " killed=" << flows_killed
-       << " recovery_mean=" << recovery_latency_mean;
-  }
-  if (events_shed > 0 || deadline_misses > 0 || events_quarantined > 0 ||
-      audits_run > 0) {
-    os << " completed=" << events_completed << " shed=" << events_shed
-       << " deadline_misses=" << deadline_misses
-       << " quarantined=" << events_quarantined << " audits=" << audits_run
-       << "/" << audit_violations << "v max_queue=" << max_queue_length;
-  }
-  if (overlay_probes > 0 || probe_cache_hits > 0) {
-    os << " probes{overlay=" << overlay_probes
-       << " cache=" << probe_cache_hits << "h/" << probe_cache_misses
-       << "m reuse=" << exec_plan_reuses
-       << " bytes_saved=" << overlay_bytes_saved << "}";
-  }
-  if (ckpt_snapshots > 0 || ckpt_recoveries > 0) {
-    os << " ckpt{snapshots=" << ckpt_snapshots
-       << " wal_records=" << ckpt_wal_records
-       << " recoveries=" << ckpt_recoveries
-       << " replayed=" << ckpt_wal_replayed
-       << " snapshot_bytes=" << ckpt_snapshot_bytes
-       << " snapshot_wall=" << ckpt_snapshot_wall_seconds
-       << "s recovery_wall=" << ckpt_recovery_wall_seconds << "s}";
-  }
-  if (drift_checks > 0 || grey_ack_lies > 0 || grey_stragglers > 0 ||
-      grey_rules_lost > 0) {
-    os << " drift{checks=" << drift_checks
-       << " detected=" << drift_rules_detected << " lies=" << grey_ack_lies
-       << " stragglers=" << grey_stragglers << " lost=" << grey_rules_lost
-       << " repaired=" << drift_repairs << "/" << drift_repair_failures
-       << "f abandoned=" << drift_rules_abandoned
-       << " degraded=" << switches_degraded
-       << " quarantined=" << switches_quarantined
-       << " residual=" << drift_residual_rules
-       << " repair_mean=" << drift_repair_mean << "s}";
-  }
-  os << "}";
-  return os.str();
-}
 
 Report BuildReport(const Collector& collector, double total_plan_time,
                    double tail_percentile) {
@@ -110,8 +59,6 @@ Report BuildReport(const Collector& collector, double total_plan_time,
   report.probe_cache_hits = probes.probe_cache_hits;
   report.probe_cache_misses = probes.probe_cache_misses;
   report.exec_plan_reuses = probes.exec_plan_reuses;
-  report.overlay_probes = probes.overlay_probes;
-  report.overlay_bytes_saved = probes.overlay_bytes_saved;
   const CkptStats& ckpt = collector.ckpt_stats();
   report.ckpt_snapshots = ckpt.snapshots_taken;
   report.ckpt_wal_records = ckpt.wal_records;

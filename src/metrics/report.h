@@ -3,8 +3,6 @@
 // (the "reduction vs FIFO" framing of Figs. 6-9).
 #pragma once
 
-#include <string>
-
 #include "metrics/collector.h"
 
 namespace nu::metrics {
@@ -65,8 +63,6 @@ struct Report {
   std::size_t probe_cache_hits = 0;
   std::size_t probe_cache_misses = 0;
   std::size_t exec_plan_reuses = 0;
-  std::size_t overlay_probes = 0;
-  double overlay_bytes_saved = 0.0;
 
   // Checkpoint & crash-recovery aggregates (all zero with checkpointing
   // off). snapshots/wal_records are deterministic run totals (see
@@ -101,8 +97,6 @@ struct Report {
   /// Divergence-onset -> repair latency (virtual seconds; 0 = no repairs).
   double drift_repair_mean = 0.0;
   double drift_repair_p99 = 0.0;
-
-  [[nodiscard]] std::string DebugString() const;
 };
 
 /// Builds a report from collected records. `tail_percentile` in (0, 1]:

@@ -32,7 +32,7 @@ struct ReportField {
 
 /// Every Report member, in declaration order — which is also the report-CSV
 /// column order.
-inline constexpr std::array<ReportField, 56> kReportFields = {{
+inline constexpr std::array<ReportField, 54> kReportFields = {{
     {"events", &Report::event_count, nullptr, 0, FieldMean::kFirst},
     {"avg_ect", nullptr, &Report::avg_ect, 4, FieldMean::kMean},
     {"tail_ect", nullptr, &Report::tail_ect, 4, FieldMean::kMean},
@@ -87,9 +87,6 @@ inline constexpr std::array<ReportField, 56> kReportFields = {{
     {"probe_cache_misses", &Report::probe_cache_misses, nullptr, 0,
      FieldMean::kMean},
     {"exec_plan_reuses", &Report::exec_plan_reuses, nullptr, 0,
-     FieldMean::kMean},
-    {"overlay_probes", &Report::overlay_probes, nullptr, 0, FieldMean::kMean},
-    {"overlay_bytes_saved", nullptr, &Report::overlay_bytes_saved, 0,
      FieldMean::kMean},
     {"ckpt_snapshots", &Report::ckpt_snapshots, nullptr, 0, FieldMean::kMean},
     {"ckpt_wal_records", &Report::ckpt_wal_records, nullptr, 0,

@@ -65,11 +65,14 @@ void TenantAccountant::SaveState(BinWriter& w) const {
 }
 
 void TenantAccountant::LoadState(BinReader& r) {
-  tenants_.clear();
   const std::size_t n = r.Size();
-  tenants_.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    TenantCounters t;
+  if (n != tenants_.size()) {
+    throw CorruptInput("tenant ledger count disagrees with the roster");
+  }
+  // Read into a local ledger so a payload that throws partway leaves the
+  // roster-sized ledger in place for the fallback to an older snapshot.
+  std::vector<TenantCounters> loaded(n);
+  for (TenantCounters& t : loaded) {
     t.name = r.Str();
     t.arrivals = r.U64();
     t.admitted = r.U64();
@@ -82,8 +85,8 @@ void TenantAccountant::LoadState(BinReader& r) {
     t.slo_misses = r.U64();
     const std::size_t samples = r.Size();
     for (std::size_t s = 0; s < samples; ++s) t.ect.Add(r.F64());
-    tenants_.push_back(std::move(t));
   }
+  tenants_ = std::move(loaded);
 }
 
 }  // namespace nu::metrics

@@ -72,6 +72,9 @@ class TenantAccountant {
   [[nodiscard]] double JainAdmission() const;
 
   // Snapshot support: full ledger state, ECT samples in insertion order.
+  // LoadState throws CorruptInput when the stored tenant count is not the
+  // roster's (SetTenants runs first); a payload that throws leaves the
+  // ledger as it was.
   void SaveState(BinWriter& w) const;
   void LoadState(BinReader& r);
 

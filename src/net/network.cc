@@ -1,7 +1,6 @@
 #include "net/network.h"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 
 namespace nu::net {
@@ -437,39 +436,6 @@ void Network::RebuildLinkFlows() {
       link_flows_[lid.value()].push_back(static_cast<std::uint32_t>(i));
     }
   }
-}
-
-bool Network::CheckInvariants() const {
-  // Recompute residuals from scratch.
-  std::vector<Mbps> recomputed;
-  recomputed.reserve(graph_->link_count());
-  for (const topo::Link& l : graph_->links()) recomputed.push_back(l.capacity);
-  bool placements_ok = true;
-  std::size_t expected_entries = 0;
-  ForEachPlacement([&](FlowId, const flow::Flow& f, const topo::Path& path) {
-    if (!graph_->IsValidPath(path)) placements_ok = false;
-    if (path.source() != f.src || path.destination() != f.dst) {
-      placements_ok = false;
-    }
-    // No flow may keep occupying a failed link or switch.
-    if (!PathAlive(path)) placements_ok = false;
-    for (LinkId lid : path.links) recomputed[lid.value()] -= f.demand;
-    expected_entries += path.links.size();
-  });
-  if (!placements_ok) return false;
-  for (std::size_t i = 0; i < residual_.size(); ++i) {
-    if (std::abs(recomputed[i] - residual_[i]) > 1e-3) return false;
-    if (residual_[i] < -1e-3) return false;  // congestion-free invariant
-  }
-  // link_flows_ agrees with placements.
-  std::size_t total_link_entries = 0;
-  for (const auto& flows : link_flows_) {
-    if (!std::is_sorted(flows.begin(), flows.end())) return false;
-    total_link_entries += flows.size();
-  }
-  if (total_link_entries != expected_entries) return false;
-  if (placed_count_ != flows_.size()) return false;
-  return true;
 }
 
 }  // namespace nu::net

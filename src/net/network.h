@@ -81,8 +81,8 @@ class Network final : public MutableNetwork {
   FlowId Place(flow::Flow flow, PathRef path) override;
 
   /// Places even if it would congest links (residual may go negative).
-  /// Exists for experiments that study congestion; invariant checking then
-  /// reports the congested links.
+  /// Exists for experiments that study congestion; guard::Auditor then
+  /// reports the congested links unless told force placements exist.
   FlowId ForcePlace(flow::Flow flow, const topo::Path& path);
 
   /// Removes a flow, releasing its bandwidth.
@@ -115,22 +115,7 @@ class Network final : public MutableNetwork {
     }
   }
 
-  /// ForEachPlacementRef with the path resolved:
-  /// `fn(FlowId, const flow::Flow&, const topo::Path&)`.
-  template <typename Fn>
-  void ForEachPlacement(Fn&& fn) const {
-    ForEachPlacementRef(
-        [&](FlowId id, const flow::Flow& flow, PathRef ref) {
-          fn(id, flow, registry_->Get(ref));
-        });
-  }
-
   [[nodiscard]] std::size_t placed_flow_count() const { return placed_count_; }
-
-  /// True when no link has negative residual and internal accounting is
-  /// consistent (recomputing residuals from placements matches the
-  /// incremental values). O(V + E + flows * diameter).
-  [[nodiscard]] bool CheckInvariants() const;
 
   // --- Fault state -------------------------------------------------------
   // Links and switches can be administratively down (fault injection). A
@@ -190,11 +175,12 @@ class Network final : public MutableNetwork {
     return flows_.peek_next_id();
   }
 
-  /// Honest byte footprint of the mutable state a deep copy would duplicate:
-  /// residual/liveness arrays, link-flow id vectors, the dense placement-ref
-  /// and flow-slot stores, and the shared path registry's storage (chunks,
-  /// per-path vectors, dedup index). Feeds the overlay_bytes_saved probe
-  /// statistic and the scale-tier bytes comparison.
+  /// Byte footprint of the network's state: residual/liveness arrays,
+  /// link-flow id vectors, the dense placement-ref and flow-slot stores,
+  /// and the shared path registry's storage (chunks, per-path vectors,
+  /// dedup index). Counts vector capacities, so it depends on how the state
+  /// grew, not only on what it holds. Feeds perfbench's `net.state_bytes`
+  /// and the scale-tier bytes comparison.
   [[nodiscard]] std::size_t ApproxStateBytes() const;
 
   /// Releases the slack capacity bulk loading left in the dense stores

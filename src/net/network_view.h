@@ -108,8 +108,9 @@ class NetworkView {
 /// `demand` currently routed on `current`, counting the flow's own
 /// occupancy as free when the link is on its path. Reading the path, not
 /// the link's flow list, gives the same answer: every Place, Reroute and
-/// Remove updates the path and the lists together (Network::CheckInvariants
-/// checks that they agree), and the sum is the same double either way.
+/// Remove updates the path and the lists together (a network test rebuilds
+/// the lists from the placements and compares), and the sum is the same
+/// double either way.
 [[nodiscard]] inline Mbps SelfReleaseResidual(Mbps residual, LinkId link,
                                               const topo::Path& current,
                                               Mbps demand) {

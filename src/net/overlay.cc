@@ -132,15 +132,4 @@ void NetworkOverlay::Remove(FlowId id) {
   paths_.erase(id.value());
 }
 
-std::size_t NetworkOverlay::ApproxDeltaBytes() const {
-  std::size_t bytes = residual_.capacity() * sizeof(Mbps) +
-                      removed_.size() * sizeof(FlowId) +
-                      added_flows_.size() * sizeof(flow::Flow) +
-                      paths_.size() * (sizeof(FlowId) + sizeof(PathRef));
-  for (const auto& [_, flows] : link_flows_) {
-    bytes += sizeof(flows) + flows.capacity() * sizeof(std::uint32_t);
-  }
-  return bytes;
-}
-
 }  // namespace nu::net

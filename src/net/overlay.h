@@ -75,10 +75,6 @@ class NetworkOverlay final : public MutableNetwork {
 
   [[nodiscard]] const NetworkView& base() const { return *base_; }
 
-  /// Rough byte footprint of the delta this overlay holds — what a probe
-  /// actually allocated instead of a full copy.
-  [[nodiscard]] std::size_t ApproxDeltaBytes() const;
-
  private:
   /// This overlay's residual row, copied from the base's on first use.
   std::vector<Mbps>& OwnResiduals();

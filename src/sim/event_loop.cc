@@ -127,9 +127,6 @@ class RoundContext final : public sched::SchedulingContext {
       }
     }
 
-    // Sampled before the first plan: ApproxStateBytes includes the shared
-    // path registry, which planning grows.
-    if (!missed.empty()) (void)StateBytes();
     std::vector<update::EventPlan> plans(missed.size());
     const auto plan = [this, &missed, &plans](std::size_t j) {
       plans[j] = planner_.Plan(network_, *missed[j]);
@@ -150,8 +147,6 @@ class RoundContext final : public sched::SchedulingContext {
         ++stats_.probe_cache_hits;
         continue;
       }
-      ++stats_.overlay_probes;
-      stats_.overlay_bytes_saved += static_cast<double>(StateBytes());
       out[i] = ProbedCost(plans[j], event);
       CacheStore(event.id(), out[i], &plans[j]);
       ++j;
@@ -167,8 +162,6 @@ class RoundContext final : public sched::SchedulingContext {
     probed_bits_[index] = 1;
 
     net::NetworkOverlay& scratch = EnsureScratch(selected);
-    ++stats_.overlay_probes;
-    stats_.overlay_bytes_saved += static_cast<double>(StateBytes());
     const update::EventPlan plan = planner_.Plan(scratch, event);
     if (!plan.fully_feasible) return false;
     // Near-free wins only: co-scheduling should not buy parallelism with
@@ -245,13 +238,6 @@ class RoundContext final : public sched::SchedulingContext {
     entry.plan = plan != nullptr ? std::move(*plan) : update::EventPlan{};
   }
 
-  /// Deep-copy footprint of the round network, memoized (the network is
-  /// frozen while the round's probes run).
-  [[nodiscard]] std::size_t StateBytes() {
-    if (!state_bytes_.has_value()) state_bytes_ = network_.ApproxStateBytes();
-    return *state_bytes_;
-  }
-
   /// Lazily maintains an overlay with `selected` events applied. P-LMTF
   /// grows `selected` by appending, so the applied prefix usually stays
   /// valid; any other shape triggers a rebuild.
@@ -284,7 +270,6 @@ class RoundContext final : public sched::SchedulingContext {
   std::vector<char> probed_bits_;
   std::optional<net::NetworkOverlay> scratch_;
   std::vector<std::size_t> applied_;
-  std::optional<std::size_t> state_bytes_;
   sched::QueuePressure pressure_;
   ProbeRuntime& probe_rt_;
   /// The run's probe counters (owned by the collector).
@@ -1010,8 +995,8 @@ class EventLoop {
     dynamic_faults_.push_back(spec);
   }
 
-  /// After each occurrence batch: cascade observation, serve tick,
-  /// invariant check and audit.
+  /// After each occurrence batch: cascade observation, serve tick and
+  /// audit.
   void AfterBatch() {
     const fault::CascadeConfig& cascade = config_.faults.cascade;
     if (cascade.enabled()) {
@@ -1039,9 +1024,6 @@ class EventLoop {
       // drain just moved the clock and may have completed events, fired
       // faults, or stressed links.
       serve_rt_->Tick(network_, now_, queue_.size(), active_.size());
-    }
-    if (config_.validate_invariants) {
-      NU_CHECK(network_.CheckInvariants() || result_.forced_placements > 0);
     }
     // Degradation ladder level 2+: optional cadence audits are suppressed
     // to shed audit work under overload; fault-triggered (audit_due_) and
@@ -1238,8 +1220,6 @@ class EventLoop {
       result_.serve_tenant_csv = serve_rt_->TenantReportCsv();
     }
     NU_CHECK(collector_.AllTerminal());
-    NU_CHECK(!config_.validate_invariants || network_.CheckInvariants() ||
-             result_.forced_placements > 0);
 
     result_.records = collector_.records();
     result_.fault_stats = collector_.fault_stats();

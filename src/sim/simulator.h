@@ -90,10 +90,6 @@ struct SimConfig {
   std::uint64_t seed = 1;
   /// Record a per-round log (who executed when) for examples/debugging.
   bool keep_round_log = false;
-  /// Re-verify the network's congestion-free invariant (full recompute)
-  /// after every occurrence batch. O(flows x diameter) per check — for
-  /// tests and debugging, not for benches.
-  bool validate_invariants = false;
   /// Cost probes use update::QuickCostScore (per-flow deficit estimates,
   /// ~10x cheaper) instead of full event planning. The executed event is
   /// then planned for real at execution time. Trades probe fidelity for

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "guard/auditor.h"
+
 namespace nu::exp {
 namespace {
 
@@ -21,7 +23,7 @@ TEST(WorkloadTest, BuildsConfiguredPieces) {
   EXPECT_EQ(w.fat_tree().k(), 4u);
   EXPECT_EQ(w.events().size(), 5u);
   EXPECT_GE(w.background().achieved_utilization, 0.4);
-  EXPECT_TRUE(w.network().CheckInvariants());
+  EXPECT_EQ(guard::Auditor().Audit(w.network(), {}), 0u);
   for (const auto& e : w.events()) {
     EXPECT_GE(e.flow_count(), 3u);
     EXPECT_LE(e.flow_count(), 10u);
@@ -71,7 +73,7 @@ TEST(WorkloadTest, LeafSpineTopologyBuilds) {
   EXPECT_EQ(w.hosts().size(), 16u);
   EXPECT_GT(w.background().placed_flows, 0u);
   EXPECT_EQ(w.events().size(), config.event_count);
-  EXPECT_TRUE(w.network().CheckInvariants());
+  EXPECT_EQ(guard::Auditor().Audit(w.network(), {}), 0u);
 }
 
 TEST(WorkloadDeathTest, WrongTopologyAccessorDies) {

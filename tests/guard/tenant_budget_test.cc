@@ -111,5 +111,16 @@ TEST(TenantBudgetsTest, SaveLoadRoundTrip) {
                    budgets.bucket(TenantId{1}).TokensAt(1.0));
 }
 
+// A CRC-valid snapshot can still hold a bucket count other than the
+// roster's. LoadState throws CorruptInput, the recovery path's cue to fall
+// back to an older snapshot.
+TEST(TenantBudgetsTest, LoadRejectsABucketCountOffTheRoster) {
+  BinWriter w;
+  TenantBudgets(EnabledConfig(), {1.0, 2.0, 3.0}).SaveState(w);
+  TenantBudgets restored(EnabledConfig(), {1.0, 3.0});
+  BinReader r(w.buffer());
+  EXPECT_THROW(restored.LoadState(r), CorruptInput);
+}
+
 }  // namespace
 }  // namespace nu::guard

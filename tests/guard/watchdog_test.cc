@@ -67,5 +67,19 @@ TEST(WatchdogTest, RequeueDelayTracksMissCount) {
   EXPECT_DOUBLE_EQ(watchdog.RequeueDelay(event), 1.0);
 }
 
+// A CRC-valid snapshot can still list one event twice. LoadState throws
+// CorruptInput, the recovery path's cue to fall back to an older snapshot.
+TEST(WatchdogTest, LoadRejectsARepeatedEvent) {
+  BinWriter w;
+  w.Size(2);
+  w.U64(7);  // event id
+  w.U64(1);  // misses
+  w.U64(7);
+  w.U64(2);
+  Watchdog watchdog(TestConfig());
+  BinReader r(w.buffer());
+  EXPECT_THROW(watchdog.LoadState(r), CorruptInput);
+}
+
 }  // namespace
 }  // namespace nu::guard

@@ -29,13 +29,12 @@ ExperimentConfig SoakConfig(std::uint64_t seed) {
   config.alpha = 4;
   config.seed = seed;
   config.background_churn = true;
-  config.sim.validate_invariants = true;
   config.sim.faults.flaky.failure_probability = 0.2;
   config.sim.faults.flaky.latency_jitter_frac = 0.15;
   config.sim.faults.retry.max_attempts = 3;
   config.sim.faults.retry.base_delay = 0.02;
   config.sim.guard.auditor.enabled = true;
-  config.sim.guard.auditor.cadence = 8;
+  config.sim.guard.auditor.cadence = 1;
   return config;
 }
 

@@ -51,8 +51,6 @@ TEST(ExportTest, ReportCsvHasAllColumns) {
   report.max_queue_length = 16;
   report.probe_cache_hits = 7;
   report.exec_plan_reuses = 6;
-  report.overlay_probes = 40;
-  report.overlay_bytes_saved = 1024.0;
   report.drift_checks = 9;
   report.drift_rules_detected = 8;
   report.grey_ack_lies = 3;
@@ -65,7 +63,7 @@ TEST(ExportTest, ReportCsvHasAllColumns) {
   WriteReportCsv(out, report);
   const CsvFile parsed = ParseCsv(out.str(), /*has_header=*/true);
   ASSERT_EQ(parsed.rows.size(), 1u);
-  EXPECT_EQ(parsed.header.size(), 56u);
+  EXPECT_EQ(parsed.header.size(), 54u);
   EXPECT_EQ(parsed.rows[0][*parsed.ColumnIndex("events")], "3");
   EXPECT_EQ(parsed.rows[0][*parsed.ColumnIndex("avg_ect")], "10.0000");
   EXPECT_EQ(parsed.rows[0][*parsed.ColumnIndex("makespan")], "25.0000");
@@ -80,8 +78,6 @@ TEST(ExportTest, ReportCsvHasAllColumns) {
   EXPECT_EQ(parsed.rows[0][*parsed.ColumnIndex("max_queue_length")], "16");
   EXPECT_EQ(parsed.rows[0][*parsed.ColumnIndex("probe_cache_hits")], "7");
   EXPECT_EQ(parsed.rows[0][*parsed.ColumnIndex("exec_plan_reuses")], "6");
-  EXPECT_EQ(parsed.rows[0][*parsed.ColumnIndex("overlay_probes")], "40");
-  EXPECT_EQ(parsed.rows[0][*parsed.ColumnIndex("overlay_bytes_saved")], "1024");
   EXPECT_EQ(parsed.rows[0][*parsed.ColumnIndex("drift_checks")], "9");
   EXPECT_EQ(parsed.rows[0][*parsed.ColumnIndex("drift_rules_detected")], "8");
   EXPECT_EQ(parsed.rows[0][*parsed.ColumnIndex("grey_ack_lies")], "3");

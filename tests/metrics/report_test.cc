@@ -60,12 +60,5 @@ TEST(ReductionsTest, ComputesRelativeGains) {
   EXPECT_DOUBLE_EQ(red.plan_time_ratio, 4.5);
 }
 
-TEST(ReportTest, DebugStringHasFields) {
-  const Report r = BuildReport(MakeCollector(), 0.0);
-  const std::string s = r.DebugString();
-  EXPECT_NE(s.find("avg_ect"), std::string::npos);
-  EXPECT_NE(s.find("makespan"), std::string::npos);
-}
-
 }  // namespace
 }  // namespace nu::metrics

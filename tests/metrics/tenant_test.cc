@@ -70,7 +70,7 @@ TEST(TenantAccountantTest, SaveLoadRoundTrip) {
 
   BinWriter w;
   acc.SaveState(w);
-  TenantAccountant restored;
+  TenantAccountant restored = TwoTenants();
   BinReader r(w.buffer());
   restored.LoadState(r);
 
@@ -88,6 +88,61 @@ TEST(TenantAccountantTest, SaveLoadRoundTrip) {
   EXPECT_EQ(restored.Of(TenantId{1}).quarantined, 1u);
   EXPECT_DOUBLE_EQ(restored.JainEct(), acc.JainEct());
   EXPECT_DOUBLE_EQ(restored.JainAdmission(), acc.JainAdmission());
+}
+
+// A CRC-valid snapshot can still hold a ledger count other than the
+// roster's. LoadState throws CorruptInput, the recovery path's cue to fall
+// back to an older snapshot, instead of loading a ledger that a later event
+// of a missing tenant indexes past.
+TEST(TenantAccountantTest, LoadRejectsALedgerCountOffTheRoster) {
+  TenantAccountant one;
+  one.SetTenants({"premium"});
+  BinWriter fewer;
+  one.SaveState(fewer);
+  TenantAccountant restored = TwoTenants();
+  BinReader r(fewer.buffer());
+  EXPECT_THROW(
+      {
+        restored.LoadState(r);
+        ++restored.Of(TenantId{1}).arrivals;  // tenant 1's next event
+      },
+      CorruptInput);
+
+  TenantAccountant three;
+  three.SetTenants({"premium", "besteffort", "batch"});
+  BinWriter more;
+  three.SaveState(more);
+  BinReader r_more(more.buffer());
+  EXPECT_THROW(TwoTenants().LoadState(r_more), CorruptInput);
+}
+
+// A payload that throws partway through the ledger (here tenant 1's ECT
+// sample count runs past the end) must leave the accountant able to load the
+// next older snapshot, as Checkpointer::Recover retries on the same object.
+TEST(TenantAccountantTest, LoadAfterAThrowMidLedgerStillLoads) {
+  BinWriter torn;
+  torn.Size(2);
+  torn.Str("premium");
+  for (int counter = 0; counter < 9; ++counter) torn.U64(1);
+  torn.Size(0);  // no ECT samples
+  torn.Str("besteffort");
+  for (int counter = 0; counter < 9; ++counter) torn.U64(1);
+  torn.Size(1000);  // ECT samples the payload does not hold
+  TenantAccountant acc = TwoTenants();
+  BinReader r_torn(torn.buffer());
+  EXPECT_THROW(acc.LoadState(r_torn), CorruptInput);
+
+  TenantAccountant older = TwoTenants();
+  older.Of(TenantId{1}).arrivals = 4;
+  older.Of(TenantId{1}).ect.Add(3.0);
+  BinWriter valid;
+  older.SaveState(valid);
+  BinReader r_valid(valid.buffer());
+  acc.LoadState(r_valid);
+  ASSERT_EQ(acc.tenant_count(), 2u);
+  EXPECT_EQ(acc.Of(TenantId{1}).name, "besteffort");
+  EXPECT_EQ(acc.Of(TenantId{1}).arrivals, 4u);
+  EXPECT_EQ(acc.Of(TenantId{1}).ect.count(), 1u);
 }
 
 }  // namespace

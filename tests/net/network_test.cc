@@ -12,6 +12,7 @@
 
 #include "common/binio.h"
 #include "common/rng.h"
+#include "guard/auditor.h"
 #include "support/network_payload.h"
 #include "topo/fat_tree.h"
 #include "topo/path_provider.h"
@@ -59,7 +60,7 @@ TEST(NetworkTest, InitialResidualEqualsCapacity) {
     EXPECT_DOUBLE_EQ(net.Utilization(l.id), 0.0);
   }
   EXPECT_DOUBLE_EQ(net.AverageUtilization(), 0.0);
-  EXPECT_TRUE(net.CheckInvariants());
+  EXPECT_EQ(guard::Auditor().Audit(net, {}), 0u);
 }
 
 TEST(NetworkTest, PlaceConsumesResidual) {
@@ -71,7 +72,7 @@ TEST(NetworkTest, PlaceConsumesResidual) {
   EXPECT_DOUBLE_EQ(net.Residual(p.links[1]), 70.0);
   EXPECT_EQ(net.placed_flow_count(), 1u);
   EXPECT_EQ(net.PathOf(id), p);
-  EXPECT_TRUE(net.CheckInvariants());
+  EXPECT_EQ(guard::Auditor().Audit(net, {}), 0u);
 }
 
 TEST(NetworkTest, RemoveReleasesResidual) {
@@ -82,7 +83,7 @@ TEST(NetworkTest, RemoveReleasesResidual) {
   net.Remove(id);
   EXPECT_DOUBLE_EQ(net.Residual(p.links[0]), 100.0);
   EXPECT_EQ(net.placed_flow_count(), 0u);
-  EXPECT_TRUE(net.CheckInvariants());
+  EXPECT_EQ(guard::Auditor().Audit(net, {}), 0u);
 }
 
 TEST(NetworkTest, CanPlaceRespectsResidual) {
@@ -140,7 +141,7 @@ TEST(NetworkTest, RerouteMovesBandwidth) {
   EXPECT_DOUBLE_EQ(net.Residual(top_path.links[0]), 100.0);
   EXPECT_DOUBLE_EQ(net.Residual(bottom_path.links[0]), 40.0);
   EXPECT_EQ(net.PathOf(id), bottom_path);
-  EXPECT_TRUE(net.CheckInvariants());
+  EXPECT_EQ(guard::Auditor().Audit(net, {}), 0u);
 }
 
 TEST(NetworkTest, RerouteToOverlappingPathUsesSelfRelease) {
@@ -151,7 +152,7 @@ TEST(NetworkTest, RerouteToOverlappingPathUsesSelfRelease) {
   // Rerouting onto the same path must succeed (self-capacity counts).
   net.Reroute(id, p);
   EXPECT_DOUBLE_EQ(net.Residual(p.links[0]), 0.0);
-  EXPECT_TRUE(net.CheckInvariants());
+  EXPECT_EQ(guard::Auditor().Audit(net, {}), 0u);
 }
 
 TEST(NetworkTest, LinkFlowIdsTrackMembership) {
@@ -177,7 +178,8 @@ TEST(NetworkTest, ForcePlaceAllowsOversubscription) {
   net.Place(fx.MakeFlow(90.0), p);
   net.ForcePlace(fx.MakeFlow(50.0), p);
   EXPECT_LT(net.Residual(p.links[0]), 0.0);
-  EXPECT_FALSE(net.CheckInvariants());  // congestion-free invariant violated
+  // Congestion-free invariant violated.
+  EXPECT_GT(guard::Auditor().Audit(net, {}), 0u);
 }
 
 TEST(NetworkTest, CopyIsIndependent) {
@@ -212,8 +214,8 @@ TEST(NetworkTest, CopyIsIndependent) {
   EXPECT_EQ(copy.down_link_count(), 0u);
   EXPECT_EQ(copy.down_node_count(), 0u);
   EXPECT_GT(copy.topology_epoch(), epoch);
-  EXPECT_TRUE(net.CheckInvariants());
-  EXPECT_TRUE(copy.CheckInvariants());
+  EXPECT_EQ(guard::Auditor().Audit(net, {}), 0u);
+  EXPECT_EQ(guard::Auditor().Audit(copy, {}), 0u);
 }
 
 TEST(NetworkTest, UtilizationAverages) {
@@ -310,9 +312,9 @@ TEST(NetworkFaultStateTest, InvariantsFailWhileFlowsOccupyDeadElements) {
   const Path p = fx.AbcPath();
   const FlowId id = net.Place(fx.MakeFlow(10.0), p);
   net.SetLinkUp(p.links[1], false);
-  EXPECT_FALSE(net.CheckInvariants());
+  EXPECT_GT(guard::Auditor().Audit(net, {}), 0u);
   net.Remove(id);
-  EXPECT_TRUE(net.CheckInvariants());
+  EXPECT_EQ(guard::Auditor().Audit(net, {}), 0u);
 }
 
 TEST(NetworkFaultStateTest, RerouteRejectsDeadTargetPath) {
@@ -343,7 +345,7 @@ TEST(NetworkLoadStateTest, OutOfRangeIdsThrowCorruptInput) {
   const Path good = fx.AbcPath();
   const Network loaded = load(good);
   EXPECT_EQ(loaded.placed_flow_count(), 1u);
-  EXPECT_TRUE(loaded.CheckInvariants());
+  EXPECT_EQ(guard::Auditor().Audit(loaded, {}), 0u);
 
   Path bad_link = good;
   bad_link.links[1] = LinkId{static_cast<LinkId::rep_type>(

@@ -90,7 +90,6 @@ TEST(OverlayTest, FreshOverlayReadsFallThrough) {
   ExpectIdentical(overlay, fx.base, ids);
   // No write yet: the overlay serves the base's own row, not a copy.
   EXPECT_EQ(overlay.ResidualData(), fx.base.ResidualData());
-  EXPECT_EQ(overlay.ApproxDeltaBytes(), 0u);
 }
 
 TEST(OverlayTest, RandomOpsMatchDeepCopy) {
@@ -141,7 +140,6 @@ TEST(OverlayTest, RandomOpsMatchDeepCopy) {
     }
     ExpectIdentical(overlay, copy, ids);
   }
-  EXPECT_GT(overlay.ApproxDeltaBytes(), 0u);
 }
 
 TEST(OverlayTest, BaseIsNeverMutated) {
@@ -215,18 +213,6 @@ TEST(OverlayTest, OverlayOverOverlayMatchesDeepCopy) {
   ExpectIdentical(inner, inner_copy, ids);
   // The outer layer must not have seen the inner mutation.
   ExpectIdentical(outer, copy, ids);
-}
-
-TEST(OverlayTest, DeltaStaysFarSmallerThanDeepCopy) {
-  DiffFixture fx;
-  NetworkOverlay overlay(fx.base);
-  Rng rng(5);
-  const flow::Flow f = fx.RandomFlow(rng, 2.0);
-  const Path& p = fx.provider.Paths(f.src, f.dst).front();
-  overlay.Place(f, p);
-  // A one-flow probe touches a handful of links; a deep copy clones the
-  // whole fat tree. The gap is the point of the overlay.
-  EXPECT_LT(overlay.ApproxDeltaBytes() * 4, fx.base.ApproxStateBytes());
 }
 
 /// Residual rows, link lists and placements of `a` and `b` agree exactly.

@@ -6,6 +6,7 @@
 
 #include <set>
 
+#include "guard/auditor.h"
 #include "topo/fat_tree.h"
 #include "topo/path_provider.h"
 #include "topo/random_graph.h"
@@ -52,7 +53,7 @@ TEST_P(MigrationPropertyTest, FeasiblePlansAreSoundOnFatTree) {
   for (int trial = 0; trial < 60; ++trial) {
     net::Network network(ft.graph());
     RandomLoad::Fill(network, provider, ft.hosts(), rng, 150);
-    ASSERT_TRUE(network.CheckInvariants());
+    ASSERT_EQ(guard::Auditor().Audit(network, {}), 0u);
 
     const NodeId src = ft.host(rng.Index(ft.host_count()));
     NodeId dst = ft.host(rng.Index(ft.host_count()));
@@ -79,7 +80,7 @@ TEST_P(MigrationPropertyTest, FeasiblePlansAreSoundOnFatTree) {
     // and ends with the desired path feasible.
     for (const MigrationMove& move : plan.moves) {
       network.Reroute(move.flow, network.path_registry().Get(move.new_path));
-      ASSERT_TRUE(network.CheckInvariants());
+      ASSERT_EQ(guard::Auditor().Audit(network, {}), 0u);
     }
     EXPECT_TRUE(network.CanPlace(demand, desired));
 
@@ -130,7 +131,7 @@ TEST_P(MigrationPropertyTest, FeasiblePlansAreSoundOnRandomGraphs) {
     ++feasible_count;
     MigrationOptimizer::Apply(network, plan);
     EXPECT_TRUE(network.CanPlace(demand, desired));
-    EXPECT_TRUE(network.CheckInvariants());
+    EXPECT_EQ(guard::Auditor().Audit(network, {}), 0u);
   }
   // Random graphs with tight capacity should exercise at least one feasible
   // migration across the trials (seeded, so deterministic).

@@ -83,7 +83,6 @@ SimConfig OracleConfig(const Fixture& fx) {
   config.seed = 20260805;
   config.cost_model.plan_time_per_flow = 0.002;
   config.cost_model.install_time_per_flow = 0.05;
-  config.validate_invariants = true;
   config.faults.plan.AddLinkOutage(0.6, 2.0,
                                    fx.ft.graph().OutLinks(fx.ft.host(0))[0]);
   config.faults.flaky.failure_probability = 0.2;
@@ -95,8 +94,9 @@ SimConfig OracleConfig(const Fixture& fx) {
   config.guard.deadline.per_flow_deadline = 1.0;
   config.guard.deadline.requeue_backoff = 0.5;
   config.guard.deadline.max_failures = 3;
-  config.guard.auditor.enabled = true;
-  config.guard.auditor.cadence = 4;
+  config.guard.auditor = {.enabled = true,
+                          .mode = guard::AuditMode::kFailFast,
+                          .cadence = 1};
   return config;
 }
 
@@ -113,10 +113,6 @@ std::string RecordsCsv(const SimResult& result) {
 /// all probe counters — must match exactly.
 std::string NormalizedReportCsv(const SimResult& result) {
   metrics::Report report = result.report;
-  // overlay_bytes_saved sums Network::ApproxStateBytes(), which counts
-  // vector CAPACITIES — an allocation artifact that differs between a
-  // network grown in place and one rebuilt from a snapshot.
-  report.overlay_bytes_saved = 0.0;
   report.ckpt_recoveries = 0;
   report.ckpt_wal_replayed = 0;
   report.ckpt_snapshot_bytes = 0.0;
@@ -244,12 +240,18 @@ TEST_P(CrashRecoveryTest, CrashDuringRepairRecoversBitIdentical) {
   ref_config.faults.grey = fault::ParseGreyModel(
       "acklie:0.25+straggler:0.3:0.1:0.5+loss:0.15:0.5:1.5");
   ref_config.recon.enabled = true;
+  // Audit every 4th occurrence: the count since the last pass then rides
+  // the snapshot, and a wrong restore of it shifts `audits_run`.
+  ref_config.guard.auditor = {.enabled = true,
+                              .mode = guard::AuditMode::kLogAndCount,
+                              .cadence = 4};
   ref_config.checkpoint.dir = ref_dir.path().string();
   ref_config.checkpoint.cadence = 2;
   const SimResult reference = RunWith(fx, ref_config, kind, events);
   const std::string want_records = RecordsCsv(reference);
   const std::string want_report = NormalizedReportCsv(reference);
   ASSERT_GE(reference.rounds, 3u);
+  EXPECT_TRUE(reference.violations.empty());
   // The run must actually have been drifting, or this proves nothing.
   ASSERT_GT(reference.report.drift_rules_detected, 0u);
   ASSERT_GT(reference.report.drift_repairs, 0u);
@@ -281,6 +283,7 @@ TEST_P(CrashRecoveryTest, CrashDuringRepairRecoversBitIdentical) {
       EXPECT_TRUE(recovered.recovery.recovered) << tag;
       EXPECT_EQ(RecordsCsv(recovered), want_records) << tag;
       EXPECT_EQ(NormalizedReportCsv(recovered), want_report) << tag;
+      EXPECT_TRUE(recovered.violations.empty()) << tag;
     }
   }
 }

@@ -57,7 +57,9 @@ SimConfig SlowInstallConfig() {
   config.cost_model.migration_rate = 10000.0;
   config.cost_model.install_time_per_flow = 1.0;  // faults can hit mid-install
   config.seed = 7;
-  config.validate_invariants = true;
+  config.guard.auditor = {.enabled = true,
+                          .mode = guard::AuditMode::kFailFast,
+                          .cadence = 1};
   return config;
 }
 

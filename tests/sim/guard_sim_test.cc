@@ -81,7 +81,9 @@ SimConfig FastConfig() {
   config.cost_model.migration_rate = 10000.0;
   config.cost_model.install_time_per_flow = 0.01;
   config.seed = 11;
-  config.validate_invariants = true;
+  config.guard.auditor = {.enabled = true,
+                          .mode = guard::AuditMode::kFailFast,
+                          .cadence = 1};
   return config;
 }
 
@@ -173,8 +175,6 @@ TEST(GuardSimTest, WatchdogAbortRollsBackPlacements) {
   config.cost_model.install_time_per_flow = 1.0;
   config.guard.deadline.base_deadline = 1.2;
   config.guard.deadline.max_failures = 1;  // quarantine on the first miss
-  config.guard.auditor.enabled = true;
-  config.guard.auditor.cadence = 1;
 
   std::vector<update::UpdateEvent> events;
   events.push_back(update::UpdateEvent(
@@ -224,15 +224,14 @@ TEST(GuardSimTest, RequeuedEventCompletesOnceCapacityReturns) {
 
 TEST(GuardSimTest, GenerousGuardNeverPerturbsResults) {
   // Guard fully on but with limits no healthy run hits: records must be
-  // bit-identical to the guard-off run, and the auditor must stay silent.
+  // bit-identical to the guard-off run, and the auditor (fail-fast, every
+  // batch) must stay silent.
   TreeFixture fx;
   SimConfig off = FastConfig();
+  off.guard.auditor.enabled = false;
   SimConfig on = FastConfig();
   on.guard.overload.max_queue_length = 1000;
   on.guard.deadline.base_deadline = 1e6;
-  on.guard.auditor.enabled = true;
-  on.guard.auditor.cadence = 2;
-  on.guard.auditor.mode = guard::AuditMode::kFailFast;  // any violation aborts
 
   auto run = [&](const SimConfig& config) {
     std::vector<update::UpdateEvent> events;
@@ -271,8 +270,6 @@ TEST(GuardSimTest, BoundedQueueStaysBoundedUnderBurst) {
   config.cost_model.plan_time_per_flow = 0.05;  // slow rounds: queue builds
   config.guard.overload.max_queue_length = 4;
   config.guard.overload.policy = guard::OverloadPolicy::kShedCostliest;
-  config.guard.auditor.enabled = true;
-  config.guard.auditor.cadence = 8;
 
   std::vector<update::UpdateEvent> events;
   for (std::uint64_t i = 0; i < 20; ++i) {

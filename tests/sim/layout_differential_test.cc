@@ -4,10 +4,7 @@
 // CSVs byte-identical to the checked-in goldens, which were generated by the
 // legacy layout (unordered_map flow table and placements, deep topo::Path
 // copies per flow, unsorted link-flow lists) before the dense-store/path-
-// interning rewrite. Report CSVs are compared after zeroing the
-// measuring-instrument column overlay_bytes_saved (it is defined by
-// ApproxStateBytes, whose accounting that rewrite deliberately made
-// honest) — every behavioral column must match exactly.
+// interning rewrite. Report CSVs must match the goldens byte for byte.
 //
 // Regenerate (only for an intentional behavior change):
 //   NU_REGEN_LAYOUT_GOLDENS=1 build/tests/test_sim
@@ -85,14 +82,9 @@ std::string RecordsCsv(const SimResult& result) {
   return out.str();
 }
 
-/// Report CSV with the measuring-instrument column zeroed (see file
-/// comment); everything else — costs, delays, fault/guard/probe counters —
-/// must be byte-identical across layouts.
-std::string NormalizedReportCsv(const SimResult& result) {
-  metrics::Report report = result.report;
-  report.overlay_bytes_saved = 0.0;
+std::string ReportCsv(const SimResult& result) {
   std::ostringstream out;
-  metrics::WriteReportCsv(out, report);
+  metrics::WriteReportCsv(out, result.report);
   return out.str();
 }
 
@@ -126,7 +118,7 @@ TEST(LayoutDifferentialTest, MatchesLegacyLayoutGoldens) {
     for (const sched::SchedulerKind kind : kSchedulers) {
       const SimResult result = exp::RunScheduler(workload, kind);
       const std::string records = RecordsCsv(result);
-      const std::string report = NormalizedReportCsv(result);
+      const std::string report = ReportCsv(result);
       const fs::path records_path =
           GoldenDir() / GoldenName(seed, kind, "records");
       const fs::path report_path =

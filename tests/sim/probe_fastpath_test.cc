@@ -121,8 +121,6 @@ TEST(ProbeFastPathTest, CacheMatchesUncachedAllSchedulers) {
       // The probed winner's plan is replayed at execution time.
       EXPECT_GT(b.probe_stats.exec_plan_reuses, 0u);
       EXPECT_GT(b.probe_stats.probe_cache_misses, 0u);
-      EXPECT_GT(a.probe_stats.overlay_probes, 0u);
-      EXPECT_GT(a.probe_stats.overlay_bytes_saved, 0.0);
     }
   }
 }

@@ -84,7 +84,6 @@ SimConfig OracleConfig(const Fixture& fx) {
   config.seed = 20260808;
   config.cost_model.plan_time_per_flow = 0.002;
   config.cost_model.install_time_per_flow = 0.05;
-  config.validate_invariants = true;
   config.faults.plan.AddLinkOutage(0.5, 2.0,
                                    fx.ft.graph().OutLinks(fx.ft.host(0))[0]);
   config.faults.flaky.failure_probability = 0.15;
@@ -96,8 +95,9 @@ SimConfig OracleConfig(const Fixture& fx) {
   config.guard.deadline.per_flow_deadline = 1.0;
   config.guard.deadline.requeue_backoff = 0.5;
   config.guard.deadline.max_failures = 3;
-  config.guard.auditor.enabled = true;
-  config.guard.auditor.cadence = 4;
+  config.guard.auditor = {.enabled = true,
+                          .mode = guard::AuditMode::kFailFast,
+                          .cadence = 1};
   return config;
 }
 
@@ -132,11 +132,6 @@ TEST_P(ShardDeterminismTest, ShardedMatchesUnshardedAtAnyThreadCount) {
   const Fixture fx;
   const auto events = MakeEvents(fx);
   const SimConfig plain = OracleConfig(fx);
-  // The fixture network's interned-path registry is shared across runs and
-  // grows on first use; overlay_bytes_saved samples its footprint. Warm it
-  // with a discarded run so the reference and every sharded run observe
-  // the same fully-grown registry.
-  (void)RunWith(fx, plain, GetParam(), events);
   const SimResult baseline = RunWith(fx, plain, GetParam(), events);
   const std::string want_records = RecordsCsv(baseline);
   const std::string want_report = ReportCsv(baseline);
@@ -193,7 +188,6 @@ TEST_P(ShardDeterminismTest, GreyReconciliationIsThreadCountInvariant) {
   plain.faults.grey = fault::ParseGreyModel(
       "acklie:0.2+straggler:0.25:0.1:0.5+loss:0.1:0.5:1.5");
   plain.recon.enabled = true;
-  (void)RunWith(fx, plain, GetParam(), events);  // warm the path registry
   const SimResult baseline = RunWith(fx, plain, GetParam(), events);
   const std::string want_records = RecordsCsv(baseline);
   const std::string want_report = ReportCsv(baseline);

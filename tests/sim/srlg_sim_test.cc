@@ -41,7 +41,9 @@ SimConfig SlowInstallConfig() {
   config.cost_model.migration_rate = 10000.0;
   config.cost_model.install_time_per_flow = 1.0;  // faults hit mid-install
   config.seed = 7;
-  config.validate_invariants = true;
+  config.guard.auditor = {.enabled = true,
+                          .mode = guard::AuditMode::kFailFast,
+                          .cadence = 1};
   return config;
 }
 
@@ -136,9 +138,7 @@ TEST(SrlgSimTest, GroupFaultRunsAreDeterministic) {
 TEST(SrlgSimTest, AuditorStaysSilentAcrossGroupFaults) {
   Fixture fx;
   SimConfig config = PodOutageConfig(fx);
-  config.guard.auditor.enabled = true;
   config.guard.auditor.mode = guard::AuditMode::kLogAndCount;
-  config.guard.auditor.cadence = 4;
   Simulator sim(fx.network, fx.provider, config);
   sched::FifoScheduler fifo;
   const SimResult result = sim.Run(fifo, PodFlows(fx));

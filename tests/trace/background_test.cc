@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "guard/auditor.h"
 #include "net/admission.h"
 #include "topo/fat_tree.h"
 #include "topo/path_provider.h"
@@ -171,7 +172,7 @@ TEST(BackgroundTest, ReachesModerateUtilization) {
       InjectBackground(fx.network, fx.provider, gen, options);
   EXPECT_GE(result.achieved_utilization, 0.3);
   EXPECT_GT(result.placed_flows, 0u);
-  EXPECT_TRUE(fx.network.CheckInvariants());
+  EXPECT_EQ(guard::Auditor().Audit(fx.network, {}), 0u);
 }
 
 TEST(BackgroundTest, NetworkStaysCongestionFree) {

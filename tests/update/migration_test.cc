@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "guard/auditor.h"
 #include "topo/fat_tree.h"
 #include "topo/path_provider.h"
 
@@ -181,7 +182,7 @@ TEST(MigrationOptimizerTest, MigratesBlockerOffSharedFabricLink) {
   // Applying the plan makes the desired path feasible on the live network.
   MigrationOptimizer::Apply(fx.network, plan);
   EXPECT_TRUE(fx.network.CanPlace(50.0, desired));
-  EXPECT_TRUE(fx.network.CheckInvariants());
+  EXPECT_EQ(guard::Auditor().Audit(fx.network, {}), 0u);
 }
 
 TEST(MigrationOptimizerTest, PicksCheapestSufficientBlocker) {
@@ -237,7 +238,7 @@ TEST(MigrationOptimizerTest, MigrationKeepsNetworkCongestionFree) {
       placed.push_back(fx.network.Place(std::move(f), path));
     }
   }
-  ASSERT_TRUE(fx.network.CheckInvariants());
+  ASSERT_EQ(guard::Auditor().Audit(fx.network, {}), 0u);
 
   // Plan migrations for many new demands; whenever feasible, applying the
   // plan must leave the network congestion-free and admit the new flow.
@@ -256,7 +257,7 @@ TEST(MigrationOptimizerTest, MigrationKeepsNetworkCongestionFree) {
     ++feasible_plans;
     MigrationOptimizer::Apply(scratch, plan);
     EXPECT_TRUE(scratch.CanPlace(demand, desired));
-    EXPECT_TRUE(scratch.CheckInvariants());
+    EXPECT_EQ(guard::Auditor().Audit(scratch, {}), 0u);
     EXPECT_GT(plan.migrated_traffic, 0.0);
   }
   EXPECT_GT(feasible_plans, 0) << "fixture never exercised migration";
@@ -276,7 +277,7 @@ TEST(MigrationOptimizerTest, MovesOrderedApplicableSequentially) {
   for (const MigrationMove& move : plan.moves) {
     fx.network.Reroute(move.flow,
                        fx.network.path_registry().Get(move.new_path));
-    EXPECT_TRUE(fx.network.CheckInvariants());
+    EXPECT_EQ(guard::Auditor().Audit(fx.network, {}), 0u);
   }
   EXPECT_TRUE(fx.network.CanPlace(99.0, desired));
 }

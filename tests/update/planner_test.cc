@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "guard/auditor.h"
 #include "topo/fat_tree.h"
 #include "topo/path_provider.h"
 
@@ -72,7 +73,7 @@ TEST(EventPlannerTest, ExecutePlacesFlows) {
     EXPECT_EQ(fx.network.FlowOf(id).event, EventId{1});
     EXPECT_EQ(fx.network.FlowOf(id).origin, flow::FlowOrigin::kUpdateEvent);
   }
-  EXPECT_TRUE(fx.network.CheckInvariants());
+  EXPECT_EQ(guard::Auditor().Audit(fx.network, {}), 0u);
 }
 
 TEST(EventPlannerTest, ExecuteTriggersMigrationWhenNeeded) {
@@ -105,7 +106,7 @@ TEST(EventPlannerTest, ExecuteTriggersMigrationWhenNeeded) {
     EXPECT_GE(result.plan.flows_needing_migration, 1u);
   }
   EXPECT_TRUE(result.plan.fully_feasible);
-  EXPECT_TRUE(fx.network.CheckInvariants());
+  EXPECT_EQ(guard::Auditor().Audit(fx.network, {}), 0u);
 }
 
 TEST(EventPlannerTest, PlanMatchesExecuteOnSameState) {

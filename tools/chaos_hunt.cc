@@ -17,6 +17,7 @@
 #include <string>
 
 #include "exp/chaos.h"
+#include "metrics/export.h"
 
 namespace {
 
@@ -145,7 +146,7 @@ int Replay(const std::string& path) {
   std::cout << "\n";
   if (!verdict.detail.empty()) std::cout << "detail: " << verdict.detail
                                          << "\n";
-  std::cout << nu::exp::NormalizedReportCsv(result);
+  nu::metrics::WriteReportCsv(std::cout, result.report);
   return verdict.failed ? 1 : 0;
 }
 
