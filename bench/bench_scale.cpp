@@ -632,7 +632,7 @@ int main(int argc, char** argv) {
   }
   bench::PrintFooter(
       "events/sec is bounded by hot-state traversal (audits, departures, "
-      "link-flow scans): the dense id-indexed stores and interned paths "
+      "link-flow scans): the live-sized flow store and interned paths "
       "cut both the bytes a scan touches and the per-read hashing, so the "
       "post-change build clears 2x end-to-end and 3x state bytes");
   return 0;

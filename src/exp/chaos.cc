@@ -290,19 +290,7 @@ sim::SimResult RunScenario(const ChaosScenario& scenario) {
 ChaosVerdict JudgeScenario(const ChaosScenario& scenario,
                            const ChaosOptions& options) {
   ChaosVerdict verdict;
-  auto run_once = [&](sim::SimResult& out) -> bool {
-    try {
-      out = RunScenario(scenario);
-    } catch (const sim::RecoveryError& e) {
-      verdict.failed = true;
-      verdict.oracle = "recovery-error";
-      verdict.detail = e.what();
-      return false;
-    }
-    return true;
-  };
-  sim::SimResult first;
-  if (!run_once(first)) return verdict;
+  const sim::SimResult first = RunScenario(scenario);
   if (!first.violations.empty()) {
     const guard::AuditViolation& v = first.violations.front();
     verdict.failed = true;
@@ -342,8 +330,7 @@ ChaosVerdict JudgeScenario(const ChaosScenario& scenario,
     }
   }
   if (options.check_determinism) {
-    sim::SimResult second;
-    if (!run_once(second)) return verdict;
+    const sim::SimResult second = RunScenario(scenario);
     std::ostringstream first_csv;
     std::ostringstream second_csv;
     metrics::WriteReportCsv(first_csv, first.report);

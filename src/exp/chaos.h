@@ -1,7 +1,7 @@
 // Deterministic chaos campaigns: sweep randomized scenario x scheduler x
 // fault-plan combinations through the simulator, judge each run against a
-// set of oracles (auditor violations, recovery errors, report-CSV
-// nondeterminism), and shrink every failure ddmin-style to a minimal repro
+// set of oracles (auditor violations, deadline misses, drift residue,
+// report-CSV nondeterminism), and shrink every failure ddmin-style to a minimal repro
 // artifact that replays bit-identically. The campaign is a pure function of
 // its options — same seed, same trials, same failures, same artifacts —
 // which is what makes a chaos failure a bug report instead of an anecdote.
@@ -69,9 +69,8 @@ struct ChaosScenario {
 /// Verdict of judging one scenario against the oracles.
 struct ChaosVerdict {
   bool failed = false;
-  /// Which oracle fired: "audit-violation" | "recovery-error" |
-  /// "deadline-miss" | "drift-residual" | "nondeterminism" |
-  /// "injected-bug"; empty when none.
+  /// Which oracle fired: "audit-violation" | "deadline-miss" |
+  /// "drift-residual" | "nondeterminism" | "injected-bug"; empty when none.
   std::string oracle;
   std::string detail;
 };

@@ -1,51 +1,111 @@
 #include "flow/flow_table.h"
 
+#include <algorithm>
 #include <limits>
 
 namespace nu::flow {
 
-FlowId FlowTable::Add(Flow flow) {
+FlowTable::FlowTable(const FlowTable& other)
+    : slot_count_(other.slot_count_),
+      free_(other.free_),
+      live_(other.live_),
+      next_id_(other.next_id_) {
+  // Slot for slot, so a copy walks its slots in the original's order.
+  chunks_.reserve(other.chunks_.size());
+  for (const std::unique_ptr<Slot[]>& chunk : other.chunks_) {
+    auto copy = std::make_unique<Slot[]>(kSlotsPerChunk);
+    std::copy_n(chunk.get(), kSlotsPerChunk, copy.get());
+    chunks_.push_back(std::move(copy));
+  }
+  pages_.resize(other.pages_.size());
+  for (std::size_t p = 0; p < pages_.size(); ++p) {
+    if (other.pages_[p] != nullptr) {
+      pages_[p] = std::make_unique<IndexPage>(*other.pages_[p]);
+    }
+  }
+}
+
+FlowTable& FlowTable::operator=(const FlowTable& other) {
+  if (this != &other) *this = FlowTable(other);
+  return *this;
+}
+
+FlowId FlowTable::Add(Flow flow, PathRef path) {
   // Dense stores keep 32-bit flow ids in link lists; the allocator staying
   // below 2^32 is a structural property (a run allocating 4 billion flows
   // is far past any supported scale), checked rather than assumed.
   NU_CHECK(next_id_ < std::numeric_limits<std::uint32_t>::max());
-  const FlowId id{next_id_++};
-  flow.id = id;
   NU_EXPECTS(flow.demand > 0.0);
   NU_EXPECTS(flow.duration >= 0.0);
   NU_EXPECTS(flow.src != flow.dst);
-  slots_.push_back(std::move(flow));
-  ++live_;
+  const FlowId id{next_id_++};
+  // The first id of a new page completes the page before it.
+  const std::size_t page = id.value() >> kIdBitsPerPage;
+  if (page > 0 && (id.value() & (kIdsPerPage - 1)) == 0) {
+    ReleasePageIfDead(page - 1);
+  }
+  flow.id = id;
+  Store(std::move(flow), path);
   return id;
 }
 
+void FlowTable::Store(Flow flow, PathRef path) {
+  const std::size_t page = flow.id.value() >> kIdBitsPerPage;
+  if (page >= pages_.size()) pages_.resize(page + 1);
+  std::unique_ptr<IndexPage>& index = pages_[page];
+  if (index == nullptr) index = std::make_unique<IndexPage>();
+  std::uint32_t s = static_cast<std::uint32_t>(slot_count_);
+  if (!free_.empty()) {
+    s = free_.back();
+    free_.pop_back();
+  } else {
+    if (slot_count_ == chunks_.size() * kSlotsPerChunk) {
+      chunks_.push_back(std::make_unique<Slot[]>(kSlotsPerChunk));
+    }
+    ++slot_count_;
+  }
+  index->slot[flow.id.value() & (kIdsPerPage - 1)] = s;
+  ++index->live;
+  SlotAt(s) = Slot{std::move(flow), path};
+  ++live_;
+}
+
 void FlowTable::Remove(FlowId id) {
-  NU_EXPECTS(Contains(id));
-  slots_[static_cast<std::size_t>(id.value())] = Flow{};  // tombstone
+  const std::uint32_t s = SlotIndexOf(id);
+  NU_EXPECTS(s != kNoSlot);
+  SlotAt(s) = Slot{};  // free: invalid flow id
+  free_.push_back(s);
+  const std::size_t page = id.value() >> kIdBitsPerPage;
+  pages_[page]->slot[id.value() & (kIdsPerPage - 1)] = kNoSlot;
+  --pages_[page]->live;
+  ReleasePageIfDead(page);
   --live_;
 }
 
-std::vector<FlowId> FlowTable::Ids() const {
-  std::vector<FlowId> ids;
-  ids.reserve(live_);
-  ForEach([&ids](const Flow& f) { ids.push_back(f.id); });
-  return ids;
-}
-
-Mbps FlowTable::TotalDemand() const {
-  Mbps total = 0.0;
-  ForEach([&total](const Flow& f) { total += f.demand; });
-  return total;
+void FlowTable::ReleasePageIfDead(std::size_t page) {
+  // A page that still covers the next id can get new ids; keep it.
+  if (page < pages_.size() && pages_[page] != nullptr &&
+      pages_[page]->live == 0 &&
+      (page + 1) << kIdBitsPerPage <= next_id_) {
+    pages_[page].reset();
+  }
 }
 
 std::size_t FlowTable::ApproxBytes() const {
-  return slots_.size() * sizeof(Flow);
+  std::size_t bytes = chunks_.capacity() * sizeof(chunks_[0]) +
+                      chunks_.size() * kSlotsPerChunk * sizeof(Slot) +
+                      free_.capacity() * sizeof(free_[0]) +
+                      pages_.capacity() * sizeof(pages_[0]);
+  for (const std::unique_ptr<IndexPage>& page : pages_) {
+    if (page != nullptr) bytes += sizeof(IndexPage);
+  }
+  return bytes;
 }
 
 void FlowTable::SaveState(BinWriter& w) const {
   w.U64(next_id_);
   w.Size(live_);
-  ForEach([&w](const Flow& f) {  // ascending ids => canonical byte stream
+  ForEach([&w](const Flow& f, PathRef) {  // ascending ids: canonical bytes
     w.U64(f.id.value());
     w.U32(f.src.value());
     w.U32(f.dst.value());
@@ -57,14 +117,13 @@ void FlowTable::SaveState(BinWriter& w) const {
 }
 
 void FlowTable::LoadState(BinReader& r) {
-  slots_.clear();
-  live_ = 0;
+  *this = FlowTable();
   next_id_ = r.U64();
   // Add's 32-bit bound: the link lists hold 32-bit ids.
   if (next_id_ >= std::numeric_limits<std::uint32_t>::max()) {
     throw CorruptInput("next flow id out of the 32-bit range");
   }
-  slots_.resize(static_cast<std::size_t>(next_id_));
+  // A length: bounded by the bytes left, so the slots are too.
   const std::size_t count = r.Size();
   for (std::size_t i = 0; i < count; ++i) {
     Flow f;
@@ -78,10 +137,8 @@ void FlowTable::LoadState(BinReader& r) {
     if (f.id.value() >= next_id_) {
       throw CorruptInput("flow record id at or above the next id");
     }
-    Flow& slot = slots_[static_cast<std::size_t>(f.id.value())];
-    if (slot.id.valid()) throw CorruptInput("duplicated flow record");
-    slot = std::move(f);
-    ++live_;
+    if (Contains(f.id)) throw CorruptInput("duplicated flow record");
+    Store(std::move(f), PathRef::invalid());
   }
 }
 

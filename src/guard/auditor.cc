@@ -1,5 +1,6 @@
 #include "guard/auditor.h"
 
+#include <algorithm>
 #include <cmath>
 #include <span>
 #include <sstream>
@@ -18,10 +19,11 @@ constexpr double kBandwidthEpsilon = 1e-6;
 /// One violation detected by a recompute: text only, no side effects.
 /// Reporting (logging, counting, fail-fast throwing) happens afterwards in
 /// canonical order: capacity by ascending link id, then coherence by
-/// ascending flow id.
+/// ascending flow id. `flow` keys that sort (coherence findings only).
 struct Finding {
   const char* invariant;
   std::string detail;
+  FlowId::rep_type flow = 0;
 };
 
 /// Capacity checks for one link given its independently recomputed load.
@@ -77,15 +79,19 @@ bool LoopFree(const topo::Path& path) {
 /// coherence finding text and order; the memoized pass calls it only for
 /// flows whose fast check failed.
 void CollectCoherenceFindings(const topo::Graph& graph,
-                              const net::Network& network, FlowId fid,
+                              const net::Network& network,
                               const flow::Flow& flow, const topo::Path& path,
                               bool allow_dead_paths,
                               std::vector<Finding>& out) {
+  const FlowId fid = flow.id;
+  const auto add = [&out, fid](const std::ostringstream& os) {
+    out.push_back(Finding{"coherence", os.str(), fid.value()});
+  };
   if (!WellShaped(path)) {
     std::ostringstream os;
     os << "flow " << fid.value() << ": malformed path shape ("
        << path.nodes.size() << " nodes, " << path.links.size() << " links)";
-    out.push_back(Finding{"coherence", os.str()});
+    add(os);
     return;  // the structural checks below assume a sane shape
   }
   if (path.source() != flow.src || path.destination() != flow.dst) {
@@ -94,24 +100,24 @@ void CollectCoherenceFindings(const topo::Graph& graph,
        << path.source().value() << " -> " << path.destination().value()
        << ") do not match flow (" << flow.src.value() << " -> "
        << flow.dst.value() << ")";
-    out.push_back(Finding{"coherence", os.str()});
+    add(os);
   }
   if (!Contiguous(graph, path)) {
     std::ostringstream os;
     os << "flow " << fid.value()
        << ": path links do not connect its node sequence (blackhole)";
-    out.push_back(Finding{"coherence", os.str()});
+    add(os);
   }
   if (!LoopFree(path)) {
     std::ostringstream os;
     os << "flow " << fid.value() << ": forwarding loop (repeated node)";
-    out.push_back(Finding{"coherence", os.str()});
+    add(os);
   }
   if (!allow_dead_paths && !network.PathAlive(path)) {
     std::ostringstream os;
     os << "flow " << fid.value()
        << ": path crosses a down link or switch (blackhole)";
-    out.push_back(Finding{"coherence", os.str()});
+    add(os);
   }
 }
 
@@ -156,6 +162,7 @@ void Auditor::AuditPlacements(const net::Network& network, bool relaxed,
   const topo::PathRegistry& registry = network.path_registry();
   if (registry.serial() != memo_registry_ || &graph != memo_graph_) {
     memo_.clear();
+    memo_links_.clear();
     memo_registry_ = registry.serial();
     memo_graph_ = &graph;
   }
@@ -168,12 +175,13 @@ void Auditor::AuditPlacements(const net::Network& network, bool relaxed,
                                         network.down_node_count() > 0);
   if (check_alive) alive_.assign(refs, 0);
 
-  // One walk: per flow, read the path's memoized facts and add the demand
-  // to its ref's sum. Only a flow that fails the fast check resolves its
-  // path and re-runs the full per-flow check.
+  // One linear walk over the flow store in memory order: per flow, read the
+  // path's memoized facts and add the demand to its ref's sum. Only a flow
+  // that fails the fast check resolves its path and re-runs the full
+  // per-flow check; its findings are sorted into flow id order below.
   std::vector<Finding> coherence;
-  network.ForEachPlacementRef([&](FlowId fid, const flow::Flow& flow,
-                                  PathRef ref) {
+  network.flows().ForEachInSlotOrder([&](const flow::Flow& flow,
+                                         PathRef ref) {
     const std::size_t r = ref.value();
     PathFacts& facts = memo_[r];
     if (facts.check == PathCheck::kUnchecked) {
@@ -185,6 +193,10 @@ void Auditor::AuditPlacements(const net::Network& network, bool relaxed,
         facts.source = path.source();
         facts.destination = path.destination();
       }
+      facts.links_begin = static_cast<std::uint32_t>(memo_links_.size());
+      facts.link_count = static_cast<std::uint32_t>(path.links.size());
+      memo_links_.insert(memo_links_.end(), path.links.begin(),
+                         path.links.end());
     }
     bool ok = facts.check == PathCheck::kClean && facts.source == flow.src &&
               facts.destination == flow.dst;
@@ -195,23 +207,30 @@ void Auditor::AuditPlacements(const net::Network& network, bool relaxed,
       ok = alive_[r] == 1;
     }
     if (!ok) {
-      CollectCoherenceFindings(graph, network, fid, flow, registry.Get(ref),
+      CollectCoherenceFindings(graph, network, flow, registry.Get(ref),
                                /*allow_dead_paths=*/relaxed, coherence);
     }
     ref_demand_[r] += flow.demand;
   });
+  // Stable: one flow's findings keep their emission order.
+  std::stable_sort(coherence.begin(), coherence.end(),
+                   [](const Finding& x, const Finding& y) {
+                     return x.flow < y.flow;
+                   });
 
   // Independent recompute: per-link load from the placements themselves,
-  // never from the network's incremental residuals. Summing per ref first
-  // reassociates each link's sum, which moves it by a few ulps at most,
-  // far below kBandwidthEpsilon.
+  // never from the network's incremental residuals. Summing per ref first,
+  // in slot order, reassociates each link's sum, which moves it by a few
+  // ulps at most, far below kBandwidthEpsilon. The spread reads each ref's
+  // links from the memo's own contiguous array.
   link_load_.assign(graph.link_count(), 0.0);
   for (std::size_t r = 0; r < refs; ++r) {
     const Mbps demand = ref_demand_[r];
     if (demand == 0.0) continue;
-    for (LinkId link : registry.Get(PathRef{static_cast<PathRef::rep_type>(r)})
-                           .links) {
-      link_load_[link.value()] += demand;
+    const PathFacts& facts = memo_[r];
+    const LinkId* links = memo_links_.data() + facts.links_begin;
+    for (std::uint32_t i = 0; i < facts.link_count; ++i) {
+      link_load_[links[i].value()] += demand;
     }
   }
   // The three capacity invariants per link, in ascending link order (the

@@ -23,12 +23,15 @@
 //
 // Cost model (docs/model.md §8): placements point at immutable interned
 // paths, so a pass does per-path work once per distinct PathRef, not once
-// per flow x hop. Structure (shape, contiguity, loop-freedom) and endpoints
-// are memoized per ref for the registry's lifetime; liveness is evaluated
-// once per ref per pass, and only while something is down; link loads are
-// summed per ref, then spread over each path's links. Per flow, a pass only
-// compares endpoints and reads the memo; a flow that fails takes the full
-// per-flow check, which alone writes coherence findings.
+// per flow x hop. Structure (shape, contiguity, loop-freedom), endpoints and
+// a copy of the path's links in one contiguous auditor-owned array are
+// memoized per ref for the registry's lifetime; liveness is evaluated once
+// per ref per pass, and only while something is down. The flows are walked
+// once, in the flow store's memory order (not id order): per flow, a pass
+// only compares endpoints, reads the memo and adds the demand to its ref's
+// sum; each ref's sum is then spread over its memoized links. A flow that
+// fails takes the full per-flow check, which alone writes coherence
+// findings, and those are sorted by flow id before they are reported.
 #pragma once
 
 #include <stdexcept>
@@ -166,6 +169,10 @@ class Auditor {
     /// Endpoints; meaningful once check == kClean.
     NodeId source;
     NodeId destination;
+    /// The path's links: memo_links_[links_begin, links_begin + link_count),
+    /// meaningful once checked.
+    std::uint32_t links_begin = 0;
+    std::uint32_t link_count = 0;
   };
 
   AuditorConfig config_;
@@ -176,6 +183,8 @@ class Auditor {
   const topo::Graph* memo_graph_ = nullptr;
   /// By PathRef value.
   std::vector<PathFacts> memo_;
+  /// Every checked ref's links, back to back (see PathFacts).
+  std::vector<LinkId> memo_links_;
   // Per-pass scratch, kept to make steady-state passes allocation-free.
   /// Summed demand of the flows placed on each ref, by PathRef value.
   std::vector<Mbps> ref_demand_;

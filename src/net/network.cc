@@ -164,14 +164,6 @@ void Network::Release(const topo::Path& path, Mbps demand, FlowId id) {
   }
 }
 
-void Network::StorePlacement(FlowId id, PathRef ref) {
-  const auto index = static_cast<std::size_t>(id.value());
-  if (index >= placements_.size()) placements_.resize(index + 1);
-  NU_CHECK(!placements_[index].valid());
-  placements_[index] = ref;
-  ++placed_count_;
-}
-
 FlowId Network::Place(flow::Flow flow, PathRef ref) {
   const topo::Path& path = registry_->Get(ref);
   NU_EXPECTS(graph_->IsValidPath(path));
@@ -179,9 +171,8 @@ FlowId Network::Place(flow::Flow flow, PathRef ref) {
   NU_EXPECTS(path.destination() == flow.dst);
   NU_EXPECTS(CanPlace(flow.demand, path));
   const Mbps demand = flow.demand;
-  const FlowId id = flows_.Add(std::move(flow));
+  const FlowId id = flows_.Add(std::move(flow), ref);
   Occupy(path, demand, id);
-  StorePlacement(id, ref);
   ++state_epoch_;
   return id;
 }
@@ -191,9 +182,8 @@ FlowId Network::ForcePlace(flow::Flow flow, const topo::Path& path) {
   NU_EXPECTS(path.source() == flow.src);
   NU_EXPECTS(path.destination() == flow.dst);
   const Mbps demand = flow.demand;
-  const FlowId id = flows_.Add(std::move(flow));
+  const FlowId id = flows_.Add(std::move(flow), registry_->Intern(path));
   Occupy(path, demand, id);
-  StorePlacement(id, registry_->Intern(path));
   ++state_epoch_;
   return id;
 }
@@ -202,8 +192,6 @@ void Network::Remove(FlowId id) {
   const PathRef ref = PathRefOf(id);
   const Mbps demand = flows_.Get(id).demand;
   Release(registry_->Get(ref), demand, id);
-  placements_[static_cast<std::size_t>(id.value())] = PathRef::invalid();
-  --placed_count_;
   flows_.Remove(id);
   ++state_epoch_;
 }
@@ -221,13 +209,12 @@ void Network::Reroute(FlowId id, PathRef new_ref) {
   Release(registry_->Get(old_ref), demand, id);
   NU_CHECK(CanPlace(demand, new_path));
   Occupy(new_path, demand, id);
-  placements_[static_cast<std::size_t>(id.value())] = new_ref;
+  flows_.SetPath(id, new_ref);
   ++state_epoch_;
 }
 
 PathRef Network::PathRefOf(FlowId id) const {
-  NU_EXPECTS(id.value() < placements_.size());
-  const PathRef ref = placements_[static_cast<std::size_t>(id.value())];
+  const PathRef ref = flows_.PathOf(id);
   NU_EXPECTS(ref.valid());
   return ref;
 }
@@ -239,12 +226,8 @@ std::span<const std::uint32_t> Network::LinkFlowIds(LinkId link) const {
 
 std::vector<FlowId> Network::PlacedFlows() const {
   std::vector<FlowId> ids;
-  ids.reserve(placed_count_);
-  for (std::size_t i = 0; i < placements_.size(); ++i) {
-    if (placements_[i].valid()) {
-      ids.push_back(FlowId{static_cast<FlowId::rep_type>(i)});
-    }
-  }
+  ids.reserve(flows_.size());
+  flows_.ForEach([&ids](const flow::Flow& f, PathRef) { ids.push_back(f.id); });
   return ids;
 }
 
@@ -254,7 +237,6 @@ std::size_t Network::ApproxStateBytes() const {
   for (const auto& flows : link_flows_) {
     bytes += sizeof(flows) + flows.capacity() * sizeof(std::uint32_t);
   }
-  bytes += placements_.capacity() * sizeof(PathRef);
   bytes += flows_.ApproxBytes();
   bytes += registry_->ApproxBytes();
   return bytes;
@@ -262,7 +244,6 @@ std::size_t Network::ApproxStateBytes() const {
 
 void Network::ShrinkToFit() {
   for (auto& flows : link_flows_) flows.shrink_to_fit();
-  placements_.shrink_to_fit();
 }
 
 std::uint32_t Network::TopologyFingerprint() const {
@@ -325,22 +306,19 @@ void Network::SaveState(BinWriter& w) const {
   constexpr std::uint32_t kUnused = std::numeric_limits<std::uint32_t>::max();
   std::vector<std::uint32_t> table_index(registry_->size(), kUnused);
   std::vector<PathRef> table;
-  for (const PathRef ref : placements_) {
-    if (!ref.valid()) continue;
+  flows_.ForEach([&](const flow::Flow&, PathRef ref) {
     std::uint32_t& index = table_index[ref.value()];
-    if (index != kUnused) continue;
+    if (index != kUnused) return;
     index = static_cast<std::uint32_t>(table.size());
     table.push_back(ref);
-  }
+  });
   w.Size(table.size());
   for (const PathRef ref : table) SavePath(w, registry_->Get(ref));
-  w.Size(placed_count_);
-  for (std::size_t i = 0; i < placements_.size(); ++i) {
-    const PathRef ref = placements_[i];
-    if (!ref.valid()) continue;
-    w.U64(static_cast<std::uint64_t>(i));
+  w.Size(flows_.size());
+  flows_.ForEach([&](const flow::Flow& f, PathRef ref) {
+    w.U64(f.id.value());
     w.Size(table_index[ref.value()]);
-  }
+  });
   w.Vec(link_up_, [](BinWriter& out, char v) { out.U8(static_cast<std::uint8_t>(v)); });
   w.Vec(node_up_, [](BinWriter& out, char v) { out.U8(static_cast<std::uint8_t>(v)); });
   w.Size(down_links_);
@@ -366,27 +344,23 @@ void Network::LoadState(BinReader& r) {
   for (std::size_t i = 0; i < table_size; ++i) {
     table.push_back(registry_->Intern(LoadPath(r, *graph_)));
   }
-  placements_.assign(static_cast<std::size_t>(flows_.peek_next_id()),
-                     PathRef::invalid());
-  placed_count_ = 0;
   const std::size_t placed = r.Size();
   for (std::size_t i = 0; i < placed; ++i) {
     const FlowId id{r.U64()};
     // An index, not a length: bounded by the table below, not by the bytes
     // left in the payload.
     const std::uint64_t index = r.U64();
-    if (!flows_.Contains(id)) {  // also bounds id below placements_.size()
+    if (!flows_.Contains(id)) {
       throw CorruptInput("placement for an unknown flow id");
     }
     if (index >= table.size()) {
       throw CorruptInput("placement path index out of range");
     }
-    if (placements_[static_cast<std::size_t>(id.value())].valid()) {
-      throw CorruptInput("flow placed twice");
-    }
-    StorePlacement(id, table[static_cast<std::size_t>(index)]);
+    if (flows_.PathOf(id).valid()) throw CorruptInput("flow placed twice");
+    flows_.SetPath(id, table[static_cast<std::size_t>(index)]);
   }
-  if (placed_count_ != flows_.size()) {
+  // Every record above placed a distinct stored flow.
+  if (placed != flows_.size()) {
     throw CorruptInput("stored flow without a placement");
   }
   RebuildLinkFlows();
@@ -421,21 +395,18 @@ void Network::RebuildLinkFlows() {
   // Occupy keeps. The first pass sizes every list exactly, leaving no
   // growth slack for ApproxStateBytes to count.
   std::vector<std::size_t> lengths(graph_->link_count(), 0);
-  for (const PathRef ref : placements_) {
-    if (!ref.valid()) continue;
+  flows_.ForEach([&](const flow::Flow&, PathRef ref) {
     for (LinkId lid : registry_->Get(ref).links) ++lengths[lid.value()];
-  }
+  });
   link_flows_.assign(graph_->link_count(), {});
   for (std::size_t i = 0; i < link_flows_.size(); ++i) {
     link_flows_[i].reserve(lengths[i]);
   }
-  for (std::size_t i = 0; i < placements_.size(); ++i) {
-    const PathRef ref = placements_[i];
-    if (!ref.valid()) continue;
+  flows_.ForEach([&](const flow::Flow& f, PathRef ref) {
     for (LinkId lid : registry_->Get(ref).links) {
-      link_flows_[lid.value()].push_back(static_cast<std::uint32_t>(i));
+      link_flows_[lid.value()].push_back(Rep32(f.id));
     }
-  }
+  });
 }
 
 }  // namespace nu::net

@@ -3,12 +3,13 @@
 // and writes: admission checks, congested-link detection (Definition 1),
 // migration, and update execution all go through it.
 //
-// Hot-state layout: flows live in a dense id-indexed slot store
-// (flow/flow_table.h), each placement is a 32-bit PathRef into a shared
-// append-only topo::PathRegistry (one deep copy per DISTINCT path in the
-// whole world, not per flow), and per-link flow lists are ascending-sorted
-// 32-bit id vectors served as allocation-free spans. Ids are monotonic and
-// never reused, which is what makes dense slots and sorted lists canonical.
+// Hot-state layout: flows live in a slot store sized by live flows
+// (flow/flow_table.h); each flow's slot also holds its placement, a 32-bit
+// PathRef into a shared append-only topo::PathRegistry (one deep copy per
+// DISTINCT path in the whole world, not per flow). Per-link flow lists are
+// ascending-sorted 32-bit id vectors served as allocation-free spans. Ids
+// are monotonic and never reused, which is what makes sorted lists and
+// ascending-id snapshots canonical.
 //
 // Network is copyable on purpose (copies share the registry, so PathRefs
 // stay valid in every copy, and a copy carries the fault state too), but
@@ -102,20 +103,7 @@ class Network final : public MutableNetwork {
   /// All placed flow ids (ascending).
   [[nodiscard]] std::vector<FlowId> PlacedFlows() const;
 
-  /// Calls `fn(FlowId, const flow::Flow&, PathRef)` for every placed flow
-  /// in ascending-id order. Cache-linear slot scan; the ref lets callers
-  /// key per-path work (guard::Auditor's memo) without resolving it.
-  template <typename Fn>
-  void ForEachPlacementRef(Fn&& fn) const {
-    for (std::size_t i = 0; i < placements_.size(); ++i) {
-      const PathRef ref = placements_[i];
-      if (!ref.valid()) continue;
-      const FlowId id{static_cast<FlowId::rep_type>(i)};
-      fn(id, flows_.Get(id), ref);
-    }
-  }
-
-  [[nodiscard]] std::size_t placed_flow_count() const { return placed_count_; }
+  [[nodiscard]] std::size_t placed_flow_count() const { return flows_.size(); }
 
   // --- Fault state -------------------------------------------------------
   // Links and switches can be administratively down (fault injection). A
@@ -176,14 +164,14 @@ class Network final : public MutableNetwork {
   }
 
   /// Byte footprint of the network's state: residual/liveness arrays,
-  /// link-flow id vectors, the dense placement-ref and flow-slot stores,
-  /// and the shared path registry's storage (chunks, per-path vectors,
-  /// dedup index). Counts vector capacities, so it depends on how the state
-  /// grew, not only on what it holds. Feeds perfbench's `net.state_bytes`
-  /// and the scale-tier bytes comparison.
+  /// link-flow id vectors, the flow store (slots with their placements, id
+  /// index pages), and the shared path registry's storage (chunks,
+  /// per-path vectors, dedup index). Counts vector capacities, so it depends
+  /// on how the state grew, not only on what it holds. Feeds perfbench's
+  /// `net.state_bytes` and the scale-tier bytes comparison.
   [[nodiscard]] std::size_t ApproxStateBytes() const;
 
-  /// Releases the slack capacity bulk loading left in the dense stores
+  /// Releases the slack capacity bulk loading left in the per-link lists
   /// (vector growth doubles). Call after a large initial injection so the
   /// footprint reflects the loaded state, not the load pattern.
   void ShrinkToFit();
@@ -221,8 +209,6 @@ class Network final : public MutableNetwork {
  private:
   void Occupy(const topo::Path& path, Mbps demand, FlowId id);
   void Release(const topo::Path& path, Mbps demand, FlowId id);
-  /// Records `ref` as flow `id`'s placement, growing the dense store.
-  void StorePlacement(FlowId id, PathRef ref);
   /// Rebuilds every per-link flow list from the placements.
   void RebuildLinkFlows();
 
@@ -232,9 +218,6 @@ class Network final : public MutableNetwork {
   std::vector<Mbps> residual_;  // by LinkId
   /// Flow ids on each link, ascending (canonical), 32-bit reps.
   std::vector<std::vector<std::uint32_t>> link_flows_;  // by LinkId
-  /// Path ref of each placed flow, indexed by flow id; invalid() = absent.
-  std::vector<PathRef> placements_;
-  std::size_t placed_count_ = 0;
   std::vector<char> link_up_;  // by LinkId
   std::vector<char> node_up_;  // by NodeId
   std::size_t down_links_ = 0;

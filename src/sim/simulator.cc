@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "guard/auditor.h"
 #include "metrics/collector.h"
 #include "net/admission.h"
 #include "sim/subsystems.h"
@@ -22,6 +23,24 @@ struct FlowEnd {
   FlowId flow;
   bool background = false;
 };
+
+/// Event conservation of the flow-level baseline: each arrived event is
+/// queued (no flow dispatched), active or completed; the baseline never
+/// parks, sheds or quarantines.
+guard::QueueAccounting Accounting(std::span<const EvState> arrived) {
+  guard::QueueAccounting acct;
+  acct.arrived = arrived.size();
+  for (const EvState& state : arrived) {
+    if (state.dispatched == 0) {
+      ++acct.queued;
+    } else if (state.dispatched < state.event->flow_count()) {
+      ++acct.active;
+    } else {
+      ++acct.completed;
+    }
+  }
+  return acct;
+}
 
 }  // namespace
 
@@ -78,16 +97,34 @@ SimResult Simulator::RunFlowLevel(
     return nullptr;
   };
 
+  // Runtime audits (SimConfig::guard.auditor): a pass after every
+  // `cadence`-th occurrence (a departure or a dispatched flow) and a final
+  // pass, relaxed while forced placements exist.
+  guard::Auditor auditor(config_.guard.auditor);
+  std::size_t since_audit = 0;
+  auto audit = [&](bool final_pass) {
+    if (!auditor.config().enabled ||
+        (!final_pass && ++since_audit < auditor.config().cadence)) {
+      return;
+    }
+    since_audit = 0;
+    collector.OnAudit(auditor.Audit(
+        network, Accounting(arrived), result.forced_placements,
+        guard::AuditContext{0, network.topology_epoch()}));
+  };
+
   auto process_departures_until = [&](Seconds t) {
     while (!departures.empty() && departures.NextTime() <= t + kTimeEpsilon) {
       const FlowEnd end = departures.Pop().payload;
       network.Remove(end.flow);
-      if (!end.background) continue;
-      if (const std::optional<FlowId> placed =
-              churn.SpawnReplacement(network, paths_)) {
+      const std::optional<FlowId> placed =
+          end.background ? churn.SpawnReplacement(network, paths_)
+                         : std::nullopt;
+      if (placed) {
         departures.Push(now + network.FlowOf(*placed).duration,
                         FlowEnd{*placed, true});
       }
+      audit(/*final_pass=*/false);
     }
   };
 
@@ -110,6 +147,7 @@ SimResult Simulator::RunFlowLevel(
       collector.OnCompletion(state.event->id(), state.last_install_end);
     }
     cursor = (cursor + 1) % arrived.size();
+    audit(/*final_pass=*/false);
   };
 
   std::size_t guard = 0;
@@ -173,8 +211,11 @@ SimResult Simulator::RunFlowLevel(
     install(*item, forced, 0.0);
   }
 
+  audit(/*final_pass=*/true);
   NU_CHECK(collector.AllComplete());
   result.records = collector.records();
+  result.guard_stats = collector.guard_stats();
+  result.violations = auditor.violations();
   result.report = metrics::BuildReport(collector, total_plan_time,
                                        config_.tail_percentile);
   return result;

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <optional>
 #include <string>
@@ -223,21 +224,22 @@ std::vector<std::string> FreshDetails(const net::Network& network) {
   return Details(fresh);
 }
 
+struct CoherenceCase {
+  const char* name;
+  std::vector<NodeId> nodes;
+  std::vector<LinkId> links;
+  /// Findings for the case's path on flow 0.
+  std::vector<std::string> details;
+};
+
 // Network::Place rejects all of these, so each is planted through a
 // crafted snapshot with in-range ids. Link 0 is a -> b, link 1 is b -> a.
-TEST(AuditorTest, PinsCoherenceFindingTextAndOrder) {
+std::vector<CoherenceCase> CoherenceCases(const Fixture& fx) {
   const LinkId ab{0};
   const LinkId ba{1};
-  struct Case {
-    const char* name;
-    std::vector<NodeId> nodes;
-    std::vector<LinkId> links;
-    std::vector<std::string> details;
-  };
-  Fixture fx;
   const NodeId a = fx.a;
   const NodeId b = fx.b;
-  const std::vector<Case> cases{
+  return {
       {"malformed shape", {a, b}, {},
        {"flow 0: malformed path shape (2 nodes, 0 links)"}},
       {"endpoint mismatch", {b, a}, {ba},
@@ -254,7 +256,10 @@ TEST(AuditorTest, PinsCoherenceFindingTextAndOrder) {
        {"flow 0: path endpoints (1 -> 0) do not match flow (0 -> 1)",
         "flow 0: path links do not connect its node sequence (blackhole)"}},
   };
-  for (const Case& c : cases) {
+}
+
+TEST(AuditorTest, PinsCoherenceFindingTextAndOrder) {
+  for (const CoherenceCase& c : CoherenceCases(Fixture())) {
     SCOPED_TRACE(c.name);
     Fixture crafted;
     topo::Path path;
@@ -268,6 +273,47 @@ TEST(AuditorTest, PinsCoherenceFindingTextAndOrder) {
       EXPECT_EQ(v.invariant, "coherence");
     }
   }
+}
+
+// A pass walks the flow store in slot (memory) order, which a payload
+// listing its records highest id first makes the reverse of id order.
+// Flow i holds case i's path; the findings still come in ascending flow
+// id, each flow's in PinsCoherenceFindingTextAndOrder's order.
+TEST(AuditorTest, CoherenceFindingsFollowFlowIdNotSlotOrder) {
+  Fixture fx;
+  const std::vector<CoherenceCase> cases = CoherenceCases(fx);
+  std::vector<test_support::CraftedPlacement> placements;
+  std::vector<std::string> want;
+  const std::string prefix = "flow 0";
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    topo::Path path;
+    path.nodes = cases[i].nodes;
+    path.links = cases[i].links;
+    placements.push_back({fx.MakeFlow(10.0), path});
+    for (const std::string& detail : cases[i].details) {
+      want.push_back("flow " + std::to_string(i) +
+                     detail.substr(prefix.size()));
+    }
+  }
+  test_support::NetworkFieldValues fields =
+      test_support::NetworkFields(fx.graph, placements);
+  std::reverse(fields.flows.begin(), fields.flows.end());
+  std::reverse(fields.placed.begin(), fields.placed.end());
+  const std::string payload = test_support::SerializeNetwork(fields);
+  BinReader r(payload);
+  fx.network->LoadState(r);
+  r.ExpectEnd();
+  std::vector<FlowId::rep_type> slot_order;
+  fx.network->flows().ForEachInSlotOrder(
+      [&slot_order](const flow::Flow& f, PathRef) {
+        slot_order.push_back(f.id.value());
+      });
+  ASSERT_EQ(slot_order.size(), cases.size());
+  EXPECT_TRUE(std::is_sorted(slot_order.rbegin(), slot_order.rend()));
+
+  Auditor auditor(Mode(AuditMode::kLogAndCount));
+  EXPECT_EQ(auditor.Audit(*fx.network, Balanced()), want.size());
+  EXPECT_EQ(Details(auditor), want);
 }
 
 // Liveness is never carried over from an earlier pass. The unrelated b -> a

@@ -48,11 +48,23 @@ INSTANTIATE_TEST_SUITE_P(Schedulers, SoakTest,
                                            sched::SchedulerKind::kPlmtf,
                                            sched::SchedulerKind::kSjf));
 
+// The flow-level baseline honours the same fail-fast auditor at cadence 1:
+// a pass after every departure and every dispatched flow, then a final one.
 TEST(SoakTest, FlowLevelInvariantsHold) {
-  const Workload with_churn(SoakConfig(47, true));
-  EXPECT_EQ(RunFlowLevel(with_churn).records.size(), 12u);
-  const Workload without(SoakConfig(53, false));
-  EXPECT_EQ(RunFlowLevel(without).records.size(), 12u);
+  for (const bool churn : {true, false}) {
+    SCOPED_TRACE(churn ? "churn" : "static");
+    const Workload workload(SoakConfig(churn ? 47 : 53, churn));
+    const sim::SimResult result = RunFlowLevel(workload);
+    EXPECT_EQ(result.records.size(), 12u);
+    // At least one pass per dispatched flow, plus the final pass.
+    std::size_t flows = 0;
+    for (const update::UpdateEvent& e : workload.events()) {
+      flows += e.flow_count();
+    }
+    EXPECT_GT(result.guard_stats.audits_run, flows);
+    EXPECT_EQ(result.guard_stats.audit_violations, 0u);
+    EXPECT_TRUE(result.violations.empty());
+  }
 }
 
 /// The ISSUE's robustness acceptance run: random fabric-link outages plus

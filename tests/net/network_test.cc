@@ -405,6 +405,44 @@ TEST(NetworkLoadStateTest, NextIdBeyond32BitsThrows) {
   EXPECT_THROW(beyond.Load(), CorruptInput);
 }
 
+// A next id just below the 32-bit bound allocates by the records read, not
+// by the id: two records, the lowest id and the highest below the next id,
+// load into a bounded footprint, stay addressable, and the next Place gets
+// the stored next id.
+TEST(NetworkLoadStateTest, HugeNextIdLoadsWithinBoundedMemory) {
+  constexpr std::uint64_t kNext = std::numeric_limits<std::uint32_t>::max() - 1;
+  constexpr std::size_t kBound = std::size_t{16} << 20;
+  CraftedPayload p;
+  p.fields.next_id = kNext;
+  p.fields.flows[1].id = FlowId{kNext - 1};
+  p.fields.placed[1].first = kNext - 1;
+  const std::string payload = test_support::SerializeNetwork(p.fields);
+  Network net(p.fx.graph);
+  BinReader r(payload);
+  net.LoadState(r);
+  r.ExpectEnd();
+  EXPECT_LT(net.ApproxStateBytes(), kBound);
+  EXPECT_EQ(net.placed_flow_count(), 2u);
+  EXPECT_TRUE(net.HasFlow(FlowId{0}));
+  EXPECT_TRUE(net.HasFlow(FlowId{kNext - 1}));
+  EXPECT_FALSE(net.HasFlow(FlowId{1}));
+  EXPECT_FALSE(net.HasFlow(FlowId{kNext}));
+  EXPECT_DOUBLE_EQ(net.FlowOf(FlowId{0}).demand, 10.0);
+  EXPECT_DOUBLE_EQ(net.FlowOf(FlowId{kNext - 1}).demand, 20.0);
+  EXPECT_EQ(net.PathOf(FlowId{kNext - 1}).links, p.fx.AbcPath().links);
+  const FlowId placed = net.Place(p.fx.MakeFlow(5.0), p.fx.AbcPath());
+  EXPECT_EQ(placed.value(), kNext);
+  EXPECT_EQ(net.FlowIdUpperBound(), kNext + 1);
+  EXPECT_LT(net.ApproxStateBytes(), kBound);
+  EXPECT_EQ(guard::Auditor().Audit(net, {}), 0u);
+  const LinkId ab = p.fx.AbcPath().links[0];
+  EXPECT_EQ(std::vector<std::uint32_t>(net.LinkFlowIds(ab).begin(),
+                                       net.LinkFlowIds(ab).end()),
+            (std::vector<std::uint32_t>{
+                0, static_cast<std::uint32_t>(kNext - 1),
+                static_cast<std::uint32_t>(kNext)}));
+}
+
 TEST(NetworkLoadStateTest, DuplicatedFlowRecordThrows) {
   CraftedPayload p;
   p.fields.flows[1].id = p.fields.flows[0].id;

@@ -224,6 +224,36 @@ TEST(SimulatorTest, FlowLevelCompletesAllEvents) {
   EXPECT_GT(result.report.makespan, 0.0);
 }
 
+// The baseline runs the configured auditor: a pass per occurrence at
+// cadence 1 plus a final pass. A force-placed flow overcommits its links,
+// and the forced count relaxes the capacity checks as in the event loop,
+// so the fail-fast auditor lets the run finish.
+TEST(SimulatorTest, FlowLevelAuditsAndRelaxesForcedPlacements) {
+  Fixture fx;
+  std::vector<update::UpdateEvent> events;
+  events.push_back(fx.Event(0, 0.0,
+                            {fx.MakeFlow(0, 8, 20.0, 1.0),
+                             fx.MakeFlow(1, 8, 150.0, 1.0)}));
+  SimConfig config = FastConfig();
+  const SimResult unaudited =
+      Simulator(fx.network, fx.provider, config).RunFlowLevel(events);
+  EXPECT_EQ(unaudited.guard_stats.audits_run, 0u);
+
+  config.guard.auditor = {.enabled = true,
+                          .mode = guard::AuditMode::kFailFast,
+                          .cadence = 1};
+  const SimResult result =
+      Simulator(fx.network, fx.provider, config).RunFlowLevel(events);
+  EXPECT_EQ(result.forced_placements, 1u);
+  // Dispatch, the first flow's departure (the wide flow waits for it),
+  // forced dispatch, final pass.
+  EXPECT_EQ(result.guard_stats.audits_run, 4u);
+  EXPECT_EQ(result.guard_stats.audit_violations, 0u);
+  EXPECT_TRUE(result.violations.empty());
+  EXPECT_EQ(result.records.size(), unaudited.records.size());
+  EXPECT_EQ(result.records[0].completion, unaudited.records[0].completion);
+}
+
 TEST(SimulatorTest, FlowLevelInterleavingDelaysFirstEvent) {
   Fixture fx;
   // Event 0 has many flows; events 1-3 one each. Under flow-level RR, event

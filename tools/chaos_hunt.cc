@@ -1,8 +1,8 @@
 // chaos_hunt: deterministic chaos campaigns against the simulator.
 //
 // Campaign mode sweeps randomized scenario x scheduler x fault-plan trials,
-// judging each against the oracles (auditor violations, recovery errors,
-// report-CSV nondeterminism); every failure is shrunk ddmin-style and
+// judging each against the oracles (auditor violations, deadline misses,
+// drift residue, report-CSV nondeterminism); every failure is shrunk ddmin-style and
 // written as a repro artifact that --replay reruns exactly.
 //
 //   chaos_hunt --quick                 # small bounded campaign (CI)
