@@ -48,7 +48,7 @@ int main(int argc, char** argv) {
   bench::PrintHeader(
       "Ablation: static vs churning background traffic",
       "8-pod Fat-Tree, 30 events of 10-100 flows, alpha=4, util 65%");
-  const std::size_t trials = bench::ArgOr(argc, argv, "trials", 3);
+  const std::size_t trials = Flags::Parse(argc, argv).GetUint("trials", 3);
   RunMode(true, trials);
   RunMode(false, trials);
   bench::PrintFooter(

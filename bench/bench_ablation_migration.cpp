@@ -116,7 +116,7 @@ int main(int argc, char** argv) {
       "Ablation: migration-set selection strategies",
       "cover-instance optimality gap + end-to-end event planning cost");
   CoverInstances();
-  EventPlanning(bench::ArgOr(argc, argv, "trials", 2));
+  EventPlanning(Flags::Parse(argc, argv).GetUint("trials", 2));
   bench::PrintFooter(
       "best-fit-decreasing sits within a few percent of exact at a fraction "
       "of the planning cost; greedy-largest-first migrates notably more");

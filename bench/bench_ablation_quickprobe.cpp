@@ -23,7 +23,7 @@ int main(int argc, char** argv) {
   bench::PrintHeader(
       "Ablation: exact vs quick (estimate-based) LMTF cost probes",
       "8-pod Fat-Tree, 30 events of 10-100 flows, alpha=4, util sweep");
-  const std::size_t trials = bench::ArgOr(argc, argv, "trials", 3);
+  const std::size_t trials = Flags::Parse(argc, argv).GetUint("trials", 3);
 
   AsciiTable table({"utilization", "probe mode", "avg ECT (s)",
                     "avg-ECT red. vs FIFO", "cost (Mbps)", "plan/FIFO"});

@@ -12,7 +12,7 @@ int main(int argc, char** argv) {
   bench::PrintHeader(
       "Ablation: LMTF cost probing vs free size-based SJF",
       "8-pod Fat-Tree, 30 events of 10-100 flows, alpha=4, util sweep");
-  const std::size_t trials = bench::ArgOr(argc, argv, "trials", 3);
+  const std::size_t trials = Flags::Parse(argc, argv).GetUint("trials", 3);
 
   AsciiTable table({"utilization", "FIFO avg ECT", "SJF-size avg ECT",
                     "LMTF avg ECT", "SJF red.", "LMTF red.",

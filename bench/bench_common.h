@@ -1,6 +1,7 @@
 // Shared helpers for the figure-reproduction bench binaries: consistent
 // headers, normalized series, and CSV emission next to the ASCII tables so
-// results can be re-plotted.
+// results can be re-plotted. Every bench reads its command line (e.g.
+// "--trials=N", so CI can run it fast) through one nu::Flags.
 #pragma once
 
 #include <cstdio>
@@ -8,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "common/flags.h"
 #include "common/stats.h"
 #include "common/table.h"
 
@@ -33,34 +35,6 @@ inline std::vector<double> NormalizeByMax(const std::vector<double>& values,
     out.push_back(max_value > 0.0 ? v / max_value : 0.0);
   }
   return out;
-}
-
-/// Parses "--trials=N" style overrides so CI can run the benches fast while
-/// the default regenerates paper-quality curves.
-inline std::size_t ArgOr(int argc, char** argv, const char* prefix,
-                         std::size_t fallback) {
-  const std::string needle = std::string("--") + prefix + "=";
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind(needle, 0) == 0) {
-      return static_cast<std::size_t>(
-          std::strtoull(arg.c_str() + needle.size(), nullptr, 10));
-    }
-  }
-  return fallback;
-}
-
-/// Parses "--name=value" string overrides (e.g. "--csv=out.csv").
-inline std::string ArgOrStr(int argc, char** argv, const char* prefix,
-                            std::string fallback) {
-  const std::string needle = std::string("--") + prefix + "=";
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind(needle, 0) == 0) {
-      return arg.substr(needle.size());
-    }
-  }
-  return fallback;
 }
 
 /// Writes the table's machine-readable twin when "--csv=PATH" was given;

@@ -56,7 +56,7 @@ int main(int argc, char** argv) {
   bench::PrintHeader(
       "Extension: scheduler deltas across fabric families",
       "identical 30-event workload shape on a Fat-Tree and a leaf-spine");
-  const std::size_t trials = bench::ArgOr(argc, argv, "trials", 3);
+  const std::size_t trials = Flags::Parse(argc, argv).GetUint("trials", 3);
   RunTopology(exp::TopologyKind::kFatTree, trials);
   RunTopology(exp::TopologyKind::kLeafSpine, trials);
   bench::PrintFooter(

@@ -13,7 +13,7 @@ int main(int argc, char** argv) {
   bench::PrintHeader(
       "Extension: online event arrivals (inter-arrival sweep)",
       "8-pod Fat-Tree, 30 events of 10-100 flows, alpha=4, util 65%");
-  const std::size_t trials = bench::ArgOr(argc, argv, "trials", 3);
+  const std::size_t trials = Flags::Parse(argc, argv).GetUint("trials", 3);
 
   AsciiTable table({"mean gap (s)", "FIFO avg ECT", "LMTF avg ECT",
                     "P-LMTF avg ECT", "LMTF red.", "P-LMTF red.",

@@ -126,11 +126,12 @@ metrics::Report RunSrlgPoint(SrlgRegime regime, sched::SchedulerKind kind,
 }  // namespace
 
 int main(int argc, char** argv) {
+  const Flags flags = Flags::Parse(argc, argv);
   bench::PrintHeader(
       "Robustness: fault injection & recovery",
       "4-pod Fat-Tree, 20 events, 3 random fabric-link outages (4 s each), "
       "flaky-install probability sweep, churn on");
-  const std::size_t trials = bench::ArgOr(argc, argv, "trials", 3);
+  const std::size_t trials = flags.GetUint("trials", 3);
 
   AsciiTable table({"flaky p", "scheduler", "avg ECT (s)", "makespan (s)",
                     "attempts", "retried", "aborted", "replanned", "killed",
@@ -157,7 +158,7 @@ int main(int argc, char** argv) {
     }
   }
   table.Print();
-  bench::MaybeWriteCsv(table, bench::ArgOrStr(argc, argv, "csv", ""));
+  bench::MaybeWriteCsv(table, flags.GetString("csv", ""));
 
   bench::PrintHeader(
       "Robustness: correlated (SRLG) failures",
@@ -187,7 +188,7 @@ int main(int argc, char** argv) {
     }
   }
   srlg_table.Print();
-  bench::MaybeWriteCsv(srlg_table, bench::ArgOrStr(argc, argv, "srlg-csv", ""));
+  bench::MaybeWriteCsv(srlg_table, flags.GetString("srlg-csv", ""));
   bench::PrintFooter(
       "ECT and makespan grow with flaky probability (retry backoff + aborted "
       "rounds); retried/aborted counters scale with p while replans/kills "

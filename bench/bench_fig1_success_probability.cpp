@@ -55,12 +55,13 @@ void RunTrace(exp::TraceFamily family, std::size_t trials,
 }  // namespace
 
 int main(int argc, char** argv) {
+  const Flags flags = Flags::Parse(argc, argv);
   bench::PrintHeader(
       "Figure 1: success probability of inserting a flow (no migration)",
       "8-pod Fat-Tree, 1 Gbps links; background injected to each utilization "
       "level, then fresh trace flows probed for admission");
-  const std::size_t trials = bench::ArgOr(argc, argv, "trials", 3);
-  const std::size_t probes = bench::ArgOr(argc, argv, "probes", 300);
+  const std::size_t trials = flags.GetUint("trials", 3);
+  const std::size_t probes = flags.GetUint("probes", 300);
   RunTrace(exp::TraceFamily::kYahooLike, trials, probes);
   RunTrace(exp::TraceFamily::kUniform, trials, probes);
   bench::PrintFooter(

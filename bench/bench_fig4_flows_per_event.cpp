@@ -13,7 +13,7 @@ int main(int argc, char** argv) {
   bench::PrintHeader(
       "Figure 4: flow-level vs event-level ECT vs flows-per-event",
       "8-pod Fat-Tree, 10 events, utilization ~70%, avg flows/event 15..75");
-  const std::size_t trials = bench::ArgOr(argc, argv, "trials", 3);
+  const std::size_t trials = Flags::Parse(argc, argv).GetUint("trials", 3);
 
   struct Point {
     std::size_t avg_flows;

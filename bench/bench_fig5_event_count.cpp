@@ -12,7 +12,7 @@ int main(int argc, char** argv) {
   bench::PrintHeader(
       "Figure 5: flow-level vs event-level ECT vs number of events",
       "8-pod Fat-Tree, 10..50 events of 10-100 flows, utilization 70%");
-  const std::size_t trials = bench::ArgOr(argc, argv, "trials", 3);
+  const std::size_t trials = Flags::Parse(argc, argv).GetUint("trials", 3);
 
   struct Point {
     std::size_t events;

@@ -14,7 +14,7 @@ int main(int argc, char** argv) {
   bench::PrintHeader(
       "Figure 6: LMTF / P-LMTF vs FIFO (cost, avg ECT, tail ECT, plan time)",
       "8-pod Fat-Tree, 10..50 events of 10-100 flows, alpha=4, util 50-70%");
-  const std::size_t trials = bench::ArgOr(argc, argv, "trials", 5);
+  const std::size_t trials = Flags::Parse(argc, argv).GetUint("trials", 5);
 
   AsciiTable cost({"events", "LMTF cost red.", "P-LMTF cost red."});
   AsciiTable avg({"events", "LMTF avg-ECT red.", "P-LMTF avg-ECT red."});

@@ -50,7 +50,7 @@ int main(int argc, char** argv) {
   bench::PrintHeader(
       "Figure 7: P-LMTF vs FIFO by event type and utilization",
       "8-pod Fat-Tree, 30 events, alpha=4, utilization 50..90%");
-  const std::size_t trials = bench::ArgOr(argc, argv, "trials", 2);
+  const std::size_t trials = Flags::Parse(argc, argv).GetUint("trials", 2);
   RunType("heterogeneous", 10, 100, trials);
   RunType("synchronous", 50, 60, trials);
   bench::PrintFooter(

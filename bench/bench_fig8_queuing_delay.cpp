@@ -10,7 +10,7 @@ int main(int argc, char** argv) {
   bench::PrintHeader(
       "Figure 8: event queuing-delay reduction vs FIFO",
       "8-pod Fat-Tree, 10..50 events of 10-100 flows, alpha=4, util 50-70%");
-  const std::size_t trials = bench::ArgOr(argc, argv, "trials", 5);
+  const std::size_t trials = Flags::Parse(argc, argv).GetUint("trials", 5);
 
   AsciiTable table({"events", "LMTF avg red.", "LMTF worst red.",
                     "P-LMTF avg red.", "P-LMTF worst red."});

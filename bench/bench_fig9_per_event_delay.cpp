@@ -11,7 +11,7 @@ int main(int argc, char** argv) {
   bench::PrintHeader(
       "Figure 9: per-event queuing delay, 30 events",
       "8-pod Fat-Tree, 30 events of 10-100 flows, alpha=4, util 50-70%");
-  const std::size_t trials = bench::ArgOr(argc, argv, "trials", 1);
+  const std::size_t trials = Flags::Parse(argc, argv).GetUint("trials", 1);
   (void)trials;  // per-event view uses a single seeded workload
 
   exp::ExperimentConfig config;

@@ -89,12 +89,13 @@ metrics::Report RunPoint(double overload, sched::SchedulerKind kind,
 }  // namespace
 
 int main(int argc, char** argv) {
+  const Flags flags = Flags::Parse(argc, argv);
   bench::PrintHeader(
       "Robustness: overload guard chaos soak",
       "4-pod Fat-Tree, 30 events, queue bound 8 (shed-costliest), deadlines "
       "+ quarantine, auditor on cadence 8, 3 link outages + 20% flaky "
       "installs, arrival-rate overload sweep");
-  const std::size_t trials = bench::ArgOr(argc, argv, "trials", 3);
+  const std::size_t trials = flags.GetUint("trials", 3);
 
   AsciiTable table({"overload", "scheduler", "completed", "shed",
                     "quarantined", "misses", "requeued", "max queue",
@@ -122,7 +123,7 @@ int main(int argc, char** argv) {
     }
   }
   table.Print();
-  bench::MaybeWriteCsv(table, bench::ArgOrStr(argc, argv, "csv", ""));
+  bench::MaybeWriteCsv(table, flags.GetString("csv", ""));
   bench::PrintFooter(
       "shed/misses grow with the overload factor while max queue stays at "
       "the bound and violations stay 0; LMTF-family schedulers complete more "

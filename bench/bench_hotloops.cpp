@@ -46,14 +46,6 @@ double SecondsSince(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
-bool HasFlag(int argc, char** argv, const char* flag) {
-  const std::string needle = std::string("--") + flag;
-  for (int i = 1; i < argc; ++i) {
-    if (needle == argv[i]) return true;
-  }
-  return false;
-}
-
 // --- Legacy scalar estimator, pinned verbatim (pre-batching baseline) ----
 
 namespace legacy {
@@ -211,14 +203,15 @@ struct PhaseResult {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool quick = HasFlag(argc, argv, "quick");
-  const std::size_t k = bench::ArgOr(argc, argv, "k", quick ? 8 : 16);
+  const Flags flags = Flags::Parse(argc, argv);
+  const bool quick = flags.GetBool("quick", false);
+  const std::size_t k = flags.GetUint("k", quick ? 8 : 16);
   const std::size_t flow_target =
-      bench::ArgOr(argc, argv, "flows", quick ? 5'000 : 50'000);
-  const std::string csv_path = bench::ArgOrStr(argc, argv, "csv", "");
-  const std::string txt_path = bench::ArgOrStr(argc, argv, "txt", "");
+      flags.GetUint("flows", quick ? 5'000 : 50'000);
+  const std::string csv_path = flags.GetString("csv", "");
+  const std::string txt_path = flags.GetString("txt", "");
   const std::string json_path =
-      bench::ArgOrStr(argc, argv, "json", "BENCH_hotloops.json");
+      flags.GetString("json", "BENCH_hotloops.json");
 
   bench::PrintHeader(
       "hot-loop microbenchmarks (flat-row scan / batched scoring / residual "

@@ -161,18 +161,11 @@ ModeTimes TimeProbes(const net::Network& network,
   return t;
 }
 
-bool HasFlag(int argc, char** argv, const char* flag) {
-  const std::string needle = std::string("--") + flag;
-  for (int i = 1; i < argc; ++i) {
-    if (needle == argv[i]) return true;
-  }
-  return false;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool quick = HasFlag(argc, argv, "quick");
+  const Flags flags = Flags::Parse(argc, argv);
+  const bool quick = flags.GetBool("quick", false);
   bench::PrintHeader(
       "Probe fast path: per-probe wall time vs background-flow count",
       quick ? "8-pod Fat-Tree, quick sweep (CI)"
@@ -182,11 +175,11 @@ int main(int argc, char** argv) {
       quick ? std::vector<std::size_t>{250, 1000}
             : std::vector<std::size_t>{500, 1000, 2000, 5000};
   const std::vector<std::size_t> alphas{2, 4, 8};
-  const std::size_t reps = bench::ArgOr(argc, argv, "reps", quick ? 5 : 20);
+  const std::size_t reps = flags.GetUint("reps", quick ? 5 : 20);
   const std::string json_path =
-      bench::ArgOrStr(argc, argv, "json", "BENCH_probe.json");
-  const std::string csv_path = bench::ArgOrStr(argc, argv, "csv", "");
-  const std::string txt_path = bench::ArgOrStr(argc, argv, "txt", "");
+      flags.GetString("json", "BENCH_probe.json");
+  const std::string csv_path = flags.GetString("csv", "");
+  const std::string txt_path = flags.GetString("txt", "");
 
   // Capacity scaled so even the 5k-flow point places fully (demand <= 5).
   topo::FatTree ft(topo::FatTreeConfig{.k = 8, .link_capacity = 10000.0});

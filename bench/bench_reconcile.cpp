@@ -121,21 +121,17 @@ struct BenchRow {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool quick = [&] {
-    for (int i = 1; i < argc; ++i) {
-      if (std::string(argv[i]) == "--quick") return true;
-    }
-    return false;
-  }();
-  const std::size_t k = bench::ArgOr(argc, argv, "k", quick ? 8 : 16);
+  const Flags flags = Flags::Parse(argc, argv);
+  const bool quick = flags.GetBool("quick", false);
+  const std::size_t k = flags.GetUint("k", quick ? 8 : 16);
   const std::size_t flow_target =
-      bench::ArgOr(argc, argv, "flows", quick ? 5'000 : 50'000);
+      flags.GetUint("flows", quick ? 5'000 : 50'000);
   const std::size_t event_count =
-      bench::ArgOr(argc, argv, "events", quick ? 40 : 150);
+      flags.GetUint("events", quick ? 40 : 150);
   const std::string json_path =
-      bench::ArgOrStr(argc, argv, "json", "BENCH_reconcile.json");
-  const std::string csv_path = bench::ArgOrStr(argc, argv, "csv", "");
-  const std::string txt_path = bench::ArgOrStr(argc, argv, "txt", "");
+      flags.GetString("json", "BENCH_reconcile.json");
+  const std::string csv_path = flags.GetString("csv", "");
+  const std::string txt_path = flags.GetString("txt", "");
 
   bench::PrintHeader(
       "Robustness: grey failures & dataplane drift reconciliation",

@@ -5,22 +5,10 @@
 //
 // Measures per scheduler: end-to-end simulation wall time and events/sec
 // (with background churn and the runtime auditor on, so departures,
-// replacements, and full-state audits all hit the hot state), plus the peak
-// mutable-state bytes of the loaded network:
-//   * approx_state_bytes      — Network::ApproxStateBytes() of this build,
-//   * legacy_layout_bytes_est — an analytic estimate of the SAME logical
-//     state under the legacy layout (unordered_map flow table + placements,
-//     a deep topo::Path copy per flow, u64 link-flow entries), counting the
-//     map node/bucket and heap-block overheads the legacy
-//     ApproxStateBytes() omitted. Both builds compute both numbers, so the
-//     old-vs-new bytes comparison is built in.
-//
-// Wall-time old-vs-new uses a pinned baseline run: the pre-change build
-// wrote results/bench_scale_baseline.json; pass
-// --baseline=results/bench_scale_baseline.json and the comparison (ratios +
-// acceptance booleans: >=3x bytes reduction, >=2x speedup) lands in
-// BENCH_scale.json. Workload generation is fully seeded, so both builds
-// simulate identical logical states.
+// replacements, and full-state audits all hit the hot state), plus the
+// mutable-state bytes of the loaded network (Network::ApproxStateBytes()).
+// Workload generation is fully seeded, so two builds simulate identical
+// logical states.
 //
 // The traffic matrix is sparse and skewed (a hot set of host pairs, most
 // of them rack- or pod-local), as DC measurement studies report — which is
@@ -30,9 +18,7 @@
 #include <cstdio>
 #include <fstream>
 #include <memory>
-#include <optional>
 #include <set>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -150,54 +136,24 @@ std::size_t InjectFlows(net::Network& network,
   return placed;
 }
 
-/// Size of a glibc-malloc heap block serving an `n`-byte request: 8-byte
-/// chunk header, 16-byte granularity, 32-byte minimum chunk.
-std::size_t MallocBlock(std::size_t n) {
-  return std::max<std::size_t>(32, (n + 8 + 15) & ~std::size_t{15});
-}
-
 struct StateStats {
   std::size_t placed_flows = 0;
   std::size_t link_entries = 0;
   std::size_t unique_paths = 0;
   std::size_t approx_state_bytes = 0;
-  std::size_t legacy_layout_bytes_est = 0;
 };
 
-/// Analytic byte cost of the legacy hot-state layout holding this network's
-/// logical state — what a build before the dense-store/interning change
-/// would allocate. Counted honestly: unordered_map heap nodes (key + value
-/// + chain pointer per element) and bucket arrays, a deep topo::Path per
-/// placement (two heap vectors), u64 link-flow entries.
 StateStats MeasureState(const net::Network& network) {
   StateStats s;
   s.approx_state_bytes = network.ApproxStateBytes();
-  const topo::Graph& graph = network.graph();
-  std::size_t bytes = graph.link_count() * sizeof(Mbps) +  // residual_
-                      graph.link_count() + graph.node_count();  // up flags
-  bytes += graph.link_count() * sizeof(std::vector<FlowId>);  // link_flows_
   std::set<std::pair<std::vector<NodeId>, std::vector<LinkId>>> uniq;
   for (const FlowId id : network.PlacedFlows()) {
     ++s.placed_flows;
     const topo::Path& p = network.PathOf(id);
     s.link_entries += p.links.size();
     uniq.insert({p.nodes, p.links});
-    // placements_ map node: u64 key + topo::Path (two inline vectors) +
-    // chain pointer; then the two heap blocks the vectors own.
-    bytes += MallocBlock(sizeof(std::uint64_t) + sizeof(topo::Path) +
-                         sizeof(void*));
-    bytes += MallocBlock(p.nodes.size() * sizeof(NodeId));
-    bytes += MallocBlock(p.links.size() * sizeof(LinkId));
-    // FlowTable map node: u64 key + Flow + chain pointer.
-    bytes += MallocBlock(sizeof(std::uint64_t) + sizeof(flow::Flow) +
-                         sizeof(void*));
   }
   s.unique_paths = uniq.size();
-  bytes += s.link_entries * sizeof(FlowId);  // u64 per link-flow entry
-  // Two unordered_maps' bucket arrays (~1 pointer per element at load
-  // factor 1 — a deliberately conservative floor).
-  bytes += 2 * s.placed_flows * sizeof(void*);
-  s.legacy_layout_bytes_est = bytes;
   return s;
 }
 
@@ -267,38 +223,20 @@ double Median(std::vector<double> v) {
   return n % 2 == 1 ? v[n / 2] : 0.5 * (v[n / 2 - 1] + v[n / 2]);
 }
 
-bool HasFlag(int argc, char** argv, const char* flag) {
-  const std::string needle = std::string("--") + flag;
-  for (int i = 1; i < argc; ++i) {
-    if (needle == argv[i]) return true;
-  }
-  return false;
-}
-
-/// Pulls `"key": <number>` out of a JSON text — enough to read the pinned
-/// baseline this bench itself wrote.
-std::optional<double> JsonNumber(const std::string& text,
-                                 const std::string& key, std::size_t from = 0) {
-  const std::string needle = "\"" + key + "\":";
-  const std::size_t at = text.find(needle, from);
-  if (at == std::string::npos) return std::nullopt;
-  return std::strtod(text.c_str() + at + needle.size(), nullptr);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool quick = HasFlag(argc, argv, "quick");
-  const std::size_t k = bench::ArgOr(argc, argv, "k", quick ? 8 : 16);
+  const Flags flags = Flags::Parse(argc, argv);
+  const bool quick = flags.GetBool("quick", false);
+  const std::size_t k = flags.GetUint("k", quick ? 8 : 16);
   const std::size_t flow_target =
-      bench::ArgOr(argc, argv, "flows", quick ? 5'000 : 50'000);
+      flags.GetUint("flows", quick ? 5'000 : 50'000);
   const std::size_t event_count =
-      bench::ArgOr(argc, argv, "events", quick ? 40 : 200);
+      flags.GetUint("events", quick ? 40 : 200);
   const std::string json_path =
-      bench::ArgOrStr(argc, argv, "json", "BENCH_scale.json");
-  const std::string csv_path = bench::ArgOrStr(argc, argv, "csv", "");
-  const std::string txt_path = bench::ArgOrStr(argc, argv, "txt", "");
-  const std::string baseline_path = bench::ArgOrStr(argc, argv, "baseline", "");
+      flags.GetString("json", "BENCH_scale.json");
+  const std::string csv_path = flags.GetString("csv", "");
+  const std::string txt_path = flags.GetString("txt", "");
 
   bench::PrintHeader(
       "Scale tier: end-to-end simulation at k=16 / 50k background flows",
@@ -324,17 +262,9 @@ int main(int argc, char** argv) {
   // measured bytes reflect steady-state storage, not growth headroom.
   network.ShrinkToFit();
   const StateStats state = MeasureState(network);
-  const double builtin_bytes_reduction =
-      state.approx_state_bytes > 0
-          ? static_cast<double>(state.legacy_layout_bytes_est) /
-                static_cast<double>(state.approx_state_bytes)
-          : 0.0;
-  std::printf(
-      "state: %.1f MiB (this build), %.1f MiB legacy-layout estimate, "
-      "%zu unique paths, %zu link entries\n",
-      static_cast<double>(state.approx_state_bytes) / (1024.0 * 1024.0),
-      static_cast<double>(state.legacy_layout_bytes_est) / (1024.0 * 1024.0),
-      state.unique_paths, state.link_entries);
+  std::printf("state: %.1f MiB, %zu unique paths, %zu link entries\n",
+              static_cast<double>(state.approx_state_bytes) / (1024.0 * 1024.0),
+              state.unique_paths, state.link_entries);
 
   // End-to-end runs: churn on (departures draw replacements from the same
   // hot-pair matrix) and the invariant auditor on a coarse cadence, so
@@ -395,11 +325,11 @@ int main(int argc, char** argv) {
   // so host drift lands on both sides alike; every point reports both
   // medians and how many pairs the sharded run won.
   const std::size_t shard_k =
-      bench::ArgOr(argc, argv, "shard-k", quick ? 8 : 32);
+      flags.GetUint("shard-k", quick ? 8 : 32);
   const std::size_t shard_flows =
-      bench::ArgOr(argc, argv, "shard-flows", quick ? 5'000 : 500'000);
+      flags.GetUint("shard-flows", quick ? 5'000 : 500'000);
   const std::size_t shard_events =
-      bench::ArgOr(argc, argv, "shard-events", quick ? 20 : 60);
+      flags.GetUint("shard-events", quick ? 20 : 60);
 
   topo::FatTree shard_ft(topo::FatTreeConfig{
       .k = shard_k, .link_capacity = quick ? 2000.0 : 8000.0});
@@ -507,31 +437,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Pinned-baseline comparison (wall time cannot be measured across two
-  // layouts inside one binary; bytes can — and are, above).
-  double baseline_total_wall = 0.0;
-  double baseline_approx_bytes = 0.0;
-  bool have_baseline = false;
-  if (!baseline_path.empty()) {
-    std::ifstream in(baseline_path);
-    if (in) {
-      std::ostringstream buf;
-      buf << in.rdbuf();
-      const std::string text = buf.str();
-      const auto wall = JsonNumber(text, "total_wall_seconds");
-      const auto bytes = JsonNumber(text, "approx_state_bytes");
-      if (wall && bytes) {
-        baseline_total_wall = *wall;
-        baseline_approx_bytes = *bytes;
-        have_baseline = true;
-      }
-    }
-    if (!have_baseline) {
-      std::fprintf(stderr, "cannot read baseline: %s\n",
-                   baseline_path.c_str());
-    }
-  }
-
   std::ofstream json(json_path);
   json << "{\n  \"bench\": \"scale\",\n  \"quick\": "
        << (quick ? "true" : "false") << ",\n  \"k\": " << k
@@ -539,12 +444,10 @@ int main(int argc, char** argv) {
        << ",\n  \"hot_pairs\": " << hot_pairs
        << ",\n  \"inject_seconds\": " << FormatDouble(inject_seconds, 2)
        << ",\n  \"state\": {\"approx_state_bytes\": "
-       << state.approx_state_bytes << ", \"legacy_layout_bytes_est\": "
-       << state.legacy_layout_bytes_est << ", \"unique_paths\": "
+       << state.approx_state_bytes << ", \"unique_paths\": "
        << state.unique_paths << ", \"link_entries\": " << state.link_entries
        << ", \"placed_flows\": " << state.placed_flows
-       << ", \"builtin_bytes_reduction\": "
-       << FormatDouble(builtin_bytes_reduction, 2) << "},\n  \"rows\": [\n";
+       << "},\n  \"rows\": [\n";
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const RunRow& row = rows[i];
     json << "    {\"scheduler\": \"" << row.scheduler
@@ -589,23 +492,6 @@ int main(int argc, char** argv) {
     json << "]}" << (i + 1 < shard_rows.size() ? "," : "") << "\n";
   }
   json << "    ]\n  }";
-  if (have_baseline) {
-    const double speedup =
-        total_wall > 0.0 ? baseline_total_wall / total_wall : 0.0;
-    json << ",\n  \"comparison\": {\"baseline\": \"" << baseline_path
-         << "\", \"baseline_total_wall_seconds\": "
-         << FormatDouble(baseline_total_wall, 3)
-         << ", \"baseline_approx_state_bytes\": "
-         << FormatDouble(baseline_approx_bytes, 0)
-         << ", \"speedup_end_to_end\": " << FormatDouble(speedup, 2)
-         << ", \"bytes_reduction\": "
-         << FormatDouble(builtin_bytes_reduction, 2)
-         << ", \"meets_2x_speedup\": " << (speedup >= 2.0 ? "true" : "false")
-         << ", \"meets_3x_bytes\": "
-         << (builtin_bytes_reduction >= 3.0 ? "true" : "false") << "}";
-    std::printf("vs baseline: %.2fx end-to-end speedup, %.2fx bytes "
-                "reduction\n", speedup, builtin_bytes_reduction);
-  }
   json << "\n}\n";
   json.close();
   std::printf("json written: %s\n", json_path.c_str());
@@ -632,8 +518,6 @@ int main(int argc, char** argv) {
   }
   bench::PrintFooter(
       "events/sec is bounded by hot-state traversal (audits, departures, "
-      "link-flow scans): the live-sized flow store and interned paths "
-      "cut both the bytes a scan touches and the per-read hashing, so the "
-      "post-change build clears 2x end-to-end and 3x state bytes");
+      "link-flow scans), not by the schedulers' probes");
   return 0;
 }

@@ -21,6 +21,7 @@
 using namespace nu;
 
 int main(int argc, char** argv) {
+  const Flags flags = Flags::Parse(argc, argv);
   bench::PrintHeader(
       "Robustness: online serving brownout sweep",
       "4-pod Fat-Tree, 60 s Poisson stream, two tenants (premium prio 2 / "
@@ -29,7 +30,7 @@ int main(int argc, char** argv) {
       "outage at t=20 for 10 s, auditor log-and-count");
 
   exp::ServeCampaignConfig campaign = exp::DefaultServeCampaign(/*rate=*/1.0);
-  campaign.exp.seed = bench::ArgOr(argc, argv, "seed", campaign.exp.seed);
+  campaign.exp.seed = flags.GetUint("seed", campaign.exp.seed);
   campaign.pod_outage = true;
 
   const std::vector<double> loads{0.5, 1.0, 2.0, 3.0};
@@ -71,7 +72,7 @@ int main(int argc, char** argv) {
         .Cell(point.result.violations.size());
   }
   table.Print();
-  bench::MaybeWriteCsv(table, bench::ArgOrStr(argc, argv, "csv", ""));
+  bench::MaybeWriteCsv(table, flags.GetString("csv", ""));
   bench::PrintFooter(
       "admitted count saturates near capacity while rejections/sheds absorb "
       "the excess above 1x; overloaded rows reach Shedding during the pod "

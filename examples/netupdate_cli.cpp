@@ -26,26 +26,16 @@
 //   --resume                  recover from DIR and finish the crashed run
 #include <cstdio>
 #include <iostream>
-#include <sstream>
 
 #include "common/csv.h"
 #include "common/flags.h"
 #include "common/table.h"
+#include "common/text.h"
 #include "exp/runner.h"
 
 using namespace nu;
 
 namespace {
-
-std::vector<std::string> SplitCommaList(const std::string& list) {
-  std::vector<std::string> out;
-  std::istringstream stream(list);
-  std::string item;
-  while (std::getline(stream, item, ',')) {
-    if (!item.empty()) out.push_back(item);
-  }
-  return out;
-}
 
 exp::TraceFamily ParseTrace(const std::string& name) {
   if (name == "yahoo-like") return exp::TraceFamily::kYahooLike;
@@ -55,10 +45,7 @@ exp::TraceFamily ParseTrace(const std::string& name) {
   std::exit(2);
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const Flags flags = Flags::Parse(argc, argv);
+int Run(const Flags& flags) {
   if (flags.Has("help")) {
     std::printf("see the header comment of examples/netupdate_cli.cpp\n");
     return 0;
@@ -87,9 +74,12 @@ int main(int argc, char** argv) {
   const bool as_csv = flags.GetBool("csv", false);
 
   std::vector<sched::SchedulerKind> kinds;
-  for (const std::string& name : SplitCommaList(
-           flags.GetString("schedulers", "fifo,reorder,lmtf,p-lmtf"))) {
-    kinds.push_back(sched::ParseSchedulerKind(name));
+  const std::string schedulers =
+      flags.GetString("schedulers", "fifo,reorder,lmtf,p-lmtf");
+  for (const std::string_view name : Split(schedulers, ',')) {
+    if (!name.empty()) {
+      kinds.push_back(sched::ParseSchedulerKind(std::string(name)));
+    }
   }
 
   ckpt::CheckpointConfig checkpoint;
@@ -194,4 +184,17 @@ int main(int argc, char** argv) {
   }
   table.Print();
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  // A malformed flag value or scheduler name is a usage error, like an
+  // unknown flag.
+  try {
+    return Run(Flags::Parse(argc, argv));
+  } catch (const CorruptInput& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return 2;
+  }
 }

@@ -5,9 +5,10 @@
 //
 // Run:  ./scheduler_faceoff [seed]
 #include <cstdio>
-#include <cstdlib>
+#include <optional>
 
 #include "common/table.h"
+#include "common/text.h"
 #include "exp/runner.h"
 #include "metrics/gantt.h"
 
@@ -21,7 +22,13 @@ int main(int argc, char** argv) {
   config.min_flows_per_event = 10;
   config.max_flows_per_event = 100;
   config.alpha = 4;
-  config.seed = argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 3;
+  const std::optional<std::uint64_t> seed =
+      argc > 1 ? ParseCount(argv[1]) : std::optional<std::uint64_t>(3);
+  if (!seed) {
+    std::fprintf(stderr, "usage: scheduler_faceoff [seed]\n");
+    return 2;
+  }
+  config.seed = *seed;
   config.sim.keep_round_log = true;
 
   std::printf("workload seed %llu: %zu events, utilization target %.0f%%\n\n",

@@ -1,8 +1,9 @@
 #include "ckpt/checkpoint.h"
 
 #include <algorithm>
-#include <charconv>
 #include <cstdio>
+
+#include "common/text.h"
 
 namespace nu::ckpt {
 namespace {
@@ -39,12 +40,9 @@ std::vector<std::uint64_t> ListSnapshotRounds(
     if (name.compare(name.size() - suffix.size(), suffix.size(), suffix) != 0) {
       continue;
     }
-    const char* first = name.data() + prefix.size();
-    const char* last = name.data() + name.size() - suffix.size();
-    std::uint64_t round = 0;
-    const auto [ptr, err] = std::from_chars(first, last, round);
-    if (err != std::errc() || ptr != last) continue;
-    rounds.push_back(round);
+    const std::string_view digits = std::string_view(name).substr(
+        prefix.size(), name.size() - prefix.size() - suffix.size());
+    if (const auto round = ParseCount(digits)) rounds.push_back(*round);
   }
   std::sort(rounds.begin(), rounds.end(), std::greater<>());
   return rounds;

@@ -11,19 +11,13 @@
 #include <bit>
 #include <cstdint>
 #include <cstring>
-#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <vector>
 
-namespace nu {
+#include "common/text.h"
 
-/// Thrown by BinReader on truncated or malformed input.
-class CorruptInput : public std::runtime_error {
- public:
-  explicit CorruptInput(const std::string& what)
-      : std::runtime_error("corrupt binary input: " + what) {}
-};
+namespace nu {
 
 /// CRC32 (IEEE 802.3 polynomial, reflected) over a byte range.
 [[nodiscard]] std::uint32_t Crc32(const void* data, std::size_t size);

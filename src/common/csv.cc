@@ -72,7 +72,7 @@ CsvFile ParseCsv(const std::string& text, bool has_header) {
   std::istringstream stream(text);
   std::string line;
   bool header_pending = has_header;
-  while (std::getline(stream, line)) {
+  for (std::size_t line_no = 1; std::getline(stream, line); ++line_no) {
     if (line.empty() || line[0] == '#') continue;
     auto cells = SplitCsvLine(line);
     if (header_pending) {
@@ -80,6 +80,7 @@ CsvFile ParseCsv(const std::string& text, bool has_header) {
       header_pending = false;
     } else {
       file.rows.push_back(std::move(cells));
+      file.row_lines.push_back(line_no);
     }
   }
   return file;

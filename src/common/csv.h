@@ -35,6 +35,8 @@ class CsvWriter {
 struct CsvFile {
   std::vector<std::string> header;
   std::vector<std::vector<std::string>> rows;
+  /// 1-based text line of each row, for error messages.
+  std::vector<std::size_t> row_lines;
 
   /// Index of a header column, or nullopt when absent.
   [[nodiscard]] std::optional<std::size_t> ColumnIndex(

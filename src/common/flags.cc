@@ -1,95 +1,79 @@
 #include "common/flags.h"
 
-#include <cstdlib>
+#include <string_view>
 
-#include "common/check.h"
+#include "common/text.h"
 
 namespace nu {
 
 Flags Flags::Parse(int argc, char** argv) {
+  const auto is_flag = [](std::string_view arg) {
+    return arg.starts_with("--");
+  };
   Flags flags;
   for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--", 0) != 0) {
-      flags.positionals_.push_back(arg);
+    const std::string_view arg = argv[i];
+    if (!is_flag(arg)) {
+      flags.positionals_.emplace_back(arg);
       continue;
     }
-    const std::string body = arg.substr(2);
-    const auto eq = body.find('=');
-    if (eq != std::string::npos) {
-      flags.values_[body.substr(0, eq)] = {body.substr(eq + 1), false};
-      continue;
+    const std::size_t eq = arg.find('=');
+    std::string value;
+    if (eq != std::string_view::npos) {
+      value = arg.substr(eq + 1);
+    } else if (i + 1 < argc && !is_flag(argv[i + 1])) {
+      value = argv[++i];  // `--name value`; a bare `--name` is boolean
     }
-    // `--name value` when the next token is not a flag; bare boolean
-    // otherwise.
-    if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
-      flags.values_[body] = {argv[i + 1], false};
-      ++i;
-    } else {
-      flags.values_[body] = {"", false};
-    }
+    flags.values_[std::string(arg.substr(2, eq - 2))] = {value, false};
   }
   return flags;
 }
 
-bool Flags::Has(const std::string& name) const {
+const std::string* Flags::Find(const std::string& name) const {
   const auto it = values_.find(name);
-  if (it == values_.end()) return false;
+  if (it == values_.end()) return nullptr;
   it->second.second = true;
-  return true;
+  return &it->second.first;
+}
+
+bool Flags::Has(const std::string& name) const {
+  return Find(name) != nullptr;
 }
 
 std::string Flags::GetString(const std::string& name,
                              const std::string& fallback) const {
-  const auto it = values_.find(name);
-  if (it == values_.end()) return fallback;
-  it->second.second = true;
-  return it->second.first;
+  const std::string* value = Find(name);
+  return value != nullptr ? *value : fallback;
+}
+
+template <typename T, typename Reader>
+T Flags::Get(const std::string& name, T fallback, Reader read) const {
+  const std::string* value = Find(name);
+  if (value == nullptr) return fallback;
+  return Require<CorruptInput>(read(*value), *value,
+                               "flag --" + name + ": bad value");
 }
 
 double Flags::GetDouble(const std::string& name, double fallback) const {
-  const auto it = values_.find(name);
-  if (it == values_.end()) return fallback;
-  it->second.second = true;
-  char* end = nullptr;
-  const double value = std::strtod(it->second.first.c_str(), &end);
-  NU_CHECK(end != it->second.first.c_str() && *end == '\0');
-  return value;
+  return Get(name, fallback, ParseReal);
 }
 
 std::int64_t Flags::GetInt(const std::string& name,
                            std::int64_t fallback) const {
-  const auto it = values_.find(name);
-  if (it == values_.end()) return fallback;
-  it->second.second = true;
-  char* end = nullptr;
-  const std::int64_t value =
-      std::strtoll(it->second.first.c_str(), &end, 10);
-  NU_CHECK(end != it->second.first.c_str() && *end == '\0');
-  return value;
+  return Get(name, fallback, ParseInt);
 }
 
 std::uint64_t Flags::GetUint(const std::string& name,
                              std::uint64_t fallback) const {
-  const auto it = values_.find(name);
-  if (it == values_.end()) return fallback;
-  it->second.second = true;
-  char* end = nullptr;
-  const std::uint64_t value =
-      std::strtoull(it->second.first.c_str(), &end, 10);
-  NU_CHECK(end != it->second.first.c_str() && *end == '\0');
-  return value;
+  return Get(name, fallback, [](std::string_view v) { return ParseCount(v); });
 }
 
 bool Flags::GetBool(const std::string& name, bool fallback) const {
-  const auto it = values_.find(name);
-  if (it == values_.end()) return fallback;
-  it->second.second = true;
-  const std::string& v = it->second.first;
-  if (v.empty() || v == "true" || v == "1") return true;
-  if (v == "false" || v == "0") return false;
-  NU_CHECK(false && "unparsable boolean flag");
-  return fallback;
+  const std::string* value = Find(name);
+  if (value == nullptr) return fallback;
+  if (value->empty() || *value == "true" || *value == "1") return true;
+  if (*value == "false" || *value == "0") return false;
+  throw CorruptInput("flag --" + name + ": bad value '" + *value + "'");
 }
 
 std::vector<std::string> Flags::UnqueriedFlags() const {

@@ -1,10 +1,10 @@
-// Minimal command-line flag parsing for the example/CLI binaries:
-// `--name=value` and `--name value` forms, typed getters with defaults, and
-// automatic `--help` text. No global state.
+// Command-line flag parsing for every tool, bench and example binary:
+// `--name=value` and `--name value` forms, and typed getters with defaults
+// that read values by the number rule of common/text.h. No global state.
 #pragma once
 
+#include <cstdint>
 #include <map>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -12,15 +12,15 @@ namespace nu {
 
 class Flags {
  public:
-  /// Parses argv. Flags are `--name=value`, `--name value`, or boolean
-  /// `--name`. Non-flag arguments are collected as positionals. Aborts on a
-  /// malformed argument (not starting with `--` is positional, fine).
+  /// Parses argv: `--name=value`, `--name value` (when the next argument
+  /// is not a flag) or boolean `--name`; every other argument is a
+  /// positional. Never fails: the getters check values.
   static Flags Parse(int argc, char** argv);
 
   [[nodiscard]] bool Has(const std::string& name) const;
 
-  /// Typed getters; return `fallback` when absent. Abort on unparsable
-  /// values for the requested type.
+  /// Typed getters; return `fallback` when absent. Throw CorruptInput
+  /// naming the flag when its value does not parse as the type.
   [[nodiscard]] std::string GetString(const std::string& name,
                                       const std::string& fallback) const;
   [[nodiscard]] double GetDouble(const std::string& name,
@@ -42,6 +42,12 @@ class Flags {
   [[nodiscard]] std::vector<std::string> UnqueriedFlags() const;
 
  private:
+  /// The value of `name` marked queried, or nullptr when absent.
+  [[nodiscard]] const std::string* Find(const std::string& name) const;
+  /// `read` of the value, `fallback` when absent; CorruptInput otherwise.
+  template <typename T, typename Reader>
+  T Get(const std::string& name, T fallback, Reader read) const;
+
   mutable std::map<std::string, std::pair<std::string, bool>> values_;
   std::vector<std::string> positionals_;
 };

@@ -1,11 +1,10 @@
 #include "exp/chaos.h"
 
 #include <algorithm>
-#include <charconv>
 #include <sstream>
 #include <string_view>
 
-#include "common/check.h"
+#include "common/text.h"
 #include "exp/serve.h"
 #include "fault/srlg.h"
 #include "guard/auditor.h"
@@ -19,51 +18,12 @@ constexpr std::string_view kArtifactHeader = "netupdate-chaos-repro v1";
 
 [[noreturn]] void Fail(const std::string& what) { throw ChaosError(what); }
 
-/// Shortest round-trip formatting (same discipline as the fault-plan
-/// format): artifact bytes must be platform-independent.
-std::string FormatNum(double value) {
-  char buf[64];
-  const auto [end, ec] = std::to_chars(buf, buf + sizeof(buf), value);
-  NU_CHECK(ec == std::errc());
-  return std::string(buf, end);
+double RealOrFail(std::string_view token) {
+  return Require<ChaosError>(ParseReal(token), token, "bad number");
 }
 
-double ParseNum(std::string_view token) {
-  double value = 0.0;
-  const auto [rest, ec] =
-      std::from_chars(token.data(), token.data() + token.size(), value);
-  if (ec != std::errc() || rest != token.data() + token.size()) {
-    Fail("bad number '" + std::string(token) + "'");
-  }
-  return value;
-}
-
-std::uint64_t ParseU64(std::string_view token) {
-  std::uint64_t value = 0;
-  const auto [rest, ec] =
-      std::from_chars(token.data(), token.data() + token.size(), value);
-  if (ec != std::errc() || rest != token.data() + token.size()) {
-    Fail("bad integer '" + std::string(token) + "'");
-  }
-  return value;
-}
-
-std::vector<std::string> Tokens(const std::string& line) {
-  std::vector<std::string> tokens;
-  std::istringstream in(line);
-  std::string token;
-  while (in >> token) tokens.push_back(std::move(token));
-  return tokens;
-}
-
-sched::SchedulerKind ParseSchedulerName(const std::string& name) {
-  // ParseSchedulerKind aborts on unknown names; artifacts are hand-editable
-  // so pre-validate and throw instead.
-  for (const char* known :
-       {"fifo", "reorder", "lmtf", "p-lmtf", "plmtf", "sjf-size", "sjf"}) {
-    if (name == known) return sched::ParseSchedulerKind(name);
-  }
-  Fail("unknown scheduler '" + name + "'");
+std::uint64_t CountOrFail(std::string_view token) {
+  return Require<ChaosError>(ParseCount(token), token, "bad integer");
 }
 
 /// Rebuilds a plan holding exactly `specs`, pruning group declarations no
@@ -486,14 +446,14 @@ std::string SerializeArtifact(const ChaosScenario& scenario) {
   out << "events " << scenario.event_count << "\n";
   out << "scheduler " << sched::ToString(scenario.scheduler) << "\n";
   out << "cascade " << scenario.cascade.max_secondary_failures << " "
-      << FormatNum(scenario.cascade.utilization_threshold) << " "
-      << FormatNum(scenario.cascade.hold_time) << " "
-      << FormatNum(scenario.cascade.outage) << "\n";
+      << FormatReal(scenario.cascade.utilization_threshold) << " "
+      << FormatReal(scenario.cascade.hold_time) << " "
+      << FormatReal(scenario.cascade.outage) << "\n";
   if (scenario.storm.has_value()) {
-    out << "storm " << FormatNum(scenario.storm->start) << " "
-        << FormatNum(scenario.storm->duration) << " "
-        << FormatNum(scenario.storm->model.failure_probability) << " "
-        << FormatNum(scenario.storm->model.latency_jitter_frac) << "\n";
+    out << "storm " << FormatReal(scenario.storm->start) << " "
+        << FormatReal(scenario.storm->duration) << " "
+        << FormatReal(scenario.storm->model.failure_probability) << " "
+        << FormatReal(scenario.storm->model.latency_jitter_frac) << "\n";
   }
   if (scenario.grey.enabled()) {
     // Absent on healthy-dataplane scenarios so pre-grey artifacts stay
@@ -502,8 +462,8 @@ std::string SerializeArtifact(const ChaosScenario& scenario) {
   }
   if (scenario.serve_load > 0.0) {
     // Absent on offline scenarios so pre-serve artifacts stay byte-stable.
-    out << "serve " << FormatNum(scenario.serve_load) << " "
-        << FormatNum(scenario.serve_rate) << "\n";
+    out << "serve " << FormatReal(scenario.serve_load) << " "
+        << FormatReal(scenario.serve_rate) << "\n";
   }
   if (scenario.shards >= 2) {
     // Absent on unsharded scenarios so pre-shard artifacts stay byte-stable.
@@ -518,17 +478,16 @@ std::string SerializeArtifact(const ChaosScenario& scenario) {
 ChaosScenario ParseArtifact(const std::string& text) {
   std::istringstream in(text);
   std::string line;
-  if (!std::getline(in, line) || Tokens(line) != Tokens(std::string(
-                                                     kArtifactHeader))) {
+  if (!std::getline(in, line) || Tokens(line) != Tokens(kArtifactHeader)) {
     Fail("missing header '" + std::string(kArtifactHeader) + "'");
   }
   ChaosScenario scenario;
   bool saw_seed = false;
   bool saw_plan = false;
   while (std::getline(in, line)) {
-    const std::vector<std::string> tokens = Tokens(line);
+    const std::vector<std::string_view> tokens = Tokens(line);
     if (tokens.empty() || tokens[0][0] == '#') continue;
-    const std::string& key = tokens[0];
+    const std::string_view key = tokens[0];
     if (key == "plan") {
       // Everything after the 'plan' line is the embedded fault plan; a
       // malformed one is a malformed ARTIFACT, so surface it as ChaosError.
@@ -541,38 +500,41 @@ ChaosScenario ParseArtifact(const std::string& text) {
       break;
     }
     if (key == "seed" && tokens.size() == 2) {
-      scenario.seed = ParseU64(tokens[1]);
+      scenario.seed = CountOrFail(tokens[1]);
       saw_seed = true;
     } else if (key == "k" && tokens.size() == 2) {
-      scenario.fat_tree_k = static_cast<std::size_t>(ParseU64(tokens[1]));
+      scenario.fat_tree_k = CountOrFail(tokens[1]);
     } else if (key == "events" && tokens.size() == 2) {
-      scenario.event_count = static_cast<std::size_t>(ParseU64(tokens[1]));
+      scenario.event_count = CountOrFail(tokens[1]);
     } else if (key == "scheduler" && tokens.size() == 2) {
-      scenario.scheduler = ParseSchedulerName(tokens[1]);
+      try {
+        scenario.scheduler = sched::ParseSchedulerKind(std::string(tokens[1]));
+      } catch (const CorruptInput& e) {
+        Fail(e.what());
+      }
     } else if (key == "cascade" && tokens.size() == 5) {
-      scenario.cascade.max_secondary_failures =
-          static_cast<std::size_t>(ParseU64(tokens[1]));
-      scenario.cascade.utilization_threshold = ParseNum(tokens[2]);
-      scenario.cascade.hold_time = ParseNum(tokens[3]);
-      scenario.cascade.outage = ParseNum(tokens[4]);
+      scenario.cascade.max_secondary_failures = CountOrFail(tokens[1]);
+      scenario.cascade.utilization_threshold = RealOrFail(tokens[2]);
+      scenario.cascade.hold_time = RealOrFail(tokens[3]);
+      scenario.cascade.outage = RealOrFail(tokens[4]);
     } else if (key == "grey" && tokens.size() == 2) {
       try {
-        scenario.grey = fault::ParseGreyModel(tokens[1]).Validate();
+        scenario.grey = fault::ParseGreyModel(std::string(tokens[1]));
       } catch (const fault::FaultPlanError& e) {
         Fail(std::string("grey model: ") + e.what());
       }
     } else if (key == "serve" && tokens.size() == 3) {
-      scenario.serve_load = ParseNum(tokens[1]);
-      scenario.serve_rate = ParseNum(tokens[2]);
+      scenario.serve_load = RealOrFail(tokens[1]);
+      scenario.serve_rate = RealOrFail(tokens[2]);
     } else if (key == "shards" && tokens.size() == 3) {
-      scenario.shards = static_cast<std::size_t>(ParseU64(tokens[1]));
-      scenario.shard_threads = static_cast<std::size_t>(ParseU64(tokens[2]));
+      scenario.shards = CountOrFail(tokens[1]);
+      scenario.shard_threads = CountOrFail(tokens[2]);
     } else if (key == "storm" && tokens.size() == 5) {
       fault::FlakyStorm storm;
-      storm.start = ParseNum(tokens[1]);
-      storm.duration = ParseNum(tokens[2]);
-      storm.model.failure_probability = ParseNum(tokens[3]);
-      storm.model.latency_jitter_frac = ParseNum(tokens[4]);
+      storm.start = RealOrFail(tokens[1]);
+      storm.duration = RealOrFail(tokens[2]);
+      storm.model.failure_probability = RealOrFail(tokens[3]);
+      storm.model.latency_jitter_frac = RealOrFail(tokens[4]);
       scenario.storm = storm;
     } else {
       Fail("unrecognized line '" + line + "'");

@@ -2,79 +2,46 @@
 
 #include <algorithm>
 #include <cctype>
-#include <charconv>
+#include <cmath>
 #include <fstream>
 #include <istream>
+#include <limits>
+#include <optional>
 #include <ostream>
-#include <sstream>
 
-#include "common/check.h"
+#include "common/text.h"
 
 namespace nu::fault {
 namespace {
 
 [[noreturn]] void Fail(const std::string& what) { throw FaultPlanError(what); }
 
-// Shortest round-trip decimal formatting via std::to_chars: the emitted
-// bytes are identical across platforms and parse back to the exact double,
-// which is what makes text artifacts a determinism oracle.
-std::string FormatTime(double value) {
-  char buf[64];
-  const auto res = std::to_chars(buf, buf + sizeof(buf), value);
-  NU_CHECK(res.ec == std::errc{});
-  return std::string(buf, res.ptr);
+// Both are false for NaN and the infinities, which a bare comparison lets
+// through (every comparison with NaN is false).
+bool NonNegative(double value) { return std::isfinite(value) && value >= 0.0; }
+bool Positive(double value) { return std::isfinite(value) && value > 0.0; }
+
+double RealOrFail(std::string_view token, const std::string& context) {
+  return Require<FaultPlanError>(ParseReal(token), token,
+                                 context + ": bad number");
 }
 
-double ParseTime(std::string_view token, const std::string& context) {
-  double value = 0.0;
-  const auto res =
-      std::from_chars(token.data(), token.data() + token.size(), value);
-  if (res.ec != std::errc{} || res.ptr != token.data() + token.size()) {
-    Fail(context + ": bad time '" + std::string(token) + "'");
-  }
-  return value;
-}
-
-std::uint64_t ParseUint(std::string_view token, const std::string& context) {
-  std::uint64_t value = 0;
-  const auto res =
-      std::from_chars(token.data(), token.data() + token.size(), value);
-  if (res.ec != std::errc{} || res.ptr != token.data() + token.size()) {
-    Fail(context + ": bad id '" + std::string(token) + "'");
-  }
-  return value;
-}
-
-// Splits a line into whitespace-separated tokens.
-std::vector<std::string_view> Tokens(std::string_view line) {
-  std::vector<std::string_view> out;
-  std::size_t i = 0;
-  while (i < line.size()) {
-    while (i < line.size() && std::isspace(static_cast<unsigned char>(line[i]))) {
-      ++i;
-    }
-    std::size_t start = i;
-    while (i < line.size() &&
-           !std::isspace(static_cast<unsigned char>(line[i]))) {
-      ++i;
-    }
-    if (i > start) out.push_back(line.substr(start, i - start));
-  }
-  return out;
+// An id or index that must fit its type T: a wider one is an error, not a
+// silent wrap to another id.
+template <typename T>
+T CountOrFail(std::string_view token, const std::string& context) {
+  return static_cast<T>(Require<FaultPlanError>(
+      ParseCount(token, std::numeric_limits<T>::max()), token,
+      context + ": bad id"));
 }
 
 // Splits "1,2,3" into ids; empty value means the empty list.
 template <typename Id>
 std::vector<Id> ParseIdList(std::string_view value, const std::string& context) {
   std::vector<Id> out;
-  while (!value.empty()) {
-    const std::size_t comma = value.find(',');
-    const std::string_view item = value.substr(0, comma);
-    if (item.empty()) Fail(context + ": empty id in list");
-    out.push_back(Id{static_cast<typename Id::rep_type>(
-        ParseUint(item, context))});
-    if (comma == std::string_view::npos) break;
-    value.remove_prefix(comma + 1);
+  if (value.empty()) return out;
+  for (const std::string_view item : Split(value, ',')) {
+    out.push_back(Id{CountOrFail<typename Id::rep_type>(item, context)});
   }
   return out;
 }
@@ -123,8 +90,8 @@ const char* ToString(FaultKind kind) {
 }
 
 FaultPlan& FaultPlan::Add(FaultSpec spec) {
-  if (spec.time < 0.0) {
-    Fail("spec time must be >= 0, got " + FormatTime(spec.time));
+  if (!NonNegative(spec.time)) {
+    Fail("spec time must be finite and >= 0, got " + FormatReal(spec.time));
   }
   if (spec.IsGroupFault()) {
     if (spec.group >= groups_.size()) {
@@ -154,9 +121,9 @@ FaultPlan& FaultPlan::AddLinkUp(Seconds time, LinkId link) {
 
 FaultPlan& FaultPlan::AddLinkOutage(Seconds time, Seconds outage,
                                     LinkId link) {
-  if (outage <= 0.0) {
-    Fail("link outage duration must be > 0 (got " + FormatTime(outage) +
-         "); use AddLinkDown for a permanent failure");
+  if (!Positive(outage)) {
+    Fail("link outage duration must be finite and > 0 (got " +
+         FormatReal(outage) + "); use AddLinkDown for a permanent failure");
   }
   AddLinkDown(time, link);
   AddLinkUp(time + outage, link);
@@ -173,9 +140,9 @@ FaultPlan& FaultPlan::AddSwitchUp(Seconds time, NodeId node) {
 
 FaultPlan& FaultPlan::AddSwitchOutage(Seconds time, Seconds outage,
                                       NodeId node) {
-  if (outage <= 0.0) {
-    Fail("switch outage duration must be > 0 (got " + FormatTime(outage) +
-         "); use AddSwitchDown for a permanent failure");
+  if (!Positive(outage)) {
+    Fail("switch outage duration must be finite and > 0 (got " +
+         FormatReal(outage) + "); use AddSwitchDown for a permanent failure");
   }
   AddSwitchDown(time, node);
   AddSwitchUp(time + outage, node);
@@ -208,9 +175,9 @@ FaultPlan& FaultPlan::AddGroupUp(Seconds time, std::size_t group) {
 
 FaultPlan& FaultPlan::AddGroupOutage(Seconds time, Seconds outage,
                                      std::size_t group) {
-  if (outage <= 0.0) {
-    Fail("group outage duration must be > 0 (got " + FormatTime(outage) +
-         "); use AddGroupDown for a permanent failure");
+  if (!Positive(outage)) {
+    Fail("group outage duration must be finite and > 0 (got " +
+         FormatReal(outage) + "); use AddGroupDown for a permanent failure");
   }
   AddGroupDown(time, group);
   AddGroupUp(time + outage, group);
@@ -222,11 +189,13 @@ FaultPlan& FaultPlan::AddRollingDrain(Seconds time, Seconds stagger,
   if (group >= groups_.size()) {
     Fail("rolling drain over undeclared group index " + std::to_string(group));
   }
-  if (stagger < 0.0) {
-    Fail("rolling drain stagger must be >= 0, got " + FormatTime(stagger));
+  if (!NonNegative(stagger)) {
+    Fail("rolling drain stagger must be finite and >= 0, got " +
+         FormatReal(stagger));
   }
-  if (outage <= 0.0) {
-    Fail("rolling drain outage must be > 0, got " + FormatTime(outage));
+  if (!Positive(outage)) {
+    Fail("rolling drain outage must be finite and > 0, got " +
+         FormatReal(outage));
   }
   // Primitive per-element outages: each member is its own transition —
   // that's what distinguishes a drain from a power event. Nodes first, then
@@ -254,14 +223,14 @@ const FaultPlan& FaultPlan::Validate(const topo::Graph& graph) const {
     if (s.IsLinkFault()) {
       if (s.link.value() >= graph.link_count()) {
         Fail("spec " + std::to_string(i) + " (" + ToString(s.kind) + " t=" +
-             FormatTime(s.time) + ") names nonexistent link " +
+             FormatReal(s.time) + ") names nonexistent link " +
              std::to_string(s.link.value()) + " (topology has " +
              std::to_string(graph.link_count()) + " links)");
       }
     } else if (!s.IsGroupFault()) {
       if (s.node.value() >= graph.node_count()) {
         Fail("spec " + std::to_string(i) + " (" + ToString(s.kind) + " t=" +
-             FormatTime(s.time) + ") names nonexistent node " +
+             FormatReal(s.time) + ") names nonexistent node " +
              std::to_string(s.node.value()) + " (topology has " +
              std::to_string(graph.node_count()) + " nodes)");
       }
@@ -279,7 +248,7 @@ void FaultPlan::SaveText(std::ostream& out) const {
         << " links=" << JoinIds(g.links) << '\n';
   }
   for (const FaultSpec& s : specs_) {
-    out << ToString(s.kind) << " t=" << FormatTime(s.time);
+    out << ToString(s.kind) << " t=" << FormatReal(s.time);
     if (s.IsGroupFault()) {
       out << " group=" << s.group;
     } else if (s.IsLinkFault()) {
@@ -304,8 +273,7 @@ FaultPlan FaultPlan::LoadText(std::istream& in) {
     const auto tokens = Tokens(line);
     if (tokens.empty() || tokens[0].front() == '#') continue;
     if (!saw_header) {
-      if (tokens.size() != 2 || tokens[0] != "netupdate-fault-plan" ||
-          tokens[1] != "v1") {
+      if (tokens != Tokens(kFormatHeader)) {
         Fail(context + ": expected header '" + std::string(kFormatHeader) +
              "'");
       }
@@ -329,31 +297,29 @@ FaultPlan FaultPlan::LoadText(std::istream& in) {
     if (tokens.size() != 3) {
       Fail(context + ": fault line needs: <kind> t=<time> <target>=<id>");
     }
-    const Seconds time = ParseTime(ExpectKey(tokens[1], "t", context), context);
-    if (head == "link-down" || head == "link-up") {
-      const LinkId link{static_cast<LinkId::rep_type>(
-          ParseUint(ExpectKey(tokens[2], "link", context), context))};
-      plan.Add(FaultSpec{time,
-                         head == "link-down" ? FaultKind::kLinkDown
-                                             : FaultKind::kLinkUp,
-                         link, NodeId::invalid()});
-    } else if (head == "switch-down" || head == "switch-up") {
-      const NodeId node{static_cast<NodeId::rep_type>(
-          ParseUint(ExpectKey(tokens[2], "node", context), context))};
-      plan.Add(FaultSpec{time,
-                         head == "switch-down" ? FaultKind::kSwitchDown
-                                               : FaultKind::kSwitchUp,
-                         LinkId::invalid(), node});
-    } else if (head == "group-down" || head == "group-up") {
-      const std::size_t group = static_cast<std::size_t>(
-          ParseUint(ExpectKey(tokens[2], "group", context), context));
-      plan.Add(FaultSpec{time,
-                         head == "group-down" ? FaultKind::kGroupDown
-                                              : FaultKind::kGroupUp,
-                         LinkId::invalid(), NodeId::invalid(), group});
-    } else {
+    FaultSpec spec;
+    spec.time = RealOrFail(ExpectKey(tokens[1], "t", context), context);
+    const auto kinds = {FaultKind::kLinkDown,   FaultKind::kLinkUp,
+                        FaultKind::kSwitchDown, FaultKind::kSwitchUp,
+                        FaultKind::kGroupDown,  FaultKind::kGroupUp};
+    const auto kind = std::find_if(kinds.begin(), kinds.end(), [head](auto k) {
+      return head == ToString(k);
+    });
+    if (kind == kinds.end()) {
       Fail(context + ": unknown fault kind '" + std::string(head) + "'");
     }
+    spec.kind = *kind;
+    if (spec.IsGroupFault()) {
+      spec.group = CountOrFail<std::size_t>(
+          ExpectKey(tokens[2], "group", context), context);
+    } else if (spec.IsLinkFault()) {
+      spec.link = LinkId{CountOrFail<LinkId::rep_type>(
+          ExpectKey(tokens[2], "link", context), context)};
+    } else {
+      spec.node = NodeId{CountOrFail<NodeId::rep_type>(
+          ExpectKey(tokens[2], "node", context), context)};
+    }
+    plan.Add(spec);
   }
   if (!saw_header) Fail("missing header '" + std::string(kFormatHeader) + "'");
   return plan;
@@ -371,25 +337,6 @@ FaultPlan FaultPlan::LoadFile(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) Fail("cannot open '" + path + "' for reading");
   return LoadText(in);
-}
-
-std::string FaultPlan::DebugString() const {
-  std::ostringstream os;
-  os << "fault-plan{";
-  for (std::size_t i = 0; i < specs_.size(); ++i) {
-    const FaultSpec& s = specs_[i];
-    if (i > 0) os << ", ";
-    os << "t=" << s.time << " " << ToString(s.kind) << " ";
-    if (s.IsGroupFault()) {
-      os << "group " << groups_[s.group].name;
-    } else if (s.IsLinkFault()) {
-      os << "link " << s.link;
-    } else {
-      os << "node " << s.node;
-    }
-  }
-  os << "}";
-  return os.str();
 }
 
 bool operator==(const FaultPlan& a, const FaultPlan& b) {
@@ -419,10 +366,10 @@ FaultPlan MakeRandomLinkFaultPlan(const topo::Graph& graph,
   for (std::size_t i = 0; i < picks.size(); ++i) {
     const Seconds at =
         options.first_failure + static_cast<double>(i) * options.spacing;
-    if (options.outage > 0.0) {
-      plan.AddLinkOutage(at, options.outage, candidates[picks[i]]);
-    } else {
+    if (options.outage <= 0.0) {
       plan.AddLinkDown(at, candidates[picks[i]]);  // permanent failure
+    } else {  // a NaN outage lands here, and AddLinkOutage refuses it
+      plan.AddLinkOutage(at, options.outage, candidates[picks[i]]);
     }
   }
   return plan;
@@ -433,7 +380,7 @@ FaultPlan MakeRandomSrlgFaultPlan(const std::vector<SharedRiskGroup>& catalog,
                                   Rng& rng) {
   FaultPlan plan;
   if (catalog.empty()) return plan;
-  if (options.outage <= 0.0) {
+  if (!Positive(options.outage)) {
     Fail("random SRLG plans need outage > 0 (recovery must happen inside "
          "the run)");
   }
@@ -473,22 +420,6 @@ GreyKind ParseGreyKind(std::string_view token, const std::string& context) {
   Fail(context + ": unknown grey kind '" + std::string(token) + "'");
 }
 
-// Splits on ':' keeping empty fields (an empty field is malformed input
-// and should fail in the numeric parser with a clear message).
-std::vector<std::string_view> ColonFields(std::string_view text) {
-  std::vector<std::string_view> out;
-  std::size_t start = 0;
-  while (true) {
-    const std::size_t colon = text.find(':', start);
-    if (colon == std::string_view::npos) {
-      out.push_back(text.substr(start));
-      return out;
-    }
-    out.push_back(text.substr(start, colon - start));
-    start = colon + 1;
-  }
-}
-
 }  // namespace
 
 const GreyFailureModel& GreyFailureModel::Validate() const {
@@ -496,16 +427,19 @@ const GreyFailureModel& GreyFailureModel::Validate() const {
     const GreyFailureSpec& s = specs[i];
     const std::string context =
         "grey spec " + std::to_string(i) + " (" + ToString(s.kind) + ")";
-    if (s.probability < 0.0 || s.probability > 1.0) {
+    if (!NonNegative(s.probability) || s.probability > 1.0) {
       Fail(context + ": probability must be in [0, 1]");
     }
-    if (s.min_delay < 0.0 || s.max_delay < s.min_delay) {
-      Fail(context + ": need 0 <= min_delay <= max_delay");
+    if (!NonNegative(s.min_delay) || !NonNegative(s.max_delay - s.min_delay)) {
+      Fail(context + ": need finite 0 <= min_delay <= max_delay");
     }
     const bool delayed =
         s.kind == GreyKind::kStraggler || s.kind == GreyKind::kRuleLoss;
     if (delayed && s.max_delay <= 0.0) {
       Fail(context + ": delayed kinds need max_delay > 0");
+    }
+    if (!NonNegative(s.start) || !NonNegative(s.duration)) {
+      Fail(context + ": window start and duration must be finite and >= 0");
     }
   }
   return *this;
@@ -536,27 +470,24 @@ GreyOutcome SampleGrey(const GreyFailureModel& model, NodeId node, Seconds now,
 
 GreyFailureSpec ParseGreySpec(const std::string& text) {
   const std::string context = "grey spec '" + text + "'";
-  const auto fields = ColonFields(text);
+  const auto fields = Split(text, ':');
   if (fields.size() != 2 && fields.size() != 4 && fields.size() != 6 &&
       fields.size() != 7) {
     Fail(context + ": expected kind:prob[:min:max[:start:dur[:node]]]");
   }
   GreyFailureSpec spec;
   spec.kind = ParseGreyKind(fields[0], context);
-  spec.probability = ParseTime(fields[1], context);
+  spec.probability = RealOrFail(fields[1], context);
   if (fields.size() >= 4) {
-    spec.min_delay = ParseTime(fields[2], context);
-    spec.max_delay = ParseTime(fields[3], context);
+    spec.min_delay = RealOrFail(fields[2], context);
+    spec.max_delay = RealOrFail(fields[3], context);
   }
   if (fields.size() >= 6) {
-    spec.start = ParseTime(fields[4], context);
-    spec.duration = ParseTime(fields[5], context);
+    spec.start = RealOrFail(fields[4], context);
+    spec.duration = RealOrFail(fields[5], context);
   }
-  if (fields.size() == 7) {
-    if (fields[6] != "-1") {
-      spec.node = NodeId{static_cast<NodeId::rep_type>(
-          ParseUint(fields[6], context))};
-    }
+  if (fields.size() == 7 && fields[6] != "-1") {
+    spec.node = NodeId{CountOrFail<NodeId::rep_type>(fields[6], context)};
   }
   GreyFailureModel probe;
   probe.specs.push_back(spec);
@@ -570,17 +501,17 @@ std::string FormatGreySpec(const GreyFailureSpec& spec) {
     out += ':';
     out += field;
   };
-  append(FormatTime(spec.probability));
+  append(FormatReal(spec.probability));
   const bool has_node = spec.node.valid();
   const bool has_window = spec.start != 0.0 || spec.duration != 0.0;
   const bool has_delay = spec.min_delay != 0.0 || spec.max_delay != 0.0;
   if (has_delay || has_window || has_node) {
-    append(FormatTime(spec.min_delay));
-    append(FormatTime(spec.max_delay));
+    append(FormatReal(spec.min_delay));
+    append(FormatReal(spec.max_delay));
   }
   if (has_window || has_node) {
-    append(FormatTime(spec.start));
-    append(FormatTime(spec.duration));
+    append(FormatReal(spec.start));
+    append(FormatReal(spec.duration));
   }
   if (has_node) append(std::to_string(spec.node.value()));
   return out;
@@ -588,15 +519,10 @@ std::string FormatGreySpec(const GreyFailureSpec& spec) {
 
 GreyFailureModel ParseGreyModel(const std::string& text) {
   GreyFailureModel model;
-  std::size_t start = 0;
-  while (start <= text.size()) {
-    const std::size_t plus = text.find('+', start);
-    const std::string piece =
-        text.substr(start, plus == std::string::npos ? std::string::npos
-                                                     : plus - start);
-    if (!piece.empty()) model.specs.push_back(ParseGreySpec(piece));
-    if (plus == std::string::npos) break;
-    start = plus + 1;
+  for (const std::string_view piece : Split(text, '+')) {
+    if (!piece.empty()) {
+      model.specs.push_back(ParseGreySpec(std::string(piece)));
+    }
   }
   model.Validate();
   return model;

@@ -48,10 +48,11 @@ enum class FaultKind : std::uint8_t {
 
 [[nodiscard]] const char* ToString(FaultKind kind);
 
-/// Thrown when a plan is malformed: an outage with non-positive duration, a
-/// group index with no declared group, or (via Validate) a link/node id that
-/// does not exist in the topology the plan will run against. Build-time
-/// rejection keeps a bad plan from silently misfiring mid-run.
+/// Thrown when a plan is malformed: a negative or non-finite time, a
+/// non-positive or non-finite outage, a group index with no declared group,
+/// or (via Validate) a link/node id that does not exist in the topology the
+/// plan will run against. Build-time rejection keeps a bad plan from
+/// silently misfiring mid-run.
 class FaultPlanError : public std::runtime_error {
  public:
   explicit FaultPlanError(const std::string& what)
@@ -172,8 +173,6 @@ class FaultPlan {
   void SaveFile(const std::string& path) const;
   [[nodiscard]] static FaultPlan LoadFile(const std::string& path);
 
-  [[nodiscard]] std::string DebugString() const;
-
   friend bool operator==(const FaultPlan& a, const FaultPlan& b);
 
  private:
@@ -282,7 +281,7 @@ struct GreyFailureSpec {
   /// (apply-to-eviction); ignored by kAckLie.
   Seconds min_delay = 0.0;
   Seconds max_delay = 0.0;
-  /// Active window; duration <= 0 means the whole run.
+  /// Active window; duration 0 means the whole run.
   Seconds start = 0.0;
   Seconds duration = 0.0;
   /// Restrict to one switch; invalid() targets every switch.
@@ -312,8 +311,9 @@ struct GreyFailureModel {
   [[nodiscard]] bool enabled() const { return !specs.empty(); }
 
   /// Rejects probabilities outside [0, 1], negative or inverted delay
-  /// windows, and delayed kinds with a zero-width window. Throws
-  /// FaultPlanError naming the first offending spec.
+  /// windows, delayed kinds with a zero-width window, a negative active
+  /// window, and any NaN or infinite value. Throws FaultPlanError naming
+  /// the first offending spec.
   const GreyFailureModel& Validate() const;
 
   friend bool operator==(const GreyFailureModel& a, const GreyFailureModel& b) {

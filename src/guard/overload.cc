@@ -2,6 +2,7 @@
 
 #include "common/check.h"
 #include "common/logging.h"
+#include "common/text.h"
 #include "update/cost_estimate.h"
 
 namespace nu::guard {
@@ -22,8 +23,7 @@ OverloadPolicy ParseOverloadPolicy(const std::string& name) {
   if (name == "reject-new") return OverloadPolicy::kRejectNew;
   if (name == "shed-oldest") return OverloadPolicy::kShedOldest;
   if (name == "shed-costliest") return OverloadPolicy::kShedCostliest;
-  NU_CHECK(false && "unknown overload policy");
-  return OverloadPolicy::kRejectNew;
+  throw CorruptInput("unknown overload policy '" + name + "'");
 }
 
 std::optional<std::size_t> ChooseShedVictim(

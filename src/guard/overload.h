@@ -42,8 +42,8 @@ enum class OverloadPolicy : std::uint8_t {
 
 [[nodiscard]] const char* ToString(OverloadPolicy policy);
 
-/// Parses "reject-new" | "shed-oldest" | "shed-costliest". Aborts on
-/// unknown names (mirrors sched::ParseSchedulerKind).
+/// Parses "reject-new" | "shed-oldest" | "shed-costliest". Throws
+/// CorruptInput on unknown names.
 [[nodiscard]] OverloadPolicy ParseOverloadPolicy(const std::string& name);
 
 struct OverloadConfig {

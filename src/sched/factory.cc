@@ -1,6 +1,6 @@
 #include "sched/factory.h"
 
-#include "common/check.h"
+#include "common/text.h"
 
 namespace nu::sched {
 
@@ -26,8 +26,7 @@ SchedulerKind ParseSchedulerKind(const std::string& name) {
   if (name == "lmtf") return SchedulerKind::kLmtf;
   if (name == "p-lmtf" || name == "plmtf") return SchedulerKind::kPlmtf;
   if (name == "sjf-size" || name == "sjf") return SchedulerKind::kSjf;
-  NU_CHECK(false && "unknown scheduler name");
-  return SchedulerKind::kFifo;
+  throw CorruptInput("unknown scheduler '" + name + "'");
 }
 
 std::unique_ptr<Scheduler> MakeScheduler(SchedulerKind kind,

@@ -24,7 +24,7 @@ enum class SchedulerKind : std::uint8_t {
 [[nodiscard]] const char* ToString(SchedulerKind kind);
 
 /// Parses "fifo" | "reorder" | "lmtf" | "p-lmtf" (or "plmtf") | "sjf-size"
-/// (or "sjf"). Aborts on unknown names.
+/// (or "sjf"). Throws CorruptInput on unknown names.
 [[nodiscard]] SchedulerKind ParseSchedulerKind(const std::string& name);
 
 [[nodiscard]] std::unique_ptr<Scheduler> MakeScheduler(SchedulerKind kind,

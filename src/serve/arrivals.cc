@@ -5,6 +5,7 @@
 
 #include "common/check.h"
 #include "common/rng_streams.h"
+#include "common/text.h"
 
 namespace nu::serve {
 
@@ -24,8 +25,7 @@ ArrivalProcess ParseArrivalProcess(const std::string& name) {
   if (name == "poisson") return ArrivalProcess::kPoisson;
   if (name == "bursty") return ArrivalProcess::kBursty;
   if (name == "diurnal") return ArrivalProcess::kDiurnal;
-  NU_CHECK(false && "unknown arrival process name");
-  return ArrivalProcess::kPoisson;
+  throw CorruptInput("unknown arrival process '" + name + "'");
 }
 
 std::vector<TenantSpec> ArrivalConfig::EffectiveTenants() const {

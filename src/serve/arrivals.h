@@ -40,7 +40,7 @@ enum class ArrivalProcess : std::uint8_t {
 
 [[nodiscard]] const char* ToString(ArrivalProcess process);
 
-/// Parses "poisson" | "bursty" | "diurnal"; aborts on unknown names.
+/// Parses "poisson" | "bursty" | "diurnal"; throws CorruptInput otherwise.
 [[nodiscard]] ArrivalProcess ParseArrivalProcess(const std::string& name);
 
 /// One tenant of the serving layer. Index in the roster is the TenantId.

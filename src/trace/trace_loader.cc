@@ -1,75 +1,74 @@
 #include "trace/trace_loader.h"
 
-#include <cstdlib>
+#include <algorithm>
+#include <cmath>
 #include <fstream>
 #include <sstream>
 
-#include <cstdio>
-
 #include "common/check.h"
 #include "common/csv.h"
+#include "common/text.h"
 
 namespace nu::trace {
-namespace {
-
-double ParseDouble(const std::string& cell) {
-  char* end = nullptr;
-  const double value = std::strtod(cell.c_str(), &end);
-  NU_CHECK(end != cell.c_str());
-  return value;
-}
-
-}  // namespace
 
 std::vector<TraceRecord> ParseTraceCsv(const std::string& text) {
-  // Peek at the first non-comment line to detect a header.
-  CsvFile headerless = ParseCsv(text, /*has_header=*/false);
-  bool has_header = false;
-  if (!headerless.rows.empty()) {
-    const auto& first = headerless.rows.front();
-    for (const std::string& cell : first) {
-      if (cell == "src_ip" || cell == "demand_mbps" || cell == "bytes") {
-        has_header = true;
-        break;
-      }
-    }
-  }
-  const CsvFile file = ParseCsv(text, has_header);
-
+  // The first non-comment line is a header when it names a column.
+  const CsvFile file = ParseCsv(text, /*has_header=*/false);
+  const bool has_header =
+      !file.rows.empty() &&
+      std::any_of(file.rows[0].begin(), file.rows[0].end(),
+                  [](const std::string& cell) {
+                    return cell == "src_ip" || cell == "demand_mbps" ||
+                           cell == "bytes";
+                  });
   std::size_t src_col = 0, dst_col = 1, size_col = 2, dur_col = 3;
   bool size_is_bytes = false;
   if (has_header) {
-    const auto src = file.ColumnIndex("src_ip");
-    const auto dst = file.ColumnIndex("dst_ip");
-    const auto dur = file.ColumnIndex("duration_s");
-    NU_CHECK(src && dst && dur);
-    src_col = *src;
-    dst_col = *dst;
-    dur_col = *dur;
-    if (const auto demand = file.ColumnIndex("demand_mbps")) {
-      size_col = *demand;
-    } else {
-      const auto bytes = file.ColumnIndex("bytes");
-      NU_CHECK(bytes.has_value());
-      size_col = *bytes;
-      size_is_bytes = true;
+    const std::vector<std::string>& header = file.rows[0];
+    const auto column = [&header](const char* name) {  // size() if absent
+      return static_cast<std::size_t>(
+          std::find(header.begin(), header.end(), name) - header.begin());
+    };
+    src_col = column("src_ip");
+    dst_col = column("dst_ip");
+    dur_col = column("duration_s");
+    size_is_bytes = column("demand_mbps") == header.size();
+    size_col = column(size_is_bytes ? "bytes" : "demand_mbps");
+    if (std::max({src_col, dst_col, size_col, dur_col}) == header.size()) {
+      throw CorruptInput("trace line " + std::to_string(file.row_lines[0]) +
+                         ": header needs src_ip, dst_ip, demand_mbps or "
+                         "bytes, and duration_s");
     }
   }
+  const std::size_t columns =
+      std::max({src_col, dst_col, size_col, dur_col}) + 1;
 
   std::vector<TraceRecord> records;
   records.reserve(file.rows.size());
-  for (const auto& row : file.rows) {
-    NU_CHECK(row.size() > std::max({src_col, dst_col, size_col, dur_col}));
+  for (std::size_t r = has_header ? 1 : 0; r < file.rows.size(); ++r) {
+    const std::vector<std::string>& row = file.rows[r];
+    const std::string where = "trace line " + std::to_string(file.row_lines[r]);
+    if (row.size() < columns) {
+      throw CorruptInput(where + ": expected " + std::to_string(columns) +
+                         " columns, got " + std::to_string(row.size()));
+    }
+    const auto number = [&](std::size_t col) {
+      return Require<CorruptInput>(ParseReal(row[col]), row[col],
+                                   where + ": bad number");
+    };
     TraceRecord rec;
     rec.src_ip = row[src_col];
     rec.dst_ip = row[dst_col];
-    rec.duration = ParseDouble(row[dur_col]);
-    const double size_value = ParseDouble(row[size_col]);
+    rec.duration = number(dur_col);
+    const double size_value = number(size_col);
     if (size_is_bytes) {
       // bytes over duration -> Mbps.
       rec.demand = rec.duration > 0.0
                        ? size_value * 8.0 / 1e6 / rec.duration
                        : 0.0;
+      if (!std::isfinite(rec.demand)) {
+        throw CorruptInput(where + ": demand out of range");
+      }
     } else {
       rec.demand = size_value;
     }
@@ -82,7 +81,7 @@ std::vector<TraceRecord> ParseTraceCsv(const std::string& text) {
 
 std::vector<TraceRecord> LoadTraceFile(const std::string& path) {
   std::ifstream in(path);
-  NU_CHECK(in.good());
+  if (!in) throw CorruptInput("cannot read trace file '" + path + "'");
   std::ostringstream buffer;
   buffer << in.rdbuf();
   return ParseTraceCsv(buffer.str());
@@ -91,12 +90,9 @@ std::vector<TraceRecord> LoadTraceFile(const std::string& path) {
 void WriteTraceCsv(std::ostream& out, std::span<const TraceRecord> records) {
   CsvWriter writer(out);
   writer.WriteRow({"src_ip", "dst_ip", "demand_mbps", "duration_s"});
-  char buf[64];
   for (const TraceRecord& rec : records) {
-    std::snprintf(buf, sizeof(buf), "%.6g", rec.demand);
-    std::string demand = buf;
-    std::snprintf(buf, sizeof(buf), "%.6g", rec.duration);
-    writer.WriteRow({rec.src_ip, rec.dst_ip, demand, buf});
+    writer.WriteRow({rec.src_ip, rec.dst_ip, FormatReal(rec.demand),
+                     FormatReal(rec.duration)});
   }
 }
 

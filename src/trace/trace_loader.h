@@ -25,15 +25,16 @@ struct TraceRecord {
 /// Parses CSV text into records. Columns (by header name when a header row
 /// is present, by position otherwise): src_ip, dst_ip, then either
 /// demand_mbps or bytes, then duration_s. Records with non-positive demand
-/// or duration are skipped. Aborts on structurally malformed rows.
+/// or duration are skipped. Throws CorruptInput naming the line on a header
+/// that lacks a column, a short row, or a cell that is not a finite number.
 [[nodiscard]] std::vector<TraceRecord> ParseTraceCsv(const std::string& text);
 
-/// Loads ParseTraceCsv from a file path.
+/// Loads ParseTraceCsv from a file path (CorruptInput if it is unreadable).
 [[nodiscard]] std::vector<TraceRecord> LoadTraceFile(const std::string& path);
 
 /// Writes records in the loader's canonical header format
-/// (src_ip,dst_ip,demand_mbps,duration_s) — ParseTraceCsv round-trips the
-/// output. Lets users snapshot a synthetic workload as a shareable trace.
+/// (src_ip,dst_ip,demand_mbps,duration_s); ParseTraceCsv round-trips the
+/// output exactly. Lets users snapshot a synthetic workload as a trace.
 void WriteTraceCsv(std::ostream& out, std::span<const TraceRecord> records);
 
 /// Samples `count` flows from a generator into records (IPs synthesized

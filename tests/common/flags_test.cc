@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/text.h"
+
 namespace nu {
 namespace {
 
@@ -71,14 +73,52 @@ TEST(FlagsTest, UnqueriedEmptyAfterAllRead) {
   EXPECT_TRUE(flags.UnqueriedFlags().empty());
 }
 
-TEST(FlagsDeathTest, UnparsableNumberDies) {
-  const Flags flags = ParseArgs({"--n=abc"});
-  EXPECT_DEATH((void)flags.GetInt("n", 0), "NU_CHECK");
+TEST(FlagsTest, MalformedValuesThrowCorruptInput) {
+  // Each value is read by the getter named in the row. None may abort, wrap
+  // (-1 as 2^64 - 1), read a prefix (7x as 7) or let NaN through.
+  enum class Getter { kInt, kUint, kDouble, kBool };
+  const struct {
+    const char* arg;
+    Getter getter;
+  } kCases[] = {
+      {"--v=abc", Getter::kInt},      {"--v=7x", Getter::kInt},
+      {"--v=", Getter::kInt},         {"--v=1.5", Getter::kInt},
+      {"--v=-1", Getter::kUint},      {"--v=7x", Getter::kUint},
+      {"--v=+7", Getter::kUint},      {"--v=0x10", Getter::kUint},
+      {"--v=18446744073709551616", Getter::kUint},
+      {"--v=abc", Getter::kDouble},   {"--v=7x", Getter::kDouble},
+      {"--v=nan", Getter::kDouble},   {"--v=inf", Getter::kDouble},
+      {"--v=-inf", Getter::kDouble},  {"--v=1e999", Getter::kDouble},
+      {"--v", Getter::kDouble},       {"--v=maybe", Getter::kBool},
+      {"--v=yes", Getter::kBool},
+  };
+  for (const auto& c : kCases) {
+    SCOPED_TRACE(c.arg);
+    const Flags flags = ParseArgs({c.arg});
+    switch (c.getter) {
+      case Getter::kInt:
+        EXPECT_THROW((void)flags.GetInt("v", 0), CorruptInput);
+        break;
+      case Getter::kUint:
+        EXPECT_THROW((void)flags.GetUint("v", 0), CorruptInput);
+        break;
+      case Getter::kDouble:
+        EXPECT_THROW((void)flags.GetDouble("v", 0.0), CorruptInput);
+        break;
+      case Getter::kBool:
+        EXPECT_THROW((void)flags.GetBool("v", false), CorruptInput);
+        break;
+    }
+  }
 }
 
-TEST(FlagsDeathTest, UnparsableBoolDies) {
-  const Flags flags = ParseArgs({"--b=maybe"});
-  EXPECT_DEATH((void)flags.GetBool("b", false), "NU_CHECK");
+TEST(FlagsTest, NumbersFollowTheSharedRule) {
+  const Flags flags =
+      ParseArgs({"--i=-3", "--u= 5", "--d=1e-3", "--neg", "-2.5"});
+  EXPECT_EQ(flags.GetInt("i", 0), -3);
+  EXPECT_EQ(flags.GetUint("u", 0), 5u);
+  EXPECT_DOUBLE_EQ(flags.GetDouble("d", 0.0), 1e-3);
+  EXPECT_DOUBLE_EQ(flags.GetDouble("neg", 0.0), -2.5);
 }
 
 }  // namespace

@@ -76,8 +76,8 @@ TEST(ChaosTest, InjectedBugShrinksToAHandfulOfFaultEvents) {
   for (const ChaosFailure& failure : result.failures) {
     EXPECT_EQ(failure.verdict.oracle, "injected-bug");
     EXPECT_LE(failure.scenario.plan.size(), 3u)
-        << "trial " << failure.trial << " did not shrink: "
-        << failure.scenario.plan.DebugString();
+        << "trial " << failure.trial << " did not shrink:\n"
+        << failure.artifact;
     EXPECT_LE(failure.shrink_runs, options.max_shrink_runs);
     // The artifact is the minimized scenario, verbatim.
     EXPECT_EQ(failure.artifact, SerializeArtifact(failure.scenario));
@@ -184,6 +184,25 @@ TEST(ChaosTest, ParseArtifactRejectsMalformedInput) {
   const std::string invalid_grey =
       good.substr(0, header_end) + "grey acklie:1.5\n" + good.substr(header_end);
   EXPECT_THROW((void)ParseArtifact(invalid_grey), ChaosError);
+}
+
+TEST(ChaosTest, ParseArtifactRejectsMalformedNumbers) {
+  // Each line is inserted right after the header of a valid artifact; none
+  // may load, whether it is not finite, signed, too wide or partly numeric.
+  const std::string good =
+      SerializeArtifact(MakeTrialScenario(QuickOptions(), 0));
+  const std::string::size_type header_end = good.find('\n') + 1;
+  for (const char* line :
+       {"cascade 2 nan 0.5 inf", "cascade 2 0.9 0.3 inf",
+        "cascade -1 0.9 0.3 2", "storm nan 1.5 0.8 0.2", "storm 1 1.5 inf 0.2",
+        "serve inf 1", "serve 2 nan", "seed -1", "seed 1x",
+        "seed 18446744073709551616", "k 4x", "events -3", "shards 2 1.5",
+        "grey acklie:nan", "scheduler FIFO"}) {
+    SCOPED_TRACE(line);
+    const std::string text = good.substr(0, header_end) + line + "\n" +
+                             good.substr(header_end);
+    EXPECT_THROW((void)ParseArtifact(text), ChaosError);
+  }
 }
 
 TEST(ChaosTest, CampaignIsAPureFunctionOfItsOptions) {

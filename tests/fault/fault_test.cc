@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <set>
 
 #include "consistent/two_phase.h"
@@ -109,6 +110,37 @@ TEST(FaultPlanValidationTest, RejectsNonPositiveOutages) {
   EXPECT_THROW(plan.AddSwitchOutage(1.0, -1.0, NodeId{1}), FaultPlanError);
   EXPECT_THROW(plan.AddLinkDown(-0.5, LinkId{1}), FaultPlanError);
   EXPECT_TRUE(plan.empty());  // failed adds leave the plan untouched
+}
+
+TEST(FaultPlanValidationTest, RejectsNonFiniteValues) {
+  // Every comparison with NaN is false, so `< 0.0` checks let it through.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  FaultPlan plan;
+  EXPECT_THROW(plan.AddLinkDown(nan, LinkId{1}), FaultPlanError);
+  EXPECT_THROW(plan.AddLinkOutage(1.0, inf, LinkId{1}), FaultPlanError);
+  EXPECT_THROW(plan.AddSwitchOutage(1.0, nan, NodeId{1}), FaultPlanError);
+  EXPECT_THROW(plan.AddSwitchUp(inf, NodeId{1}), FaultPlanError);
+  SharedRiskGroup group;
+  group.name = "g";
+  group.nodes = {NodeId{1}, NodeId{2}};
+  const std::size_t index = plan.AddGroup(group);
+  EXPECT_THROW(plan.AddGroupOutage(1.0, nan, index), FaultPlanError);
+  EXPECT_THROW(plan.AddRollingDrain(1.0, nan, 1.0, index), FaultPlanError);
+  EXPECT_TRUE(plan.empty());
+
+  const topo::FatTree ft(topo::FatTreeConfig{.k = 4, .link_capacity = 100.0});
+  for (const double outage : {nan, inf}) {
+    RandomLinkFaultOptions options;
+    options.outage = outage;  // not "never comes back", which is <= 0
+    Rng rng(1);
+    EXPECT_THROW((void)MakeRandomLinkFaultPlan(ft.graph(), options, rng),
+                 FaultPlanError);
+    options.outage = 1.0;
+    options.first_failure = outage;
+    EXPECT_THROW((void)MakeRandomLinkFaultPlan(ft.graph(), options, rng),
+                 FaultPlanError);
+  }
 }
 
 TEST(FaultPlanValidationTest, RejectsInvalidIdsAtBuildTime) {

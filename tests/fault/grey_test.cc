@@ -2,6 +2,7 @@
 // validation, and the deterministic first-match SampleGrey draw.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <string>
 
 #include "common/rng.h"
@@ -48,7 +49,12 @@ TEST(GreyModelTest, ValidateRejectsBadSpecs) {
 
   model.specs[0].probability = 1.5;
   EXPECT_THROW((void)model.Validate(), FaultPlanError);
+  model.specs[0].probability = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW((void)model.Validate(), FaultPlanError);
   model.specs[0].probability = 0.5;
+  model.specs[0].start = std::numeric_limits<double>::infinity();
+  EXPECT_THROW((void)model.Validate(), FaultPlanError);
+  model.specs[0].start = 0.0;
 
   // Delayed kinds need max_delay > 0; inverted windows are rejected.
   model.specs.push_back(ParseGreySpec("straggler:0.5:0.25:1.5"));

@@ -71,6 +71,11 @@ TEST(PlanIoTest, MatchesGoldenBytes) {
   std::ostringstream want;
   want << in.rdbuf();
   EXPECT_EQ(got.str(), want.str());
+  // The golden read back and saved again gives the same bytes.
+  std::istringstream golden_text(want.str());
+  std::ostringstream resaved;
+  FaultPlan::LoadText(golden_text).SaveText(resaved);
+  EXPECT_EQ(resaved.str(), want.str());
 }
 
 TEST(PlanIoTest, LoadAcceptsCommentsAndBlankLines) {
@@ -101,6 +106,34 @@ TEST(PlanIoTest, LoadRejectsMalformedInput) {
   // A group fault referencing an undeclared group index.
   EXPECT_THROW((void)load("netupdate-fault-plan v1\ngroup-down t=1 group=0\n"),
                FaultPlanError);
+}
+
+TEST(PlanIoTest, MalformedNumbersAndIdsThrow) {
+  // Plan lines: a non-finite time must not load, and an id past the 32-bit
+  // range must not wrap to link 0.
+  for (const char* line :
+       {"link-down t=nan link=3", "link-down t=inf link=3",
+        "link-down t=-inf link=3", "link-down t=7x link=3",
+        "link-down t=1e999 link=3", "link-down t=+1 link=3",
+        "link-down t=1 link=3x", "link-down t=1 link=-1",
+        "link-down t=1 link=4294967296", "switch-down t=1 node=0x3",
+        "group-down t=1 group=1.0", "group g nodes=3x links=",
+        "group g nodes=1,,2 links=", "group g nodes= links=4,"}) {
+    SCOPED_TRACE(line);
+    std::stringstream in(std::string("netupdate-fault-plan v1\n") + line +
+                         "\n");
+    EXPECT_THROW((void)FaultPlan::LoadText(in), FaultPlanError);
+  }
+  // Grey specs: no field may be NaN, infinite or partly numeric.
+  for (const char* spec :
+       {"straggler:nan:nan:nan", "acklie:nan", "acklie:inf", "acklie:7x",
+        "loss:0.1:0.5:inf", "loss:0.1:nan:1", "acklie:0.1:0:0:nan:0",
+        "acklie:0.1:0:0:0:inf", "acklie:0.1:0:0:-1:0", "acklie:0.1:0:0:0:-5",
+        "acklie:0.1:0:0:0:0:3x", "acklie:0.1:0:0:0:0:4294967296",
+        "acklie:0.1+loss:nan:1:2"}) {
+    SCOPED_TRACE(spec);
+    EXPECT_THROW((void)ParseGreyModel(spec), FaultPlanError);
+  }
 }
 
 TEST(PlanIoTest, FileRoundTrip) {

@@ -8,6 +8,7 @@
 #include <array>
 #include <optional>
 
+#include "common/text.h"
 #include "topo/path_provider.h"
 
 namespace nu::guard {
@@ -53,6 +54,9 @@ TEST(OverloadPolicyTest, ToStringParseRoundTrips) {
        {OverloadPolicy::kRejectNew, OverloadPolicy::kShedOldest,
         OverloadPolicy::kShedCostliest}) {
     EXPECT_EQ(ParseOverloadPolicy(ToString(policy)), policy);
+  }
+  for (const char* name : {"bogus", "", "shed_oldest"}) {
+    EXPECT_THROW((void)ParseOverloadPolicy(name), CorruptInput) << name;
   }
 }
 

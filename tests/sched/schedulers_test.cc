@@ -3,6 +3,7 @@
 #include <map>
 #include <set>
 
+#include "common/text.h"
 #include "sched/factory.h"
 
 namespace nu::sched {
@@ -252,8 +253,11 @@ TEST(FactoryTest, ParsesNames) {
   EXPECT_EQ(ParseSchedulerKind("sjf-size"), SchedulerKind::kSjf);
 }
 
-TEST(FactoryDeathTest, UnknownNameDies) {
-  EXPECT_DEATH(static_cast<void>(ParseSchedulerKind("bogus")), "NU_CHECK");
+TEST(FactoryTest, UnknownNameThrowsCorruptInput) {
+  for (const char* name : {"bogus", "", "FIFO", "p_lmtf", " lmtf"}) {
+    EXPECT_THROW(static_cast<void>(ParseSchedulerKind(name)), CorruptInput)
+        << name;
+  }
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include <map>
 #include <vector>
 
+#include "common/text.h"
 #include "topo/fat_tree.h"
 #include "trace/uniform.h"
 
@@ -44,6 +45,9 @@ TEST(ArrivalsTest, ParseAndToStringRoundTrip) {
        {ArrivalProcess::kPoisson, ArrivalProcess::kBursty,
         ArrivalProcess::kDiurnal}) {
     EXPECT_EQ(ParseArrivalProcess(ToString(process)), process);
+  }
+  for (const char* name : {"bogus", "", "Poisson"}) {
+    EXPECT_THROW((void)ParseArrivalProcess(name), CorruptInput) << name;
   }
 }
 

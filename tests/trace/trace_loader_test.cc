@@ -4,6 +4,7 @@
 
 #include <sstream>
 
+#include "common/text.h"
 #include "topo/fat_tree.h"
 #include "trace/yahoo_like.h"
 
@@ -49,6 +50,51 @@ TEST(ParseTraceCsvTest, SkipsDegenerateRecords) {
 TEST(ParseTraceCsvTest, SkipsComments) {
   const auto records = ParseTraceCsv("# comment line\na,b,10,5\n");
   EXPECT_EQ(records.size(), 1u);
+}
+
+TEST(ParseTraceCsvTest, MalformedInputThrowsCorruptInput) {
+  // Each must throw, not abort, read a prefix ("7x" as 7) or keep a record
+  // with a non-finite demand or duration.
+  for (const char* text : {
+           "a,b,abc,5\n",
+           "a,b,7x,5\n",
+           "a,b,,5\n",
+           "a,b,nan,5\n",
+           "a,b,inf,5\n",
+           "a,b,-inf,5\n",
+           "a,b,10,nan\n",
+           "a,b,10,inf\n",
+           "a,b,10\n",                                  // short row
+           "a,b,10,5\nc,d\n",                           // short later row
+           "src_ip,dst_ip,demand_mbps\na,b,10\n",       // no duration_s
+           "src_ip,dst_ip,duration_s\na,b,5\n",         // no demand/bytes
+           "src_ip,demand_mbps,duration_s\na,10,5\n",   // no dst_ip
+           "src_ip,dst_ip,bytes,duration_s\na,b,1e308,1e-300\n",
+       }) {
+    SCOPED_TRACE(text);
+    EXPECT_THROW((void)ParseTraceCsv(text), CorruptInput);
+  }
+  try {
+    (void)ParseTraceCsv("# comment\na,b,10,5\n\nc,d,x,5\n");
+    ADD_FAILURE() << "expected CorruptInput";
+  } catch (const CorruptInput& e) {
+    EXPECT_NE(std::string(e.what()).find("line 4"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_THROW((void)LoadTraceFile(::testing::TempDir() +
+                                   "/no_such_dir/no_such_trace.csv"),
+               CorruptInput);
+}
+
+TEST(ParseTraceCsvTest, SpacesAfterCommasKeepTheirRecords) {
+  const auto records = ParseTraceCsv("a, b, 10, 5\nc, d, 2.5 ,1\n");
+  ASSERT_EQ(records.size(), 2u);
+  EXPECT_EQ(records[0].src_ip, "a");
+  EXPECT_EQ(records[0].dst_ip, " b");
+  EXPECT_DOUBLE_EQ(records[0].demand, 10.0);
+  EXPECT_DOUBLE_EQ(records[0].duration, 5.0);
+  EXPECT_DOUBLE_EQ(records[1].demand, 2.5);
+  EXPECT_DOUBLE_EQ(records[1].duration, 1.0);
 }
 
 TEST(WriteTraceCsvTest, RoundTripsThroughLoader) {

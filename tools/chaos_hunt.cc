@@ -9,13 +9,14 @@
 //   chaos_hunt --trials=32 --seed=7    # a bigger hunt
 //   chaos_hunt --inject-bug --out=DIR  # plant a defect, watch it shrink
 //   chaos_hunt --replay=artifact.txt   # rerun a repro artifact
-#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
 
+#include "common/flags.h"
+#include "common/text.h"
 #include "exp/chaos.h"
 #include "metrics/export.h"
 
@@ -47,74 +48,46 @@ struct CliOptions {
   std::exit(2);
 }
 
-std::uint64_t ParseCount(const std::string& flag, const std::string& value) {
-  try {
-    return std::stoull(value);
-  } catch (const std::exception&) {
-    Usage("bad value for " + flag + ": '" + value + "'");
-  }
-}
-
 CliOptions ParseArgs(int argc, char** argv) {
+  const nu::Flags flags = nu::Flags::Parse(argc, argv);
   CliOptions cli;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto eq = arg.find('=');
-    const std::string flag = arg.substr(0, eq);
-    const std::string value =
-        eq == std::string::npos ? std::string() : arg.substr(eq + 1);
-    if (flag == "--quick") {
-      cli.quick = true;
-    } else if (flag == "--trials") {
-      cli.chaos.trials = ParseCount(flag, value);
-    } else if (flag == "--seed") {
-      cli.chaos.seed = ParseCount(flag, value);
-    } else if (flag == "--k") {
-      cli.chaos.fat_tree_k = ParseCount(flag, value);
-    } else if (flag == "--events") {
-      cli.chaos.event_count = ParseCount(flag, value);
-    } else if (flag == "--inject-bug") {
-      cli.chaos.inject_bug = true;
-    } else if (flag == "--serve") {
-      try {
-        cli.chaos.serve_load = std::stod(value);
-      } catch (const std::exception&) {
-        Usage("bad value for --serve: '" + value + "'");
-      }
-      if (cli.chaos.serve_load <= 0.0) Usage("--serve needs a load > 0");
-    } else if (flag == "--serve-rate") {
-      try {
-        cli.chaos.serve_rate = std::stod(value);
-      } catch (const std::exception&) {
-        Usage("bad value for --serve-rate: '" + value + "'");
-      }
-    } else if (flag == "--shards") {
-      cli.chaos.shards = ParseCount(flag, value);
-      if (cli.chaos.shards == 1) Usage("--shards needs >= 2 (or 0 for off)");
-    } else if (flag == "--shard-threads") {
-      cli.chaos.shard_threads = ParseCount(flag, value);
-    } else if (flag == "--grey") {
-      try {
-        cli.chaos.grey = nu::fault::ParseGreyModel(value).Validate();
-      } catch (const nu::fault::FaultPlanError& e) {
-        Usage("bad value for --grey: " + std::string(e.what()));
-      }
-    } else if (flag == "--no-determinism") {
-      cli.chaos.check_determinism = false;
-    } else if (flag == "--out") {
-      cli.out_dir = value;
-    } else if (flag == "--replay") {
-      cli.replay_path = value;
-    } else {
-      Usage("unknown flag '" + arg + "'");
+  ChaosOptions& chaos = cli.chaos;
+  try {
+    cli.quick = flags.GetBool("quick", false);
+    chaos.trials = flags.GetUint("trials", chaos.trials);
+    chaos.seed = flags.GetUint("seed", chaos.seed);
+    chaos.fat_tree_k = flags.GetUint("k", chaos.fat_tree_k);
+    chaos.event_count = flags.GetUint("events", chaos.event_count);
+    chaos.inject_bug = flags.GetBool("inject-bug", false);
+    if (flags.Has("serve")) {
+      chaos.serve_load = flags.GetDouble("serve", 0.0);
+      if (chaos.serve_load <= 0.0) Usage("--serve needs a load > 0");
     }
+    chaos.serve_rate = flags.GetDouble("serve-rate", chaos.serve_rate);
+    chaos.shards = flags.GetUint("shards", chaos.shards);
+    if (chaos.shards == 1) Usage("--shards needs >= 2 (or 0 for off)");
+    chaos.shard_threads = flags.GetUint("shard-threads", chaos.shard_threads);
+    chaos.grey = nu::fault::ParseGreyModel(flags.GetString("grey", ""));
+    chaos.check_determinism = !flags.GetBool("no-determinism", false);
+    cli.out_dir = flags.GetString("out", cli.out_dir);
+    cli.replay_path = flags.GetString("replay", "");
+  } catch (const nu::CorruptInput& e) {
+    Usage(e.what());
+  } catch (const nu::fault::FaultPlanError& e) {
+    Usage("bad value for --grey: " + std::string(e.what()));
+  }
+  for (const std::string& name : flags.UnqueriedFlags()) {
+    Usage("unknown flag '--" + name + "'");
+  }
+  if (!flags.positionals().empty()) {
+    Usage("unexpected argument '" + flags.positionals().front() + "'");
   }
   if (cli.quick) {
     // Bounded CI shape: small fabric, short traces, few trials.
-    cli.chaos.trials = 3;
-    cli.chaos.fat_tree_k = 4;
-    cli.chaos.event_count = 4;
-    cli.chaos.max_shrink_runs = 24;
+    chaos.trials = 3;
+    chaos.fat_tree_k = 4;
+    chaos.event_count = 4;
+    chaos.max_shrink_runs = 24;
   }
   return cli;
 }
@@ -127,7 +100,13 @@ int Replay(const std::string& path) {
   }
   std::ostringstream buf;
   buf << in.rdbuf();
-  const nu::exp::ChaosScenario scenario = nu::exp::ParseArtifact(buf.str());
+  nu::exp::ChaosScenario scenario;
+  try {
+    scenario = nu::exp::ParseArtifact(buf.str());
+  } catch (const nu::exp::ChaosError& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    return 2;
+  }
   // Replay is exact by construction: the artifact pins every input, and the
   // re-serialized scenario must be byte-identical to what was loaded.
   const std::string reserialized = nu::exp::SerializeArtifact(scenario);

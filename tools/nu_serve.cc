@@ -9,14 +9,15 @@
 //   nu_serve --load=2 --pod-outage      # one calibrated run at 2x capacity
 //   nu_serve --sweep=0.5,1,2,3          # offered-load sweep (multiples of capacity)
 //   nu_serve --seed=7 --k=8 --duration=120 --process=bursty --out=DIR
-#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
-#include <sstream>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "common/flags.h"
+#include "common/text.h"
 #include "exp/serve.h"
 
 namespace {
@@ -46,90 +47,63 @@ struct CliOptions {
   std::exit(2);
 }
 
-double ParseReal(const std::string& flag, const std::string& value) {
-  try {
-    return std::stod(value);
-  } catch (const std::exception&) {
-    Usage("bad value for " + flag + ": '" + value + "'");
-  }
-}
-
-std::uint64_t ParseCount(const std::string& flag, const std::string& value) {
-  try {
-    return std::stoull(value);
-  } catch (const std::exception&) {
-    Usage("bad value for " + flag + ": '" + value + "'");
-  }
-}
-
-std::vector<double> ParseLoads(const std::string& value) {
-  std::vector<double> loads;
-  std::istringstream in(value);
-  std::string item;
-  while (std::getline(in, item, ',')) {
-    loads.push_back(ParseReal("--sweep", item));
-  }
-  if (loads.empty()) Usage("--sweep needs at least one load factor");
-  return loads;
-}
-
 CliOptions ParseArgs(int argc, char** argv) {
+  const nu::Flags flags = nu::Flags::Parse(argc, argv);
   CliOptions cli;
   cli.campaign = nu::exp::DefaultServeCampaign(/*rate=*/1.0);
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto eq = arg.find('=');
-    const std::string flag = arg.substr(0, eq);
-    const std::string value =
-        eq == std::string::npos ? std::string() : arg.substr(eq + 1);
-    if (flag == "--quick") {
-      cli.quick = true;
-    } else if (flag == "--load") {
-      cli.load = ParseReal(flag, value);
-    } else if (flag == "--sweep") {
-      cli.sweep_loads = ParseLoads(value);
-    } else if (flag == "--rate") {
-      cli.campaign.serve.arrivals.rate = ParseReal(flag, value);
-      cli.calibrate = false;
-    } else if (flag == "--no-calibrate") {
-      cli.calibrate = false;
-    } else if (flag == "--seed") {
-      cli.campaign.exp.seed = ParseCount(flag, value);
-    } else if (flag == "--k") {
-      cli.campaign.exp.fat_tree_k = ParseCount(flag, value);
-    } else if (flag == "--duration") {
-      cli.campaign.serve.arrivals.duration = ParseReal(flag, value);
-    } else if (flag == "--process") {
-      cli.campaign.serve.arrivals.process =
-          nu::serve::ParseArrivalProcess(value);
-    } else if (flag == "--shards") {
-      cli.campaign.exp.sim.shards = ParseCount(flag, value);
-      if (cli.campaign.exp.sim.shards == 1) {
-        Usage("--shards needs >= 2 (or 0 for off)");
+  nu::exp::ExperimentConfig& experiment = cli.campaign.exp;
+  nu::serve::ArrivalConfig& arrivals = cli.campaign.serve.arrivals;
+  try {
+    cli.quick = flags.GetBool("quick", false);
+    cli.load = flags.GetDouble("load", cli.load);
+    if (flags.Has("sweep")) {
+      const std::string sweep = flags.GetString("sweep", "");
+      for (const std::string_view item : nu::Split(sweep, ',')) {
+        const std::optional<double> load = nu::ParseReal(item);
+        if (!load) Usage("bad value for --sweep: '" + std::string(item) + "'");
+        cli.sweep_loads.push_back(*load);
       }
-    } else if (flag == "--shard-threads") {
-      cli.campaign.exp.sim.shard_threads = ParseCount(flag, value);
-    } else if (flag == "--grey") {
-      try {
-        cli.campaign.exp.sim.faults.grey =
-            nu::fault::ParseGreyModel(value).Validate();
-      } catch (const nu::fault::FaultPlanError& e) {
-        Usage("bad value for --grey: " + std::string(e.what()));
-      }
-      cli.campaign.exp.sim.recon.enabled = true;
-    } else if (flag == "--pod-outage") {
-      cli.campaign.pod_outage = true;
-    } else if (flag == "--out") {
-      cli.out_dir = value;
-    } else {
-      Usage("unknown flag '" + arg + "'");
     }
+    if (flags.Has("rate")) {
+      arrivals.rate = flags.GetDouble("rate", arrivals.rate);
+      cli.calibrate = false;
+    }
+    if (flags.GetBool("no-calibrate", false)) cli.calibrate = false;
+    experiment.seed = flags.GetUint("seed", experiment.seed);
+    experiment.fat_tree_k = flags.GetUint("k", experiment.fat_tree_k);
+    arrivals.duration = flags.GetDouble("duration", arrivals.duration);
+    arrivals.process = nu::serve::ParseArrivalProcess(
+        flags.GetString("process", nu::serve::ToString(arrivals.process)));
+    experiment.sim.shards = flags.GetUint("shards", experiment.sim.shards);
+    if (experiment.sim.shards == 1) {
+      Usage("--shards needs >= 2 (or 0 for off)");
+    }
+    experiment.sim.shard_threads =
+        flags.GetUint("shard-threads", experiment.sim.shard_threads);
+    if (flags.Has("grey")) {
+      experiment.sim.faults.grey =
+          nu::fault::ParseGreyModel(flags.GetString("grey", ""));
+      experiment.sim.recon.enabled = true;
+    }
+    cli.campaign.pod_outage =
+        flags.GetBool("pod-outage", cli.campaign.pod_outage);
+    cli.out_dir = flags.GetString("out", cli.out_dir);
+  } catch (const nu::CorruptInput& e) {
+    Usage(e.what());
+  } catch (const nu::fault::FaultPlanError& e) {
+    Usage("bad value for --grey: " + std::string(e.what()));
+  }
+  for (const std::string& name : flags.UnqueriedFlags()) {
+    Usage("unknown flag '--" + name + "'");
+  }
+  if (!flags.positionals().empty()) {
+    Usage("unexpected argument '" + flags.positionals().front() + "'");
   }
   if (cli.quick) {
     // Bounded CI shape: small fabric, short stream, 2x overload with a
     // mid-run pod outage — the acceptance scenario in miniature.
-    cli.campaign.exp.fat_tree_k = 4;
-    cli.campaign.serve.arrivals.duration = 30.0;
+    experiment.fat_tree_k = 4;
+    arrivals.duration = 30.0;
     cli.campaign.pod_outage = true;
     cli.campaign.pod_outage_time = 8.0;
     cli.campaign.pod_outage_duration = 6.0;
