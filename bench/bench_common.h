@@ -1,10 +1,13 @@
 // Shared helpers for the figure-reproduction bench binaries: consistent
 // headers, normalized series, and CSV emission next to the ASCII tables so
 // results can be re-plotted. Every bench reads its command line (e.g.
-// "--trials=N", so CI can run it fast) through one nu::Flags.
+// "--trials=N", so CI can run it fast) through one nu::Flags, and a
+// malformed value exits 2 like the tools do (see below).
 #pragma once
 
 #include <cstdio>
+#include <cstdlib>
+#include <exception>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -12,8 +15,36 @@
 #include "common/flags.h"
 #include "common/stats.h"
 #include "common/table.h"
+#include "common/text.h"
 
 namespace nu::bench {
+
+namespace detail {
+
+inline std::terminate_handler previous_terminate = nullptr;
+
+/// nu::Flags throws CorruptInput for a value that does not parse, and no
+/// bench catches it. Ending there prints the error and exits 2; any other
+/// uncaught exception goes on to the previous handler.
+[[noreturn]] inline void ExitTwoOnCorruptInput() {
+  if (const std::exception_ptr error = std::current_exception()) {
+    try {
+      std::rethrow_exception(error);
+    } catch (const CorruptInput& e) {
+      std::fprintf(stderr, "error: %s\n", e.what());
+      std::fflush(nullptr);
+      std::_Exit(2);
+    } catch (...) {
+    }
+  }
+  if (previous_terminate != nullptr) previous_terminate();
+  std::abort();
+}
+
+inline const bool exit_two_installed =
+    (previous_terminate = std::set_terminate(ExitTwoOnCorruptInput), true);
+
+}  // namespace detail
 
 inline void PrintHeader(const char* figure, const char* description) {
   std::printf("==============================================================\n");

@@ -3,13 +3,13 @@
 // grouped (event-level, Fig. 2b). With unit-duration flows the paper
 // computes average ECTs 32/3 vs 22/3.
 //
-// We reproduce the arithmetic with the library's own queue-construction
-// helpers, dispatching one flow per time slot as in the figure.
+// We reproduce the arithmetic by dispatching one flow per time slot, in
+// either order, as in the figure.
 #include <algorithm>
 #include <map>
 
 #include "bench_common.h"
-#include "sched/flow_level.h"
+#include "update/update_event.h"
 
 using namespace nu;
 
@@ -24,16 +24,31 @@ flow::Flow UnitFlow() {
   return f;
 }
 
-/// Dispatch one flow per slot; an event completes when its last flow's slot
-/// ends. Returns completion time per event id.
+/// Dispatches one flow per slot, either round-robin across the events
+/// (flow-level, Fig. 2a: f1 of U1, f1 of U2, f1 of U3, f2 of U1, ...) or
+/// all flows of one event before the next (event-level, Fig. 2b). An event
+/// completes when its last flow's slot ends. Returns completion time per
+/// event id.
 std::map<EventId, double> SlotSchedule(
-    const std::vector<sched::FlowLevelItem>& queue) {
+    const std::vector<update::UpdateEvent>& events, bool interleave) {
   std::map<EventId, double> completion;
   double slot = 0.0;
-  for (const sched::FlowLevelItem& item : queue) {
+  const auto dispatch = [&](const update::UpdateEvent& e) {
     slot += 1.0;
-    completion[item.event->id()] =
-        std::max(completion[item.event->id()], slot);
+    completion[e.id()] = slot;
+  };
+  if (interleave) {
+    std::size_t longest = 0;
+    for (const auto& e : events) longest = std::max(longest, e.flow_count());
+    for (std::size_t round = 0; round < longest; ++round) {
+      for (const auto& e : events) {
+        if (round < e.flow_count()) dispatch(e);
+      }
+    }
+  } else {
+    for (const auto& e : events) {
+      for (std::size_t i = 0; i < e.flow_count(); ++i) dispatch(e);
+    }
   }
   return completion;
 }
@@ -60,10 +75,8 @@ int main() {
     events.emplace_back(EventId{i}, 0.0, std::move(flows));
   }
 
-  const auto interleaved = sched::InterleaveFlows(events);
-  const auto grouped = sched::ConcatenateFlows(events);
-  const auto flow_level = SlotSchedule(interleaved);
-  const auto event_level = SlotSchedule(grouped);
+  const auto flow_level = SlotSchedule(events, /*interleave=*/true);
+  const auto event_level = SlotSchedule(events, /*interleave=*/false);
 
   AsciiTable table({"event", "flows", "flow-level ECT", "event-level ECT"});
   for (const auto& e : events) {

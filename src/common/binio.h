@@ -6,6 +6,21 @@
 // snapshot taken by one build can be audited with a hex dump. Readers throw
 // CorruptInput on any truncated or out-of-range read; callers treat that as
 // "this file cannot be trusted", never as a soft error.
+//
+// Snapshot sections are defined once (docs/model.md §11): each state owner
+// lists its fields in one template,
+//
+//   template <typename Ar, typename Self>
+//   static void Section(Ar& ar, Self& self);
+//
+// instantiated with BinWriter and a const owner to save, and with BinReader
+// and the owner to load. Both archives have the same field members, which
+// take fields by reference: U8/U32/U64/F64/Bool (any number of fields, each
+// at that width; ids by value), Size, Str, Enum, Index, Seq, Rows, Part (a
+// nested owner), RngState and Check. The reader's range, duplicate and
+// consistency checks live in those members and do nothing when writing;
+// loading alone runs the `if constexpr (Ar::kLoading)` blocks that rebuild
+// derived state.
 #pragma once
 
 #include <bit>
@@ -13,11 +28,37 @@
 #include <cstring>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
+#include "common/rng.h"
 #include "common/text.h"
 
 namespace nu {
+
+namespace binio_detail {
+
+/// A field as the integer its wire form holds (a strong id by its value).
+template <typename T>
+constexpr std::uint64_t ToWire(const T& v) {
+  if constexpr (requires { v.value(); }) {
+    return v.value();
+  } else {
+    return static_cast<std::uint64_t>(v);
+  }
+}
+
+/// The inverse of ToWire, narrowing to the field's type.
+template <typename T>
+constexpr T FromWire(std::uint64_t v) {
+  if constexpr (requires { typename T::rep_type; }) {
+    return T{static_cast<typename T::rep_type>(v)};
+  } else {
+    return static_cast<T>(v);
+  }
+}
+
+}  // namespace binio_detail
 
 /// CRC32 (IEEE 802.3 polynomial, reflected) over a byte range.
 [[nodiscard]] std::uint32_t Crc32(const void* data, std::size_t size);
@@ -28,13 +69,70 @@ namespace nu {
 /// Append-only little-endian encoder into an owned byte buffer.
 class BinWriter {
  public:
+  static constexpr bool kLoading = false;
+
   void U8(std::uint8_t v) { buffer_.push_back(static_cast<char>(v)); }
   void U32(std::uint32_t v) { AppendLe(v); }
   void U64(std::uint64_t v) { AppendLe(v); }
-  void I64(std::int64_t v) { AppendLe(static_cast<std::uint64_t>(v)); }
   void F64(double v) { AppendLe(std::bit_cast<std::uint64_t>(v)); }
   void Bool(bool v) { U8(v ? 1 : 0); }
   void Size(std::size_t v) { U64(static_cast<std::uint64_t>(v)); }
+
+  // Section field members (see the top of this file).
+  template <typename... T>
+  void U8(const T&... v) {
+    (U8(static_cast<std::uint8_t>(binio_detail::ToWire(v))), ...);
+  }
+  template <typename... T>
+  void U32(const T&... v) {
+    (U32(static_cast<std::uint32_t>(binio_detail::ToWire(v))), ...);
+  }
+  template <typename... T>
+  void U64(const T&... v) {
+    (U64(binio_detail::ToWire(v)), ...);
+  }
+  template <typename... T>
+  void F64(const T&... v) {
+    (F64(static_cast<double>(v)), ...);
+  }
+  template <typename... T>
+  void Bool(const T&... v) {
+    (Bool(static_cast<bool>(v)), ...);
+  }
+  /// One byte; the reader refuses values above `last`.
+  template <typename E>
+  void Enum(const E& v, E /*last*/) {
+    U8(v);
+  }
+  /// A u64 the reader requires below `bound`.
+  void Index(std::size_t v, std::size_t /*bound*/, const char* /*what*/) {
+    U64(v);
+  }
+  /// Length-prefixed sequence: `write_one(*this, item)` per item, in the
+  /// container's iteration order.
+  template <typename C, typename Fn>
+  void Seq(const C& items, Fn&& write_one) {
+    Size(items.size());
+    for (const auto& item : items) write_one(*this, item);
+  }
+  /// A Seq whose length the reader already holds (a roster).
+  template <typename C, typename Fn>
+  void Rows(const C& items, Fn&& write_one, const char* /*what*/) {
+    Seq(items, write_one);
+  }
+  /// Nested owners' sections, in order.
+  template <typename... T>
+  void Part(const T&... parts) {
+    (parts.SaveState(*this), ...);
+  }
+  void RngState(const Rng& rng) {
+    const Rng::State s = rng.GetState();
+    for (const std::uint64_t word : s.words) U64(word);
+    F64(s.spare_normal);
+    Bool(s.has_spare_normal);
+  }
+  /// A load-time check: nothing to check when writing.
+  void Check(bool /*ok*/, const char* /*what*/) {}
 
   void Str(std::string_view s) {
     Size(s.size());
@@ -43,12 +141,6 @@ class BinWriter {
 
   void Bytes(const void* data, std::size_t size) {
     buffer_.append(static_cast<const char*>(data), size);
-  }
-
-  template <typename T, typename Fn>
-  void Vec(const std::vector<T>& v, Fn&& write_one) {
-    Size(v.size());
-    for (const T& item : v) write_one(*this, item);
   }
 
   [[nodiscard]] const std::string& buffer() const { return buffer_; }
@@ -75,6 +167,8 @@ class BinWriter {
 /// read past the end throws CorruptInput.
 class BinReader {
  public:
+  static constexpr bool kLoading = true;
+
   explicit BinReader(std::string_view bytes) : bytes_(bytes) {}
 
   [[nodiscard]] std::uint8_t U8() {
@@ -83,9 +177,6 @@ class BinReader {
   }
   [[nodiscard]] std::uint32_t U32() { return ReadLe<std::uint32_t>(); }
   [[nodiscard]] std::uint64_t U64() { return ReadLe<std::uint64_t>(); }
-  [[nodiscard]] std::int64_t I64() {
-    return static_cast<std::int64_t>(ReadLe<std::uint64_t>());
-  }
   [[nodiscard]] double F64() {
     return std::bit_cast<double>(ReadLe<std::uint64_t>());
   }
@@ -106,13 +197,98 @@ class BinReader {
     return out;
   }
 
-  template <typename T, typename Fn>
-  [[nodiscard]] std::vector<T> Vec(Fn&& read_one) {
+  // BinWriter's section field members, reading into the fields.
+  template <typename... T>
+  void U8(T&... v) {
+    ((v = binio_detail::FromWire<T>(U8())), ...);
+  }
+  template <typename... T>
+  void U32(T&... v) {
+    ((v = binio_detail::FromWire<T>(U32())), ...);
+  }
+  template <typename... T>
+  void U64(T&... v) {
+    ((v = binio_detail::FromWire<T>(U64())), ...);
+  }
+  template <typename... T>
+  void F64(T&... v) {
+    ((v = F64()), ...);
+  }
+  template <typename... T>
+  void Bool(T&... v) {
+    ((v = static_cast<T>(Bool())), ...);
+  }
+  void Size(std::size_t& v) { v = Size(); }
+  void Str(std::string& s) { s = Str(); }
+  /// Throws CorruptInput on a byte above `last`.
+  template <typename E>
+  void Enum(E& v, E last) {
+    const std::uint8_t b = U8();
+    if (b > static_cast<std::uint8_t>(last)) {
+      throw CorruptInput("enum value out of range");
+    }
+    v = static_cast<E>(b);
+  }
+  /// An index or count: a value checked against what it indexes, not a
+  /// length bounded by the bytes left. Throws CorruptInput at `bound` or
+  /// above.
+  void Index(std::size_t& v, std::size_t bound, const char* what) {
+    const std::uint64_t x = U64();
+    if (x >= bound) throw CorruptInput(std::string(what) + " out of range");
+    v = static_cast<std::size_t>(x);
+  }
+  /// Reads into a fresh container and moves it into `items` only once every
+  /// item has loaded, so a throw leaves `items` as it was. Map and set keys
+  /// must not repeat.
+  template <typename C, typename Fn>
+  void Seq(C& items, Fn&& read_one) {
     const std::size_t n = Size();
-    std::vector<T> out;
-    out.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) out.push_back(read_one(*this));
-    return out;
+    C fresh;
+    if constexpr (requires { fresh.reserve(n); }) fresh.reserve(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      if constexpr (requires { typename C::mapped_type; }) {
+        std::pair<typename C::key_type, typename C::mapped_type> item{};
+        read_one(*this, item);
+        Check(fresh.emplace(std::move(item)).second,
+              "repeated key in snapshot");
+      } else if constexpr (requires { typename C::key_type; }) {
+        typename C::key_type item{};
+        read_one(*this, item);
+        Check(fresh.insert(std::move(item)).second,
+              "repeated key in snapshot");
+      } else {
+        typename C::value_type item{};
+        read_one(*this, item);
+        fresh.push_back(std::move(item));
+      }
+    }
+    items = std::move(fresh);
+  }
+  /// A Seq into a container that keeps its length: throws CorruptInput,
+  /// naming `what`, on any other stored length.
+  template <typename C, typename Fn>
+  void Rows(C& items, Fn&& read_one, const char* what) {
+    Check(Size() == items.size(), what);
+    C fresh(items.size());
+    for (auto& item : fresh) read_one(*this, item);
+    items = std::move(fresh);
+  }
+  template <typename... T>
+  void Part(T&... parts) {
+    (parts.LoadState(*this), ...);
+  }
+  /// Throws CorruptInput on the all-zero word vector, the one invalid
+  /// xoshiro state (only garbage bytes can hold it).
+  void RngState(Rng& rng) {
+    Rng::State s;
+    for (std::uint64_t& word : s.words) word = U64();
+    s.spare_normal = F64();
+    s.has_spare_normal = Bool();
+    Check(s.words != decltype(s.words){}, "all-zero rng state");
+    rng.SetState(s);
+  }
+  void Check(bool ok, const char* what) {
+    if (!ok) throw CorruptInput(what);
   }
 
   [[nodiscard]] std::size_t remaining() const { return bytes_.size() - pos_; }

@@ -69,6 +69,15 @@ void Samples::Clear() {
   sorted_valid_ = false;
 }
 
+template <typename Ar, typename Self>
+void Samples::Section(Ar& ar, Self& self) {
+  ar.Seq(self.values_, [](Ar& a, auto& v) { a.F64(v); });
+  if constexpr (Ar::kLoading) self.sorted_valid_ = false;
+}
+
+void Samples::SaveState(BinWriter& w) const { Section(w, *this); }
+void Samples::LoadState(BinReader& r) { Section(r, *this); }
+
 double Samples::sum() const {
   return std::accumulate(values_.begin(), values_.end(), 0.0);
 }

@@ -8,6 +8,8 @@
 #include <string>
 #include <vector>
 
+#include "common/binio.h"
+
 namespace nu {
 
 /// Streaming accumulator (Welford) — O(1) memory, numerically stable.
@@ -62,7 +64,13 @@ class Samples {
 
   [[nodiscard]] std::span<const double> values() const { return values_; }
 
+  /// Snapshot form: the values in insertion order, length-prefixed.
+  void SaveState(BinWriter& w) const;
+  void LoadState(BinReader& r);
+
  private:
+  template <typename Ar, typename Self>
+  static void Section(Ar& ar, Self& self);
   void EnsureSorted() const;
 
   std::vector<double> values_;

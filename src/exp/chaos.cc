@@ -542,6 +542,22 @@ ChaosScenario ParseArtifact(const std::string& text) {
   }
   if (!saw_seed) Fail("missing 'seed' line");
   if (!saw_plan) Fail("missing 'plan' section");
+  // Numbers the scenario builder takes as preconditions are refused here,
+  // so a replay ends in ChaosError rather than an abort.
+  if (scenario.fat_tree_k < 2 || scenario.fat_tree_k % 2 != 0) {
+    Fail("k must be even and at least 2");
+  }
+  if (scenario.storm.has_value()) {
+    const double p = scenario.storm->model.failure_probability;
+    if (!(p >= 0.0 && p < 1.0)) Fail("storm failure probability not in [0, 1)");
+  }
+  if (scenario.serve_load > 0.0 &&
+      (!(scenario.serve_rate > 0.0) || scenario.event_count == 0)) {
+    Fail("a serve stream needs a positive rate and events >= 1");
+  }
+  if (!PlanValidFor(scenario.plan, scenario.fat_tree_k)) {
+    Fail("embedded plan names an element outside the k fabric");
+  }
   return scenario;
 }
 

@@ -31,20 +31,15 @@ std::vector<CascadeEvent> CascadeEngine::Observe(const net::Network& network,
   return out;
 }
 
-void CascadeEngine::SaveState(BinWriter& w) const {
+template <typename Ar, typename Self>
+void CascadeEngine::Section(Ar& ar, Self& self) {
   // U64, not Size: these are counters, and BinReader::Size() rejects values
   // larger than the remaining input (it is a length guard).
-  w.U64(current_depth_);
-  w.U64(fired_);
-  w.U64(max_depth_);
-  monitor_.SaveState(w);
+  ar.U64(self.current_depth_, self.fired_, self.max_depth_);
+  ar.Part(self.monitor_);
 }
 
-void CascadeEngine::LoadState(BinReader& r) {
-  current_depth_ = static_cast<std::size_t>(r.U64());
-  fired_ = static_cast<std::size_t>(r.U64());
-  max_depth_ = static_cast<std::size_t>(r.U64());
-  monitor_.LoadState(r);
-}
+void CascadeEngine::SaveState(BinWriter& w) const { Section(w, *this); }
+void CascadeEngine::LoadState(BinReader& r) { Section(r, *this); }
 
 }  // namespace nu::fault

@@ -61,6 +61,9 @@ class CascadeEngine {
   void LoadState(BinReader& r);
 
  private:
+  template <typename Ar, typename Self>
+  static void Section(Ar& ar, Self& self);
+
   CascadeConfig config_;
   guard::LinkStressMonitor monitor_;
   /// Depth of the most recent fault: 0 = none yet, 1 = primary, >= 2 =

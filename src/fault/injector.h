@@ -51,8 +51,8 @@ class FaultInjector {
 
   /// Checkpoint access to the private flaky-install stream: restoring it
   /// resumes sampling at exactly the draw where a snapshot was taken.
-  [[nodiscard]] Rng::State GetRngState() const { return rng_.GetState(); }
-  void SetRngState(const Rng::State& state) { rng_.SetState(state); }
+  [[nodiscard]] Rng& rng() { return rng_; }
+  [[nodiscard]] const Rng& rng() const { return rng_; }
 
  private:
   const FaultConfig& config_;

@@ -1,6 +1,7 @@
 #include "flow/flow_table.h"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 
 namespace nu::flow {
@@ -102,44 +103,44 @@ std::size_t FlowTable::ApproxBytes() const {
   return bytes;
 }
 
-void FlowTable::SaveState(BinWriter& w) const {
-  w.U64(next_id_);
-  w.Size(live_);
-  ForEach([&w](const Flow& f, PathRef) {  // ascending ids: canonical bytes
-    w.U64(f.id.value());
-    w.U32(f.src.value());
-    w.U32(f.dst.value());
-    w.F64(f.demand);
-    w.F64(f.duration);
-    w.U8(static_cast<std::uint8_t>(f.origin));
-    w.U64(f.event.value());
-  });
+template <typename Ar, typename Self>
+void FlowTable::Section(Ar& ar, Self& self) {
+  if constexpr (Ar::kLoading) self = FlowTable();
+  ar.U64(self.next_id_);
+  // Add's 32-bit bound: the link lists hold 32-bit ids.
+  ar.Check(self.next_id_ < std::numeric_limits<std::uint32_t>::max(),
+           "next flow id out of the 32-bit range");
+  // A length: bounded by the bytes left, so the slots are too.
+  std::size_t count = self.live_;
+  ar.Size(count);
+  const auto record = [&ar](auto& f) {
+    ar.U64(f.id);
+    ar.U32(f.src, f.dst);
+    ar.F64(f.demand, f.duration);
+    ar.Enum(f.origin, FlowOrigin::kMigrated);
+    ar.U64(f.event);
+  };
+  if constexpr (Ar::kLoading) {
+    for (std::size_t i = 0; i < count; ++i) {
+      Flow f;
+      record(f);
+      ar.Check(f.id.value() < self.next_id_,
+               "flow record id at or above the next id");
+      ar.Check(!self.Contains(f.id), "duplicated flow record");
+      // What Add requires of a new flow.
+      ar.Check(std::isfinite(f.demand) && f.demand > 0.0,
+               "flow demand not finite and positive");
+      ar.Check(f.duration >= 0.0, "flow duration negative or NaN");
+      ar.Check(f.src != f.dst, "flow from a node to itself");
+      self.Store(std::move(f), PathRef::invalid());
+    }
+  } else {
+    // Ascending ids: canonical bytes.
+    self.ForEach([&](const Flow& f, PathRef) { record(f); });
+  }
 }
 
-void FlowTable::LoadState(BinReader& r) {
-  *this = FlowTable();
-  next_id_ = r.U64();
-  // Add's 32-bit bound: the link lists hold 32-bit ids.
-  if (next_id_ >= std::numeric_limits<std::uint32_t>::max()) {
-    throw CorruptInput("next flow id out of the 32-bit range");
-  }
-  // A length: bounded by the bytes left, so the slots are too.
-  const std::size_t count = r.Size();
-  for (std::size_t i = 0; i < count; ++i) {
-    Flow f;
-    f.id = FlowId{r.U64()};
-    f.src = NodeId{r.U32()};
-    f.dst = NodeId{r.U32()};
-    f.demand = r.F64();
-    f.duration = r.F64();
-    f.origin = static_cast<FlowOrigin>(r.U8());
-    f.event = EventId{r.U64()};
-    if (f.id.value() >= next_id_) {
-      throw CorruptInput("flow record id at or above the next id");
-    }
-    if (Contains(f.id)) throw CorruptInput("duplicated flow record");
-    Store(std::move(f), PathRef::invalid());
-  }
-}
+void FlowTable::SaveState(BinWriter& w) const { Section(w, *this); }
+void FlowTable::LoadState(BinReader& r) { Section(r, *this); }
 
 }  // namespace nu::flow

@@ -115,8 +115,9 @@ class FlowTable {
   /// every loaded flow's path is invalid() until SetPath. Records may come
   /// in any order and take slots in that order. Allocates by the records
   /// read, never by the next id. Throws CorruptInput on a next id at or
-  /// above 2^32 - 1, a record id at or above the next id, or a duplicated
-  /// record.
+  /// above 2^32 - 1, a record id at or above the next id, a duplicated
+  /// record, an origin out of range, or a flow Add would refuse (demand
+  /// not finite and positive, negative duration, src == dst).
   void LoadState(BinReader& r);
 
  private:
@@ -135,6 +136,9 @@ class FlowTable {
     /// Slot index by id offset within the page; kNoSlot = not live.
     std::array<std::uint32_t, kIdsPerPage> slot;
   };
+
+  template <typename Ar, typename Self>
+  static void Section(Ar& ar, Self& self);
 
   [[nodiscard]] std::uint32_t SlotIndexOf(FlowId id) const {
     const std::uint64_t page = id.value() >> kIdBitsPerPage;

@@ -129,22 +129,27 @@ void LinkStressMonitor::Reset() {
   open_.clear();
 }
 
-void LinkStressMonitor::SaveState(BinWriter& w) const {
-  w.Vec(overload_since_, [](BinWriter& out, Seconds s) { out.F64(s); });
-  w.Vec(tripped_, [](BinWriter& out, char t) { out.U8(t != 0 ? 1 : 0); });
+template <typename Ar, typename Self>
+void LinkStressMonitor::Section(Ar& ar, Self& self) {
+  // Loading reads both rows aside and replaces the monitor's (and clears
+  // the sweep memo, which is not state) only once they agree, so a payload
+  // that throws leaves the monitor as it was.
+  std::vector<Seconds> loaded_since;
+  std::vector<char> loaded_tripped;
+  auto& since = Ar::kLoading ? loaded_since : self.overload_since_;
+  auto& tripped = Ar::kLoading ? loaded_tripped : self.tripped_;
+  ar.Seq(since, [](Ar& a, auto& s) { a.F64(s); });
+  ar.Seq(tripped, [](Ar& a, auto& t) { a.Bool(t); });
+  ar.Check(tripped.size() == since.size(),
+           "stress monitor rows differ in length");
+  if constexpr (Ar::kLoading) {
+    self.Reset();
+    self.overload_since_ = std::move(loaded_since);
+    self.tripped_ = std::move(loaded_tripped);
+  }
 }
 
-void LinkStressMonitor::LoadState(BinReader& r) {
-  std::vector<Seconds> since =
-      r.Vec<Seconds>([](BinReader& in) { return in.F64(); });
-  std::vector<char> tripped = r.Vec<char>(
-      [](BinReader& in) { return static_cast<char>(in.U8() != 0 ? 1 : 0); });
-  if (tripped.size() != since.size()) {
-    throw CorruptInput("stress monitor rows differ in length");
-  }
-  Reset();
-  overload_since_ = std::move(since);
-  tripped_ = std::move(tripped);
-}
+void LinkStressMonitor::SaveState(BinWriter& w) const { Section(w, *this); }
+void LinkStressMonitor::LoadState(BinReader& r) { Section(r, *this); }
 
 }  // namespace nu::guard

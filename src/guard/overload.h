@@ -118,6 +118,8 @@ class LinkStressMonitor {
   void LoadState(BinReader& r);
 
  private:
+  template <typename Ar, typename Self>
+  static void Section(Ar& ar, Self& self);
   /// One overloaded observation of up link `i`: opens its episode if none
   /// is open and latches it once the episode has lasted the hold time.
   /// True when it latched now.

@@ -24,19 +24,13 @@ double TokenBucket::TokensAt(Seconds now) const {
   return std::min(burst_, tokens_ + rate_ * (now - last_refill_));
 }
 
-void TokenBucket::SaveState(BinWriter& w) const {
-  w.F64(rate_);
-  w.F64(burst_);
-  w.F64(tokens_);
-  w.F64(last_refill_);
+template <typename Ar, typename Self>
+void TokenBucket::Section(Ar& ar, Self& self) {
+  ar.F64(self.rate_, self.burst_, self.tokens_, self.last_refill_);
 }
 
-void TokenBucket::LoadState(BinReader& r) {
-  rate_ = r.F64();
-  burst_ = r.F64();
-  tokens_ = r.F64();
-  last_refill_ = r.F64();
-}
+void TokenBucket::SaveState(BinWriter& w) const { Section(w, *this); }
+void TokenBucket::LoadState(BinReader& r) { Section(r, *this); }
 
 TenantBudgets::TenantBudgets(const TenantBudgetConfig& config,
                              const std::vector<double>& weights)
@@ -60,16 +54,13 @@ const TokenBucket& TenantBudgets::bucket(TenantId tenant) const {
   return buckets_[tenant.value()];
 }
 
-void TenantBudgets::SaveState(BinWriter& w) const {
-  w.Size(buckets_.size());
-  for (const TokenBucket& b : buckets_) b.SaveState(w);
+template <typename Ar, typename Self>
+void TenantBudgets::Section(Ar& ar, Self& self) {
+  ar.Rows(self.buckets_, [](Ar& a, auto& bucket) { a.Part(bucket); },
+         "tenant budget count disagrees with the roster");
 }
 
-void TenantBudgets::LoadState(BinReader& r) {
-  if (r.Size() != buckets_.size()) {
-    throw CorruptInput("tenant budget count disagrees with the roster");
-  }
-  for (TokenBucket& b : buckets_) b.LoadState(r);
-}
+void TenantBudgets::SaveState(BinWriter& w) const { Section(w, *this); }
+void TenantBudgets::LoadState(BinReader& r) { Section(r, *this); }
 
 }  // namespace nu::guard

@@ -53,6 +53,8 @@ class TokenBucket {
   void LoadState(BinReader& r);
 
  private:
+  template <typename Ar, typename Self>
+  static void Section(Ar& ar, Self& self);
   void Refill(Seconds now);
 
   double rate_ = 1.0;
@@ -88,6 +90,9 @@ class TenantBudgets {
   void LoadState(BinReader& r);
 
  private:
+  template <typename Ar, typename Self>
+  static void Section(Ar& ar, Self& self);
+
   TenantBudgetConfig config_;
   std::vector<TokenBucket> buckets_;
 };

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <string>
 
 #include "common/check.h"
 
@@ -42,30 +41,15 @@ Seconds Watchdog::RequeueDelay(EventId event) const {
   return config_.BackoffAfter(misses);
 }
 
-void Watchdog::SaveState(BinWriter& w) const {
-  std::vector<EventId::rep_type> events;
-  events.reserve(failures_.size());
-  for (const auto& [rep, _] : failures_) events.push_back(rep);
-  std::sort(events.begin(), events.end());
-  w.Size(events.size());
-  for (EventId::rep_type rep : events) {
-    w.U64(rep);
-    w.U64(failures_.at(rep));
-  }
+template <typename Ar, typename Self>
+void Watchdog::Section(Ar& ar, Self& self) {
+  ar.Seq(self.failures_, [](Ar& a, auto& entry) {
+    a.U64(entry.first);
+    a.U64(entry.second);
+  });
 }
 
-void Watchdog::LoadState(BinReader& r) {
-  failures_.clear();
-  const std::size_t count = r.Size();
-  failures_.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    const EventId::rep_type rep = r.U64();
-    const std::size_t misses = r.U64();
-    if (!failures_.emplace(rep, misses).second) {
-      throw CorruptInput("watchdog state repeats event " +
-                         std::to_string(rep));
-    }
-  }
-}
+void Watchdog::SaveState(BinWriter& w) const { Section(w, *this); }
+void Watchdog::LoadState(BinReader& r) { Section(r, *this); }
 
 }  // namespace nu::guard

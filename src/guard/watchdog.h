@@ -13,7 +13,7 @@
 // them. Every transition is counted in metrics::GuardStats.
 #pragma once
 
-#include <unordered_map>
+#include <map>
 
 #include "common/binio.h"
 #include "common/types.h"
@@ -73,8 +73,12 @@ class Watchdog {
   void LoadState(BinReader& r);
 
  private:
+  template <typename Ar, typename Self>
+  static void Section(Ar& ar, Self& self);
+
   DeadlineConfig config_;
-  std::unordered_map<EventId::rep_type, std::size_t> failures_;
+  /// Ordered by event id: the snapshot's canonical order.
+  std::map<EventId::rep_type, std::size_t> failures_;
 };
 
 }  // namespace nu::guard

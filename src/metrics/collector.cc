@@ -174,109 +174,33 @@ Mbps Collector::TotalCost() const {
   return total;
 }
 
-namespace {
-
-void SaveSamples(BinWriter& w, const Samples& samples) {
-  w.Size(samples.count());
-  for (double v : samples.values()) w.F64(v);
+template <typename Ar, typename Self>
+void Collector::Section(Ar& ar, Self& self) {
+  ar.Seq(self.records_, [](Ar& a, auto& rec) {
+    a.U64(rec.event);
+    a.F64(rec.arrival, rec.exec_start, rec.completion, rec.cost);
+    a.U64(rec.flow_count, rec.deferred_flows, rec.aborts, rec.replans,
+          rec.deadline_misses);
+    a.Enum(rec.status, TerminalStatus::kQuarantined);
+  });
+  auto& fault = self.fault_stats_;
+  ar.U64(fault.installs_attempted, fault.installs_retried,
+         fault.installs_failed, fault.events_aborted, fault.events_replanned,
+         fault.link_failures, fault.switch_failures, fault.group_faults,
+         fault.cascade_failures, fault.cascade_depth_max,
+         fault.flows_killed);
+  ar.Part(fault.recovery_latency, fault.srlg_recovery_latency);
+  auto& guard = self.guard_stats_;
+  ar.U64(guard.events_shed, guard.deadline_misses, guard.events_requeued,
+         guard.events_quarantined, guard.audits_run, guard.audit_violations,
+         guard.max_queue_length);
+  auto& probe = self.probe_stats_;
+  ar.U64(probe.probe_cache_hits, probe.probe_cache_misses,
+         probe.exec_plan_reuses);
+  ar.U64(self.ckpt_stats_.snapshots_taken, self.ckpt_stats_.wal_records);
 }
 
-Samples LoadSamples(BinReader& r) {
-  const std::size_t count = r.Size();
-  std::vector<double> values;
-  values.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) values.push_back(r.F64());
-  return Samples(std::move(values));
-}
-
-}  // namespace
-
-void Collector::SaveState(BinWriter& w) const {
-  w.Size(records_.size());
-  for (const EventRecord& rec : records_) {
-    w.U64(rec.event.value());
-    w.F64(rec.arrival);
-    w.F64(rec.exec_start);
-    w.F64(rec.completion);
-    w.F64(rec.cost);
-    w.U64(rec.flow_count);
-    w.U64(rec.deferred_flows);
-    w.U64(rec.aborts);
-    w.U64(rec.replans);
-    w.U64(rec.deadline_misses);
-    w.U8(static_cast<std::uint8_t>(rec.status));
-  }
-  w.U64(fault_stats_.installs_attempted);
-  w.U64(fault_stats_.installs_retried);
-  w.U64(fault_stats_.installs_failed);
-  w.U64(fault_stats_.events_aborted);
-  w.U64(fault_stats_.events_replanned);
-  w.U64(fault_stats_.link_failures);
-  w.U64(fault_stats_.switch_failures);
-  w.U64(fault_stats_.group_faults);
-  w.U64(fault_stats_.cascade_failures);
-  w.U64(fault_stats_.cascade_depth_max);
-  w.U64(fault_stats_.flows_killed);
-  SaveSamples(w, fault_stats_.recovery_latency);
-  SaveSamples(w, fault_stats_.srlg_recovery_latency);
-  w.U64(guard_stats_.events_shed);
-  w.U64(guard_stats_.deadline_misses);
-  w.U64(guard_stats_.events_requeued);
-  w.U64(guard_stats_.events_quarantined);
-  w.U64(guard_stats_.audits_run);
-  w.U64(guard_stats_.audit_violations);
-  w.U64(guard_stats_.max_queue_length);
-  w.U64(probe_stats_.probe_cache_hits);
-  w.U64(probe_stats_.probe_cache_misses);
-  w.U64(probe_stats_.exec_plan_reuses);
-  w.U64(ckpt_stats_.snapshots_taken);
-  w.U64(ckpt_stats_.wal_records);
-}
-
-void Collector::LoadState(BinReader& r) {
-  records_.clear();
-  const std::size_t count = r.Size();
-  records_.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    EventRecord rec;
-    rec.event = EventId{r.U64()};
-    rec.arrival = r.F64();
-    rec.exec_start = r.F64();
-    rec.completion = r.F64();
-    rec.cost = r.F64();
-    rec.flow_count = r.U64();
-    rec.deferred_flows = r.U64();
-    rec.aborts = r.U64();
-    rec.replans = r.U64();
-    rec.deadline_misses = r.U64();
-    rec.status = static_cast<TerminalStatus>(r.U8());
-    records_.push_back(rec);
-  }
-  fault_stats_.installs_attempted = r.U64();
-  fault_stats_.installs_retried = r.U64();
-  fault_stats_.installs_failed = r.U64();
-  fault_stats_.events_aborted = r.U64();
-  fault_stats_.events_replanned = r.U64();
-  fault_stats_.link_failures = r.U64();
-  fault_stats_.switch_failures = r.U64();
-  fault_stats_.group_faults = r.U64();
-  fault_stats_.cascade_failures = r.U64();
-  fault_stats_.cascade_depth_max = r.U64();
-  fault_stats_.flows_killed = r.U64();
-  fault_stats_.recovery_latency = LoadSamples(r);
-  fault_stats_.srlg_recovery_latency = LoadSamples(r);
-  guard_stats_.events_shed = r.U64();
-  guard_stats_.deadline_misses = r.U64();
-  guard_stats_.events_requeued = r.U64();
-  guard_stats_.events_quarantined = r.U64();
-  guard_stats_.audits_run = r.U64();
-  guard_stats_.audit_violations = r.U64();
-  guard_stats_.max_queue_length = r.U64();
-  probe_stats_.probe_cache_hits = r.U64();
-  probe_stats_.probe_cache_misses = r.U64();
-  probe_stats_.exec_plan_reuses = r.U64();
-  ckpt_stats_.snapshots_taken = r.U64();
-  ckpt_stats_.wal_records = r.U64();
-}
+void Collector::SaveState(BinWriter& w) const { Section(w, *this); }
+void Collector::LoadState(BinReader& r) { Section(r, *this); }
 
 }  // namespace nu::metrics

@@ -225,9 +225,13 @@ class Collector {
   void SaveState(BinWriter& w) const;
 
   /// Restores state serialized by SaveState, replacing all contents.
+  /// Throws CorruptInput on a status byte out of range; the event loop's
+  /// section checks the records against the arrivals it has ingested.
   void LoadState(BinReader& r);
 
  private:
+  template <typename Ar, typename Self>
+  static void Section(Ar& ar, Self& self);
   EventRecord& Find(EventId event);
 
   std::vector<EventRecord> records_;

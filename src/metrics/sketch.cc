@@ -138,43 +138,35 @@ void PercentileSketch::Reset() {
   buckets_.clear();
 }
 
-void PercentileSketch::SaveState(BinWriter& w) const {
-  w.Bool(bucketed_);
-  w.U64(count_);
-  w.F64(sum_);
-  w.F64(min_);
-  w.F64(max_);
-  w.Vec(exact_, [](BinWriter& out, double v) { out.F64(v); });
-  w.Vec(buckets_, [](BinWriter& out, std::uint64_t c) { out.U64(c); });
+template <typename Ar, typename Self>
+void PercentileSketch::Section(Ar& ar, Self& self) {
+  ar.Bool(self.bucketed_);
+  ar.U64(self.count_);
+  ar.F64(self.sum_, self.min_, self.max_);
+  ar.Seq(self.exact_, [](Ar& a, auto& v) { a.F64(v); });
+  ar.Seq(self.buckets_, [](Ar& a, auto& c) { a.U64(c); });
+  if constexpr (Ar::kLoading) {
+    if (!self.bucketed_) {
+      ar.Check(self.exact_.size() == self.count_ &&
+                   self.exact_.size() <= self.options_.exact_capacity &&
+                   self.buckets_.empty(),
+               "sketch exact phase disagrees with its count");
+      return;
+    }
+    // Bucket counts are unsigned: a running sum past count_ is a mismatch
+    // caught before it could wrap back onto it.
+    std::uint64_t total = 0;
+    for (const std::uint64_t bucket : self.buckets_) {
+      ar.Check(bucket <= self.count_ - total,
+               "sketch buckets disagree with its count");
+      total += bucket;
+    }
+    ar.Check(self.exact_.empty() && total == self.count_,
+             "sketch buckets disagree with its count");
+  }
 }
 
-void PercentileSketch::LoadState(BinReader& r) {
-  bucketed_ = r.Bool();
-  count_ = r.U64();
-  sum_ = r.F64();
-  min_ = r.F64();
-  max_ = r.F64();
-  exact_ = r.Vec<double>([](BinReader& in) { return in.F64(); });
-  buckets_ = r.Vec<std::uint64_t>([](BinReader& in) { return in.U64(); });
-  if (!bucketed_) {
-    if (exact_.size() != count_ || exact_.size() > options_.exact_capacity ||
-        !buckets_.empty()) {
-      throw CorruptInput("sketch exact phase disagrees with its count");
-    }
-    return;
-  }
-  // Bucket counts are unsigned: a running sum past count_ is a mismatch
-  // caught before it could wrap back onto it.
-  std::uint64_t total = 0;
-  for (const std::uint64_t bucket : buckets_) {
-    if (bucket > count_ - total) {
-      throw CorruptInput("sketch buckets disagree with its count");
-    }
-    total += bucket;
-  }
-  if (!exact_.empty() || total != count_) {
-    throw CorruptInput("sketch buckets disagree with its count");
-  }
-}
+void PercentileSketch::SaveState(BinWriter& w) const { Section(w, *this); }
+void PercentileSketch::LoadState(BinReader& r) { Section(r, *this); }
 
 }  // namespace nu::metrics

@@ -84,6 +84,8 @@ class PercentileSketch {
   void LoadState(BinReader& r);
 
  private:
+  template <typename Ar, typename Self>
+  static void Section(Ar& ar, Self& self);
   [[nodiscard]] std::size_t BucketIndex(double value) const;
   [[nodiscard]] double BucketMid(std::size_t index) const;
   /// Bucket-phase quantile of a clamped q.

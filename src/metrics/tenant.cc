@@ -46,47 +46,21 @@ double TenantAccountant::JainAdmission() const {
   return JainIndex(fractions);
 }
 
-void TenantAccountant::SaveState(BinWriter& w) const {
-  w.Size(tenants_.size());
-  for (const TenantCounters& t : tenants_) {
-    w.Str(t.name);
-    w.U64(t.arrivals);
-    w.U64(t.admitted);
-    w.U64(t.completed);
-    w.U64(t.rejected_budget);
-    w.U64(t.rejected_deadline);
-    w.U64(t.rejected_priority);
-    w.U64(t.shed_queue);
-    w.U64(t.quarantined);
-    w.U64(t.slo_misses);
-    w.Size(t.ect.count());
-    for (double v : t.ect.values()) w.F64(v);
-  }
+template <typename Ar, typename Self>
+void TenantAccountant::Section(Ar& ar, Self& self) {
+  ar.Rows(
+      self.tenants_,
+      [](Ar& a, auto& t) {
+        a.Str(t.name);
+        a.U64(t.arrivals, t.admitted, t.completed, t.rejected_budget,
+              t.rejected_deadline, t.rejected_priority, t.shed_queue,
+              t.quarantined, t.slo_misses);
+        a.Part(t.ect);
+      },
+      "tenant ledger count disagrees with the roster");
 }
 
-void TenantAccountant::LoadState(BinReader& r) {
-  const std::size_t n = r.Size();
-  if (n != tenants_.size()) {
-    throw CorruptInput("tenant ledger count disagrees with the roster");
-  }
-  // Read into a local ledger so a payload that throws partway leaves the
-  // roster-sized ledger in place for the fallback to an older snapshot.
-  std::vector<TenantCounters> loaded(n);
-  for (TenantCounters& t : loaded) {
-    t.name = r.Str();
-    t.arrivals = r.U64();
-    t.admitted = r.U64();
-    t.completed = r.U64();
-    t.rejected_budget = r.U64();
-    t.rejected_deadline = r.U64();
-    t.rejected_priority = r.U64();
-    t.shed_queue = r.U64();
-    t.quarantined = r.U64();
-    t.slo_misses = r.U64();
-    const std::size_t samples = r.Size();
-    for (std::size_t s = 0; s < samples; ++s) t.ect.Add(r.F64());
-  }
-  tenants_ = std::move(loaded);
-}
+void TenantAccountant::SaveState(BinWriter& w) const { Section(w, *this); }
+void TenantAccountant::LoadState(BinReader& r) { Section(r, *this); }
 
 }  // namespace nu::metrics

@@ -79,6 +79,9 @@ class TenantAccountant {
   void LoadState(BinReader& r);
 
  private:
+  template <typename Ar, typename Self>
+  static void Section(Ar& ar, Self& self);
+
   std::vector<TenantCounters> tenants_;
 };
 

@@ -140,55 +140,37 @@ std::vector<FlowId> DataplaneState::DivergentFlowsOn(NodeId node) const {
   return out;
 }
 
-void DataplaneState::SaveState(BinWriter& w) const {
-  w.Size(by_node_.size());
-  for (const auto& [node, rules] : by_node_) {
-    w.U32(node);
-    w.Size(rules.size());
-    for (const auto& [flow, entry] : rules) {
-      w.U64(flow);
-      w.U8(static_cast<std::uint8_t>(entry.cause));
-      w.F64(entry.since);
-      w.Bool(entry.detected);
-      w.Bool(entry.pending_apply);
-      w.U32(entry.repair_attempts);
-      w.Bool(entry.abandoned);
+template <typename Ar, typename Self>
+void DataplaneState::Section(Ar& ar, Self& self) {
+  ar.Seq(self.by_node_, [](Ar& a, auto& node) {
+    a.U32(node.first);
+    a.Seq(node.second, [](Ar& b, auto& rule) {
+      b.U64(rule.first);
+      auto& entry = rule.second;
+      b.Enum(entry.cause, RuleFault::kRuleLoss);
+      b.F64(entry.since);
+      b.Bool(entry.detected, entry.pending_apply);
+      b.U32(entry.repair_attempts);
+      b.Bool(entry.abandoned);
+    });
+    a.Check(!node.second.empty(), "switch without divergent rules");
+  });
+  if constexpr (Ar::kLoading) {
+    // Derived from the entries: rebuilt, never written.
+    self.by_flow_.clear();
+    self.active_ = 0;
+    self.abandoned_ = 0;
+    for (const auto& [node, rules] : self.by_node_) {
+      for (const auto& [flow, entry] : rules) {
+        self.Account(entry, +1);
+        self.by_flow_[flow].push_back(node);  // ascending: nodes come in order
+      }
     }
   }
 }
 
-void DataplaneState::LoadState(BinReader& r) {
-  by_node_.clear();
-  by_flow_.clear();
-  active_ = 0;
-  abandoned_ = 0;
-  const std::size_t nodes = r.Size();
-  for (std::size_t i = 0; i < nodes; ++i) {
-    const NodeId::rep_type node = r.U32();
-    const std::size_t rules = r.Size();
-    for (std::size_t j = 0; j < rules; ++j) {
-      const FlowId::rep_type flow = r.U64();
-      DivergentRule entry;
-      const std::uint8_t cause = r.U8();
-      if (cause > static_cast<std::uint8_t>(RuleFault::kRuleLoss)) {
-        throw CorruptInput("bad rule-fault cause");
-      }
-      entry.cause = static_cast<RuleFault>(cause);
-      entry.since = r.F64();
-      entry.detected = r.Bool();
-      entry.pending_apply = r.Bool();
-      entry.repair_attempts = r.U32();
-      entry.abandoned = r.Bool();
-      const auto [it, inserted] = by_node_[node].try_emplace(flow, entry);
-      if (!inserted) throw CorruptInput("duplicate divergence entry");
-      Account(entry, +1);
-      auto& flow_nodes = by_flow_[flow];
-      const auto pos =
-          std::lower_bound(flow_nodes.begin(), flow_nodes.end(), node);
-      flow_nodes.insert(pos, node);
-    }
-  }
-}
+void DataplaneState::SaveState(BinWriter& w) const { Section(w, *this); }
+void DataplaneState::LoadState(BinReader& r) { Section(r, *this); }
 
 bool operator==(const DataplaneState& a, const DataplaneState& b) {
   auto tie = [](const DivergentRule& e) {

@@ -115,12 +115,17 @@ class DataplaneState {
     }
   }
 
+  /// The entries in ascending (switch, flow) order. LoadState rebuilds the
+  /// per-flow index and the counters, and throws CorruptInput on a bad
+  /// cause, a repeated switch or rule, or a switch without rules.
   void SaveState(BinWriter& w) const;
   void LoadState(BinReader& r);
 
   friend bool operator==(const DataplaneState& a, const DataplaneState& b);
 
  private:
+  template <typename Ar, typename Self>
+  static void Section(Ar& ar, Self& self);
   void Account(const DivergentRule& entry, int delta);
 
   std::map<NodeId::rep_type, std::map<FlowId::rep_type, DivergentRule>>

@@ -261,133 +261,106 @@ std::uint32_t Network::TopologyFingerprint() const {
   return Crc32(w.buffer());
 }
 
-namespace {
+template <typename Ar, typename Self>
+void Network::Section(Ar& ar, Self& self) {
+  // A snapshot of another topology is corrupt input, so recovery falls
+  // back past it like past any other snapshot that does not load.
+  const std::uint32_t expected = self.TopologyFingerprint();
+  std::uint32_t fingerprint = expected;
+  ar.U32(fingerprint);
+  ar.Check(fingerprint == expected, "snapshot of another topology");
+  ar.Part(self.flows_);
+  const topo::Graph& graph = *self.graph_;
+  ar.Seq(self.residual_, [](Ar& a, auto& v) { a.F64(v); });
+  ar.Check(self.residual_.size() == graph.link_count(),
+           "residual row length differs from the link count");
 
-void SavePath(BinWriter& w, const topo::Path& path) {
-  w.Size(path.nodes.size());
-  for (NodeId n : path.nodes) w.U32(n.value());
-  w.Size(path.links.size());
-  for (LinkId l : path.links) w.U32(l.value());
-}
-
-/// Reads one used-paths table entry, rejecting ids outside `graph`.
-topo::Path LoadPath(BinReader& r, const topo::Graph& graph) {
-  topo::Path path;
-  const std::size_t node_count = r.Size();
-  path.nodes.reserve(node_count);
-  for (std::size_t i = 0; i < node_count; ++i) {
-    const NodeId node{r.U32()};
-    if (node.value() >= graph.node_count()) {
-      throw CorruptInput("path node id out of range");
-    }
-    path.nodes.push_back(node);
-  }
-  const std::size_t link_count = r.Size();
-  path.links.reserve(link_count);
-  for (std::size_t i = 0; i < link_count; ++i) {
-    const LinkId link{r.U32()};
-    if (link.value() >= graph.link_count()) {
-      throw CorruptInput("path link id out of range");
-    }
-    path.links.push_back(link);
-  }
-  return path;
-}
-
-}  // namespace
-
-void Network::SaveState(BinWriter& w) const {
-  w.U32(TopologyFingerprint());
-  flows_.SaveState(w);
-  w.Vec(residual_, [](BinWriter& out, Mbps v) { out.F64(v); });
   // Used-paths table: distinct paths in first-use order over ascending flow
-  // ids, found through a dense ref -> table index row. Depends only on the
-  // logical state — never on PathRef numbering.
-  constexpr std::uint32_t kUnused = std::numeric_limits<std::uint32_t>::max();
-  std::vector<std::uint32_t> table_index(registry_->size(), kUnused);
-  std::vector<PathRef> table;
-  flows_.ForEach([&](const flow::Flow&, PathRef ref) {
-    std::uint32_t& index = table_index[ref.value()];
-    if (index != kUnused) return;
-    index = static_cast<std::uint32_t>(table.size());
-    table.push_back(ref);
-  });
-  w.Size(table.size());
-  for (const PathRef ref : table) SavePath(w, registry_->Get(ref));
-  w.Size(flows_.size());
-  flows_.ForEach([&](const flow::Flow& f, PathRef ref) {
-    w.U64(f.id.value());
-    w.Size(table_index[ref.value()]);
-  });
-  w.Vec(link_up_, [](BinWriter& out, char v) { out.U8(static_cast<std::uint8_t>(v)); });
-  w.Vec(node_up_, [](BinWriter& out, char v) { out.U8(static_cast<std::uint8_t>(v)); });
-  w.Size(down_links_);
-  w.Size(down_nodes_);
-  w.U64(epoch_);
-  w.U64(state_epoch_);
-}
+  // ids, then one (flow id, table index) placement per flow. Depends only
+  // on the logical state — never on PathRef numbering. Loading re-interns
+  // the table into the live registry (ref VALUES may differ from the saving
+  // run's; only path contents are state) and checks each entry's ids and
+  // shape, and each placed flow's endpoints against its path's.
+  const auto path_entry = [&ar, &graph](auto& path) {
+    ar.Seq(path.nodes, [&graph](Ar& a, auto& node) {
+      a.U32(node);
+      a.Check(node.value() < graph.node_count(), "path node id out of range");
+    });
+    ar.Seq(path.links, [&graph](Ar& a, auto& link) {
+      a.U32(link);
+      a.Check(link.value() < graph.link_count(), "path link id out of range");
+    });
+    ar.Check(path.nodes.size() >= 2 &&
+                 path.links.size() + 1 == path.nodes.size(),
+             "malformed path shape");
+  };
+  const auto placement = [&ar](auto& id, auto& index, std::size_t entries) {
+    ar.U64(id);
+    ar.Index(index, entries, "placement path index");
+  };
+  if constexpr (Ar::kLoading) {
+    std::vector<PathRef> table(ar.Size());
+    for (PathRef& ref : table) {
+      topo::Path path;
+      path_entry(path);
+      ref = self.registry_->Intern(std::move(path));
+    }
+    const std::size_t placed = ar.Size();
+    for (std::size_t i = 0; i < placed; ++i) {
+      FlowId id;
+      std::size_t index = 0;
+      placement(id, index, table.size());
+      ar.Check(self.flows_.Contains(id), "placement for an unknown flow id");
+      ar.Check(!self.flows_.PathOf(id).valid(), "flow placed twice");
+      const flow::Flow& f = self.flows_.Get(id);
+      const topo::Path& path = self.registry_->Get(table[index]);
+      ar.Check(path.source() == f.src && path.destination() == f.dst,
+               "placed flow's endpoints differ from its path's");
+      self.flows_.SetPath(id, table[index]);
+    }
+    // Every record above placed a distinct stored flow.
+    ar.Check(placed == self.flows_.size(), "stored flow without a placement");
+    self.RebuildLinkFlows();
+  } else {
+    constexpr std::uint32_t kUnused = std::numeric_limits<std::uint32_t>::max();
+    std::vector<std::uint32_t> table_index(self.registry_->size(), kUnused);
+    std::vector<PathRef> table;
+    self.flows_.ForEach([&](const flow::Flow&, PathRef ref) {
+      std::uint32_t& index = table_index[ref.value()];
+      if (index != kUnused) return;
+      index = static_cast<std::uint32_t>(table.size());
+      table.push_back(ref);
+    });
+    ar.Size(table.size());
+    for (const PathRef ref : table) path_entry(self.registry_->Get(ref));
+    ar.Size(self.flows_.size());
+    self.flows_.ForEach([&](const flow::Flow& f, PathRef ref) {
+      placement(f.id, table_index[ref.value()], table.size());
+    });
+  }
 
-void Network::LoadState(BinReader& r) {
-  const std::uint32_t fingerprint = r.U32();
-  NU_CHECK(fingerprint == TopologyFingerprint());
-  flows_.LoadState(r);
-  residual_ = r.Vec<Mbps>([](BinReader& in) { return in.F64(); });
-  if (residual_.size() != graph_->link_count()) {
-    throw CorruptInput("residual row length differs from the link count");
-  }
-  // Re-intern the used-paths table into the live registry; ref VALUES are
-  // allocated fresh here (and may differ from the saving run's), which is
-  // fine — only path contents are state.
-  const std::size_t table_size = r.Size();
-  std::vector<PathRef> table;
-  table.reserve(table_size);
-  for (std::size_t i = 0; i < table_size; ++i) {
-    table.push_back(registry_->Intern(LoadPath(r, *graph_)));
-  }
-  const std::size_t placed = r.Size();
-  for (std::size_t i = 0; i < placed; ++i) {
-    const FlowId id{r.U64()};
-    // An index, not a length: bounded by the table below, not by the bytes
-    // left in the payload.
-    const std::uint64_t index = r.U64();
-    if (!flows_.Contains(id)) {
-      throw CorruptInput("placement for an unknown flow id");
-    }
-    if (index >= table.size()) {
-      throw CorruptInput("placement path index out of range");
-    }
-    if (flows_.PathOf(id).valid()) throw CorruptInput("flow placed twice");
-    flows_.SetPath(id, table[static_cast<std::size_t>(index)]);
-  }
-  // Every record above placed a distinct stored flow.
-  if (placed != flows_.size()) {
-    throw CorruptInput("stored flow without a placement");
-  }
-  RebuildLinkFlows();
-  link_up_ = r.Vec<char>([](BinReader& in) { return static_cast<char>(in.U8()); });
-  node_up_ = r.Vec<char>([](BinReader& in) { return static_cast<char>(in.U8()); });
-  if (link_up_.size() != graph_->link_count()) {
-    throw CorruptInput("link_up length differs from the link count");
-  }
-  if (node_up_.size() != graph_->node_count()) {
-    throw CorruptInput("node_up length differs from the node count");
-  }
-  // PathAlive's fast path trusts these counts, so they must match the
+  ar.Seq(self.link_up_, [](Ar& a, auto& up) { a.U8(up); });
+  ar.Seq(self.node_up_, [](Ar& a, auto& up) { a.U8(up); });
+  ar.Check(self.link_up_.size() == graph.link_count(),
+           "link_up length differs from the link count");
+  ar.Check(self.node_up_.size() == graph.node_count(),
+           "node_up length differs from the node count");
+  // PathAlive's fast path trusts the down counts, so they must match the
   // up-arrays exactly. They are counts, not lengths: the up-arrays bound
   // them, not the bytes left in the payload.
-  const std::uint64_t down_links = r.U64();
-  const std::uint64_t down_nodes = r.U64();
-  if (down_links != static_cast<std::uint64_t>(
-                        std::count(link_up_.begin(), link_up_.end(), 0)) ||
-      down_nodes != static_cast<std::uint64_t>(
-                        std::count(node_up_.begin(), node_up_.end(), 0))) {
-    throw CorruptInput("down counts disagree with the up-arrays");
+  ar.U64(self.down_links_, self.down_nodes_, self.epoch_, self.state_epoch_);
+  if constexpr (Ar::kLoading) {
+    const auto down = [](const std::vector<char>& up) {
+      return static_cast<std::size_t>(std::count(up.begin(), up.end(), 0));
+    };
+    ar.Check(self.down_links_ == down(self.link_up_) &&
+                 self.down_nodes_ == down(self.node_up_),
+             "down counts disagree with the up-arrays");
   }
-  down_links_ = static_cast<std::size_t>(down_links);
-  down_nodes_ = static_cast<std::size_t>(down_nodes);
-  epoch_ = r.U64();
-  state_epoch_ = r.U64();
 }
+
+void Network::SaveState(BinWriter& w) const { Section(w, *this); }
+void Network::LoadState(BinReader& r) { Section(r, *this); }
 
 void Network::RebuildLinkFlows() {
   // Visiting flows in ascending id order appends each id once per link

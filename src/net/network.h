@@ -180,7 +180,7 @@ class Network final : public MutableNetwork {
 
   /// CRC32 over the graph's structure (node roles, link endpoints and
   /// capacities). Snapshots embed it so a restore against a different
-  /// topology fails loudly instead of decoding garbage.
+  /// topology throws CorruptInput instead of decoding garbage.
   [[nodiscard]] std::uint32_t TopologyFingerprint() const;
 
   /// Serializes the complete mutable state (snapshot payload format v9).
@@ -194,19 +194,22 @@ class Network final : public MutableNetwork {
 
   /// Restores state serialized by SaveState. The graph itself is not
   /// persisted — the caller reconstructs it and this network must already
-  /// be bound to an identical graph (checked via TopologyFingerprint).
-  /// Table entries are re-interned into the live registry, and the
-  /// per-link flow lists are rebuilt from the placements. A node, link,
-  /// flow or table id outside this network's range throws CorruptInput
-  /// before any state is indexed by it. So does a payload that is
-  /// inconsistent in itself: a row of the wrong length, a flow record
-  /// duplicated, placed twice or not placed, or down counts that disagree
-  /// with the up-arrays. Path structure (shape, contiguity, loops,
-  /// endpoints) is left for guard::Auditor to report. A foreign topology
-  /// still aborts.
+  /// be bound to an identical graph: a snapshot whose TopologyFingerprint
+  /// differs throws CorruptInput. Table entries are re-interned into the
+  /// live registry, and the per-link flow lists are rebuilt from the
+  /// placements. A node, link, flow or table id outside this network's
+  /// range throws CorruptInput before any state is indexed by it. So does
+  /// a payload that is inconsistent in itself: a row of the wrong length, a
+  /// flow record Place would refuse (see FlowTable::LoadState) or
+  /// duplicated, placed twice or not placed, a path of fewer than 2 nodes
+  /// or without one link per hop, a placed flow whose endpoints are not its
+  /// path's, or down counts that disagree with the up-arrays. Contiguity
+  /// and loops are left for guard::Auditor to report.
   void LoadState(BinReader& r);
 
  private:
+  template <typename Ar, typename Self>
+  static void Section(Ar& ar, Self& self);
   void Occupy(const topo::Path& path, Mbps demand, FlowId id);
   void Release(const topo::Path& path, Mbps demand, FlowId id);
   /// Rebuilds every per-link flow list from the placements.

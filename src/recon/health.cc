@@ -82,50 +82,36 @@ double SwitchHealthTracker::ScoreOf(NodeId node) const {
   return entry == nullptr ? 0.0 : entry->score;
 }
 
-void SwitchHealthTracker::SaveState(BinWriter& w) const {
-  w.Size(entries_.size());
-  for (const Entry& entry : entries_) {
-    w.U32(entry.node);
-    w.F64(entry.score);
-    w.U8(static_cast<std::uint8_t>(entry.level));
-  }
-  w.U64(epoch_);
+template <typename Ar, typename Self>
+void SwitchHealthTracker::Section(Ar& ar, Self& self) {
+  ar.Seq(self.entries_, [](Ar& a, auto& entry) {
+    a.U32(entry.node);
+    a.F64(entry.score);
+    a.Enum(entry.level, HealthLevel::kQuarantined);
+  });
   // U64, not Size: these are counters, not length prefixes, and Size()
   // reads reject values larger than the remaining input.
-  w.U64(degraded_);
-  w.U64(quarantined_);
-  w.U64(ever_degraded_);
+  ar.U64(self.epoch_, self.degraded_, self.quarantined_, self.ever_degraded_);
+  if constexpr (Ar::kLoading) {
+    const std::vector<Entry>& entries = self.entries_;
+    ar.Check(std::adjacent_find(entries.begin(), entries.end(),
+                                [](const Entry& x, const Entry& y) {
+                                  return x.node >= y.node;
+                                }) == entries.end(),
+             "health entries not ascending and unique");
+    const auto at = [&entries](HealthLevel level) {
+      return static_cast<std::size_t>(std::count_if(
+          entries.begin(), entries.end(),
+          [level](const Entry& e) { return e.level == level; }));
+    };
+    ar.Check(self.degraded_ == at(HealthLevel::kDegraded) &&
+                 self.quarantined_ == at(HealthLevel::kQuarantined),
+             "health counts disagree with levels");
+  }
 }
 
-void SwitchHealthTracker::LoadState(BinReader& r) {
-  entries_.clear();
-  const std::size_t count = r.Size();
-  std::size_t degraded = 0;
-  std::size_t quarantined = 0;
-  for (std::size_t i = 0; i < count; ++i) {
-    Entry entry;
-    entry.node = r.U32();
-    entry.score = r.F64();
-    const std::uint8_t level = r.U8();
-    if (level > static_cast<std::uint8_t>(HealthLevel::kQuarantined)) {
-      throw CorruptInput("bad health level");
-    }
-    entry.level = static_cast<HealthLevel>(level);
-    if (!entries_.empty() && entries_.back().node >= entry.node) {
-      throw CorruptInput("health entries not ascending and unique");
-    }
-    if (entry.level == HealthLevel::kDegraded) ++degraded;
-    if (entry.level == HealthLevel::kQuarantined) ++quarantined;
-    entries_.push_back(entry);
-  }
-  epoch_ = r.U64();
-  degraded_ = static_cast<std::size_t>(r.U64());
-  quarantined_ = static_cast<std::size_t>(r.U64());
-  ever_degraded_ = static_cast<std::size_t>(r.U64());
-  if (degraded_ != degraded || quarantined_ != quarantined) {
-    throw CorruptInput("health counts disagree with levels");
-  }
-}
+void SwitchHealthTracker::SaveState(BinWriter& w) const { Section(w, *this); }
+void SwitchHealthTracker::LoadState(BinReader& r) { Section(r, *this); }
 
 bool operator==(const SwitchHealthTracker& a, const SwitchHealthTracker& b) {
   return a.epoch_ == b.epoch_ && a.degraded_ == b.degraded_ &&

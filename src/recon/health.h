@@ -129,6 +129,9 @@ class SwitchHealthTracker {
                          const SwitchHealthTracker& b);
 
  private:
+  template <typename Ar, typename Self>
+  static void Section(Ar& ar, Self& self);
+
   struct Entry {
     NodeId::rep_type node = 0;
     double score = 0.0;

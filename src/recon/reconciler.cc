@@ -150,96 +150,45 @@ PassResult Reconciler::Pass(const std::vector<DriftObservation>& drift,
   return result;
 }
 
-namespace {
-
-void SaveSamples(BinWriter& w, const Samples& samples) {
-  w.Size(samples.count());
-  for (const double v : samples.values()) w.F64(v);
-}
-
-Samples LoadSamples(BinReader& r) {
-  const std::size_t count = r.Size();
-  std::vector<double> values;
-  values.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) values.push_back(r.F64());
-  return Samples(std::move(values));
-}
-
-}  // namespace
-
-void Reconciler::SaveState(BinWriter& w) const {
-  health_.SaveState(w);
-  w.Size(repair_.size());
-  for (const auto& [node, state] : repair_) {
-    w.U32(node);
-    w.U64(state.consecutive_failures);
-    w.F64(state.next_attempt);
-  }
-  w.Size(streaks_.size());
-  for (const DriftStreak& streak : streaks_) {
-    w.U32(streak.node.value());
-    w.U64(streak.passes);
-  }
-  w.U64(stats_.passes);
-  w.U64(stats_.rules_issued);
-  w.U64(stats_.rules_verified);
-  w.U64(stats_.ack_lies);
-  w.U64(stats_.stragglers);
-  w.U64(stats_.rules_lost);
-  w.U64(stats_.drift_detected);
-  w.U64(stats_.repair_attempts);
-  w.U64(stats_.repairs_succeeded);
-  w.U64(stats_.repair_failures);
-  w.U64(stats_.rules_abandoned);
-  w.U64(stats_.switches_degraded);
-  w.U64(stats_.switches_quarantined);
-  SaveSamples(w, stats_.repair_latency);
-}
-
-void Reconciler::LoadState(BinReader& r) {
-  health_.LoadState(r);
-  repair_.clear();
-  const std::size_t repairs = r.Size();
-  for (std::size_t i = 0; i < repairs; ++i) {
-    const NodeId::rep_type node = r.U32();
-    RepairState state;
-    state.consecutive_failures = static_cast<std::size_t>(r.U64());
-    state.next_attempt = r.F64();
-    if (!repair_.try_emplace(node, state).second) {
-      throw CorruptInput("duplicate repair entry");
-    }
-  }
-  streaks_.clear();
-  const std::size_t streaks = r.Size();
-  for (std::size_t i = 0; i < streaks; ++i) {
-    const NodeId node{r.U32()};
-    const std::size_t passes = static_cast<std::size_t>(r.U64());
-    if (!streaks_.empty() && !(streaks_.back().node < node)) {
-      throw CorruptInput("streak entries not ascending and unique");
-    }
+template <typename Ar, typename Self>
+void Reconciler::Section(Ar& ar, Self& self) {
+  ar.Part(self.health_);
+  ar.Seq(self.repair_, [](Ar& a, auto& entry) {
+    a.U32(entry.first);
+    a.U64(entry.second.consecutive_failures);
+    a.F64(entry.second.next_attempt);
+  });
+  ar.Seq(self.streaks_, [](Ar& a, auto& streak) {
+    a.U32(streak.node);
+    a.U64(streak.passes);
+  });
+  if constexpr (Ar::kLoading) {
+    const std::vector<DriftStreak>& streaks = self.streaks_;
+    ar.Check(std::adjacent_find(streaks.begin(), streaks.end(),
+                                [](const DriftStreak& x, const DriftStreak& y) {
+                                  return !(x.node < y.node);
+                                }) == streaks.end(),
+             "streak entries not ascending and unique");
     // A pass keeps a streak only on a tracked, unquarantined switch.
-    if (passes == 0 || !health_.Tracks(node) ||
-        health_.LevelOf(node) == HealthLevel::kQuarantined) {
-      throw CorruptInput("streak on a switch the pass would not keep");
+    for (const DriftStreak& streak : streaks) {
+      ar.Check(streak.passes > 0 && self.health_.Tracks(streak.node) &&
+                   self.health_.LevelOf(streak.node) !=
+                       HealthLevel::kQuarantined,
+               "streak on a switch the pass would not keep");
     }
-    streaks_.push_back(DriftStreak{node, passes});
+    self.stats_ = ReconStats{};  // residual_divergence is set at run end
   }
-  stats_ = ReconStats{};
-  stats_.passes = r.U64();
-  stats_.rules_issued = r.U64();
-  stats_.rules_verified = r.U64();
-  stats_.ack_lies = r.U64();
-  stats_.stragglers = r.U64();
-  stats_.rules_lost = r.U64();
-  stats_.drift_detected = r.U64();
-  stats_.repair_attempts = r.U64();
-  stats_.repairs_succeeded = r.U64();
-  stats_.repair_failures = r.U64();
-  stats_.rules_abandoned = r.U64();
-  stats_.switches_degraded = r.U64();
-  stats_.switches_quarantined = r.U64();
-  stats_.repair_latency = LoadSamples(r);
+  auto& stats = self.stats_;
+  ar.U64(stats.passes, stats.rules_issued, stats.rules_verified,
+         stats.ack_lies, stats.stragglers, stats.rules_lost,
+         stats.drift_detected, stats.repair_attempts, stats.repairs_succeeded,
+         stats.repair_failures, stats.rules_abandoned, stats.switches_degraded,
+         stats.switches_quarantined);
+  ar.Part(stats.repair_latency);
 }
+
+void Reconciler::SaveState(BinWriter& w) const { Section(w, *this); }
+void Reconciler::LoadState(BinReader& r) { Section(r, *this); }
 
 bool operator==(const Reconciler& a, const Reconciler& b) {
   auto repair_eq = [](const auto& x, const auto& y) {

@@ -148,6 +148,9 @@ class Reconciler {
   friend bool operator==(const Reconciler& a, const Reconciler& b);
 
  private:
+  template <typename Ar, typename Self>
+  static void Section(Ar& ar, Self& self);
+
   struct RepairState {
     std::size_t consecutive_failures = 0;
     Seconds next_attempt = 0.0;

@@ -122,47 +122,21 @@ HealthState BrownoutController::Observe(Seconds now,
   return state_;
 }
 
-void BrownoutController::SaveState(BinWriter& w) const {
-  w.U8(static_cast<std::uint8_t>(state_));
-  w.F64(above_since_);
-  w.F64(below_since_);
-  w.F64(last_observe_);
-  w.F64(last_pressure_);
-  w.Size(transitions_.size());
-  for (const BrownoutTransition& t : transitions_) {
-    w.F64(t.time);
-    w.U8(static_cast<std::uint8_t>(t.from));
-    w.U8(static_cast<std::uint8_t>(t.to));
-    w.F64(t.pressure);
-  }
-  for (Seconds s : time_in_state_) w.F64(s);
+template <typename Ar, typename Self>
+void BrownoutController::Section(Ar& ar, Self& self) {
+  ar.Enum(self.state_, HealthState::kShedding);
+  ar.F64(self.above_since_, self.below_since_, self.last_observe_,
+         self.last_pressure_);
+  ar.Seq(self.transitions_, [](Ar& a, auto& t) {
+    a.F64(t.time);
+    a.Enum(t.from, HealthState::kShedding);
+    a.Enum(t.to, HealthState::kShedding);
+    a.F64(t.pressure);
+  });
+  for (auto& seconds : self.time_in_state_) ar.F64(seconds);
 }
 
-void BrownoutController::LoadState(BinReader& r) {
-  const std::uint8_t state = r.U8();
-  if (state > static_cast<std::uint8_t>(HealthState::kShedding)) {
-    throw CorruptInput("brownout state out of range");
-  }
-  state_ = static_cast<HealthState>(state);
-  above_since_ = r.F64();
-  below_since_ = r.F64();
-  last_observe_ = r.F64();
-  last_pressure_ = r.F64();
-  transitions_.clear();
-  const std::size_t n = r.Size();
-  transitions_.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    BrownoutTransition t;
-    t.time = r.F64();
-    const std::uint8_t from = r.U8();
-    const std::uint8_t to = r.U8();
-    if (from > 3 || to > 3) throw CorruptInput("transition state range");
-    t.from = static_cast<HealthState>(from);
-    t.to = static_cast<HealthState>(to);
-    t.pressure = r.F64();
-    transitions_.push_back(t);
-  }
-  for (Seconds& s : time_in_state_) s = r.F64();
-}
+void BrownoutController::SaveState(BinWriter& w) const { Section(w, *this); }
+void BrownoutController::LoadState(BinReader& r) { Section(r, *this); }
 
 }  // namespace nu::serve

@@ -126,11 +126,14 @@ class BrownoutController {
   [[nodiscard]] double Pressure(const BrownoutSignals& signals) const;
 
   // Snapshot support: state, hold timers, pressure, transition log, and
-  // time-in-state accumulators all round-trip.
+  // time-in-state accumulators all round-trip. A state byte out of range
+  // throws CorruptInput.
   void SaveState(BinWriter& w) const;
   void LoadState(BinReader& r);
 
  private:
+  template <typename Ar, typename Self>
+  static void Section(Ar& ar, Self& self);
   [[nodiscard]] double EnterThreshold(HealthState target) const;
   [[nodiscard]] double ExitThreshold(HealthState from) const;
 

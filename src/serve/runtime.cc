@@ -307,63 +307,24 @@ std::string ServeRuntime::TenantReportCsv() const {
   return out.str();
 }
 
-void ServeRuntime::SaveState(BinWriter& w) const {
-  brownout_.SaveState(w);
-  budgets_.SaveState(w);
-  stress_.SaveState(w);
-  accountant_.SaveState(w);
-  sketch_.SaveState(w);
-  recorder_.SaveState(w);
-  w.U64(arrivals_);
-  w.U64(admitted_);
-  w.U64(completed_);
-  w.U64(rejected_budget_);
-  w.U64(rejected_deadline_);
-  w.U64(rejected_priority_);
-  w.U64(shed_queue_);
-  w.U64(quarantined_);
-  w.U64(slo_misses_);
-  w.F64(ewma_ect_);
-  w.Size(miss_window_.size());
-  for (const auto& [time, missed] : miss_window_) {
-    w.F64(time);
-    w.Bool(missed);
-  }
-  w.Size(stress_reports_.size());
-  for (Seconds t : stress_reports_) w.F64(t);
-  w.U64(last_queue_length_);
-  w.U64(last_active_);
+template <typename Ar, typename Self>
+void ServeRuntime::Section(Ar& ar, Self& self) {
+  ar.Part(self.brownout_, self.budgets_, self.stress_, self.accountant_,
+          self.sketch_, self.recorder_);
+  ar.U64(self.arrivals_, self.admitted_, self.completed_,
+         self.rejected_budget_, self.rejected_deadline_,
+         self.rejected_priority_, self.shed_queue_, self.quarantined_,
+         self.slo_misses_);
+  ar.F64(self.ewma_ect_);
+  ar.Seq(self.miss_window_, [](Ar& a, auto& completion) {
+    a.F64(completion.first);
+    a.Bool(completion.second);
+  });
+  ar.Seq(self.stress_reports_, [](Ar& a, auto& t) { a.F64(t); });
+  ar.U64(self.last_queue_length_, self.last_active_);
 }
 
-void ServeRuntime::LoadState(BinReader& r) {
-  brownout_.LoadState(r);
-  budgets_.LoadState(r);
-  stress_.LoadState(r);
-  accountant_.LoadState(r);
-  sketch_.LoadState(r);
-  recorder_.LoadState(r);
-  arrivals_ = r.U64();
-  admitted_ = r.U64();
-  completed_ = r.U64();
-  rejected_budget_ = r.U64();
-  rejected_deadline_ = r.U64();
-  rejected_priority_ = r.U64();
-  shed_queue_ = r.U64();
-  quarantined_ = r.U64();
-  slo_misses_ = r.U64();
-  ewma_ect_ = r.F64();
-  miss_window_.clear();
-  const std::size_t misses = r.Size();
-  for (std::size_t i = 0; i < misses; ++i) {
-    const Seconds time = r.F64();
-    const bool missed = r.Bool();
-    miss_window_.emplace_back(time, missed);
-  }
-  stress_reports_.clear();
-  const std::size_t reports = r.Size();
-  for (std::size_t i = 0; i < reports; ++i) stress_reports_.push_back(r.F64());
-  last_queue_length_ = r.U64();
-  last_active_ = r.U64();
-}
+void ServeRuntime::SaveState(BinWriter& w) const { Section(w, *this); }
+void ServeRuntime::LoadState(BinReader& r) { Section(r, *this); }
 
 }  // namespace nu::serve

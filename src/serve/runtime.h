@@ -193,6 +193,8 @@ class ServeRuntime {
   void LoadState(BinReader& r);
 
  private:
+  template <typename Ar, typename Self>
+  static void Section(Ar& ar, Self& self);
   [[nodiscard]] double MissRate() const;
   /// Ages the sliding windows to `now`, feeds one observation to the
   /// brownout controller, and emits transition + due sample rows.

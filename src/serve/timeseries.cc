@@ -10,14 +10,6 @@
 namespace nu::serve {
 namespace {
 
-HealthState LoadHealth(BinReader& r) {
-  const std::uint8_t v = r.U8();
-  if (v > static_cast<std::uint8_t>(HealthState::kShedding)) {
-    throw CorruptInput("timeseries health state out of range");
-  }
-  return static_cast<HealthState>(v);
-}
-
 /// The `detail` column: the transition edge, "final", or empty.
 std::string Detail(const TimeseriesRow& row) {
   switch (row.kind) {
@@ -85,44 +77,23 @@ std::string TimeseriesRecorder::ToCsv() const {
   return out.str();
 }
 
-void TimeseriesRecorder::SaveState(BinWriter& w) const {
-  w.F64(next_sample_);
-  w.Size(rows_.size());
-  for (const TimeseriesRow& row : rows_) {
-    w.F64(row.time);
-    w.U8(static_cast<std::uint8_t>(row.kind));
-    w.U8(static_cast<std::uint8_t>(row.from));
-    w.U8(static_cast<std::uint8_t>(row.to));
-    w.U8(static_cast<std::uint8_t>(row.health));
-    w.F64(row.pressure);
-    for (const std::uint64_t count : row.counts) w.U64(count);
-    w.F64(row.miss_rate);
-    for (const double quantile : row.ect) w.F64(quantile);
-  }
+template <typename Ar, typename Self>
+void TimeseriesRecorder::Section(Ar& ar, Self& self) {
+  ar.F64(self.next_sample_);
+  ar.Seq(self.rows_, [](Ar& a, auto& row) {
+    a.F64(row.time);
+    a.Enum(row.kind, RowKind::kTransition);
+    a.Enum(row.from, HealthState::kShedding);
+    a.Enum(row.to, HealthState::kShedding);
+    a.Enum(row.health, HealthState::kShedding);
+    a.F64(row.pressure);
+    for (auto& count : row.counts) a.U64(count);
+    a.F64(row.miss_rate);
+    for (auto& quantile : row.ect) a.F64(quantile);
+  });
 }
 
-void TimeseriesRecorder::LoadState(BinReader& r) {
-  next_sample_ = r.F64();
-  rows_.clear();
-  const std::size_t n = r.Size();
-  rows_.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    TimeseriesRow row;
-    row.time = r.F64();
-    const std::uint8_t kind = r.U8();
-    if (kind > static_cast<std::uint8_t>(RowKind::kTransition)) {
-      throw CorruptInput("timeseries row kind out of range");
-    }
-    row.kind = static_cast<RowKind>(kind);
-    row.from = LoadHealth(r);
-    row.to = LoadHealth(r);
-    row.health = LoadHealth(r);
-    row.pressure = r.F64();
-    for (std::uint64_t& count : row.counts) count = r.U64();
-    row.miss_rate = r.F64();
-    for (double& quantile : row.ect) quantile = r.F64();
-    rows_.push_back(row);
-  }
-}
+void TimeseriesRecorder::SaveState(BinWriter& w) const { Section(w, *this); }
+void TimeseriesRecorder::LoadState(BinReader& r) { Section(r, *this); }
 
 }  // namespace nu::serve

@@ -89,6 +89,9 @@ class TimeseriesRecorder {
   void LoadState(BinReader& r);
 
  private:
+  template <typename Ar, typename Self>
+  static void Section(Ar& ar, Self& self);
+
   Seconds sample_period_;
   Seconds next_sample_ = 0.0;
   std::vector<TimeseriesRow> rows_;

@@ -1072,140 +1072,97 @@ class EventLoop {
         drift_ptr));
   }
 
+  void SaveState(BinWriter& w) const { Section(w, *this); }
+  /// Replaces every piece of loop state, so a partial restore followed by
+  /// a fallback to an older snapshot is safe. Unknown ids, out-of-range
+  /// indices and enum values, and sections that disagree with each other
+  /// throw CorruptInput — the caller treats the snapshot as corrupt and
+  /// falls back.
+  void LoadState(BinReader& r) { Section(r, *this); }
+
   /// The complete mid-run controller state at a round boundary: each
   /// owner's section in a fixed order. The order IS the snapshot payload
   /// format — bump ckpt::kSnapshotVersion on any change. Active events are
   /// written in activation order, the timeline in canonical (time, seq)
   /// pop order; ordered containers write in key order.
-  void SaveState(BinWriter& w) const {
-    network_.SaveState(w);
-    collector_.SaveState(w);
-    watchdog_.SaveState(w);
-    churn_.Save(w);
+  template <typename Ar, typename Self>
+  static void Section(Ar& ar, Self& self) {
+    ar.Part(self.network_, self.collector_, self.watchdog_, self.churn_);
     // Faults: the injector stream, the cascade engine, and the dynamic
     // fault specs the timeline's kCascadeFault entries index into.
-    SaveRngState(w, injector_.GetRngState());
-    cascade_.SaveState(w);
-    w.Vec(dynamic_faults_, [](BinWriter& o, const fault::FaultSpec& spec) {
-      o.F64(spec.time);
-      o.U8(static_cast<std::uint8_t>(spec.kind));
-      o.U64(spec.link.value());
-      o.U64(spec.node.value());
-      o.U64(spec.group);
+    ar.RngState(self.injector_.rng());
+    ar.Part(self.cascade_);
+    ar.Seq(self.dynamic_faults_, [](Ar& a, auto& spec) {
+      a.F64(spec.time);
+      a.Enum(spec.kind, fault::FaultKind::kGroupUp);
+      a.U64(spec.link, spec.node, spec.group);
     });
     // The loop's own state.
-    SaveRngState(w, rng_.GetState());
-    w.U64(result_.rounds);
-    w.U64(result_.cost_probes);
-    w.U64(result_.cofeasibility_probes);
-    w.U64(result_.forced_placements);
-    w.U64(next_arrival_);
-    w.Vec(queue_, [](BinWriter& o, const update::UpdateEvent* e) {
-      o.U64(e->id().value());
+    ar.RngState(self.rng_);
+    ar.U64(self.result_.rounds, self.result_.cost_probes,
+           self.result_.cofeasibility_probes, self.result_.forced_placements,
+           self.next_arrival_);
+    if constexpr (Ar::kLoading) {
+      // IngestArrivals alone records arrivals, in arrival order: one
+      // collector record per ingested arrival, naming it and its flows.
+      const std::vector<metrics::EventRecord>& records =
+          self.collector_.records();
+      ar.Check(records.size() == self.next_arrival_ &&
+                   self.next_arrival_ <= self.pending_.size(),
+               "collector records disagree with the ingested arrivals");
+      for (std::size_t i = 0; i < records.size(); ++i) {
+        const update::UpdateEvent& arrival = *self.pending_[i];
+        ar.Check(records[i].event == arrival.id() &&
+                     records[i].flow_count == arrival.flow_count(),
+                 "collector record names another arrival");
+      }
+    }
+    const EventIndex* events = &self.event_by_id_;
+    ar.Seq(self.queue_,
+           [events](Ar& a, auto& event) { EventRef(a, event, events); });
+    if constexpr (Ar::kLoading) self.active_.clear();
+    ar.Seq(self.active_order_, [&self, events](Ar& a, auto& id) {
+      if constexpr (Ar::kLoading) {
+        ActiveEvent ae = ActiveEvent::Load(a, *events);
+        id = ae.event->id();
+        a.Check(self.active_.emplace(id.value(), std::move(ae)).second,
+                "duplicate active event");
+      } else {
+        self.active_.at(id.value()).Save(a);
+      }
     });
-    w.Size(active_order_.size());
-    for (EventId id : active_order_) active_.at(id.value()).Save(w);
-    w.Size(activation_count_.size());
-    for (const auto& [rep, count] : activation_count_) {
-      w.U64(rep);
-      w.U64(count);
+    ar.Seq(self.activation_count_, [](Ar& a, auto& entry) {
+      a.U64(entry.first);
+      a.U64(entry.second);
+    });
+    ar.U64(self.parked_count_, self.completed_count_, self.shed_count_,
+           self.quarantined_count_);
+    ar.F64(self.now_, self.total_plan_time_);
+    ar.U64(self.occurrences_since_audit_);
+    ar.Bool(self.audit_due_);
+    std::vector<TimelineQueue<Occurrence>::Entry> entries;
+    if constexpr (!Ar::kLoading) entries = self.timeline_.SortedEntries();
+    const OccurrenceBounds bounds{
+        self.event_by_id_, self.config_.faults.plan.specs().size(),
+        self.dynamic_faults_.size(), self.network_.graph().node_count()};
+    ar.Seq(entries, [&bounds](Ar& a, auto& entry) {
+      a.F64(entry.time);
+      a.U64(entry.seq);
+      Occurrence::Section(a, entry.payload, &bounds);
+    });
+    std::uint64_t next_seq = self.timeline_.next_seq();
+    ar.U64(next_seq);
+    if constexpr (Ar::kLoading) {
+      for (const auto& entry : entries) {
+        ar.Check(entry.seq < next_seq, "timeline seq past next");
+      }
+      self.recon_.Recount(entries);
+      self.timeline_.Restore(std::move(entries), next_seq);
     }
-    w.U64(parked_count_);
-    w.U64(completed_count_);
-    w.U64(shed_count_);
-    w.U64(quarantined_count_);
-    w.F64(now_);
-    w.F64(total_plan_time_);
-    w.U64(occurrences_since_audit_);
-    w.Bool(audit_due_);
-    const auto entries = timeline_.SortedEntries();
-    w.Size(entries.size());
-    for (const auto& entry : entries) {
-      w.F64(entry.time);
-      w.U64(entry.seq);
-      entry.payload.Save(w);
-    }
-    w.U64(timeline_.next_seq());
     // Optional sections: present exactly when the config enables the
     // subsystem, so a reader with the same SimConfig always agrees.
-    if (serve_rt_.has_value()) serve_rt_->SaveState(w);
-    if (recon_.on()) recon_.Save(w);
-  }
-
-  /// Mirror of SaveState. Replaces every piece of loop state, so a partial
-  /// restore followed by a fallback to an older snapshot is safe. Unknown
-  /// ids, out-of-range indices and enum values throw CorruptInput — the
-  /// caller treats the snapshot as corrupt and falls back.
-  void LoadState(BinReader& r) {
-    network_.LoadState(r);
-    collector_.LoadState(r);
-    watchdog_.LoadState(r);
-    churn_.Load(r);
-    injector_.SetRngState(LoadRngState(r));
-    cascade_.LoadState(r);
-    dynamic_faults_ = r.Vec<fault::FaultSpec>([](BinReader& in) {
-      fault::FaultSpec spec;
-      spec.time = in.F64();
-      const std::uint8_t kind = in.U8();
-      if (kind > static_cast<std::uint8_t>(fault::FaultKind::kGroupUp)) {
-        throw CorruptInput("bad fault kind");
-      }
-      spec.kind = static_cast<fault::FaultKind>(kind);
-      spec.link = LinkId{static_cast<LinkId::rep_type>(in.U64())};
-      spec.node = NodeId{static_cast<NodeId::rep_type>(in.U64())};
-      spec.group = static_cast<std::size_t>(in.U64());
-      return spec;
-    });
-    rng_.SetState(LoadRngState(r));
-    result_.rounds = static_cast<std::size_t>(r.U64());
-    result_.cost_probes = static_cast<std::size_t>(r.U64());
-    result_.cofeasibility_probes = static_cast<std::size_t>(r.U64());
-    result_.forced_placements = static_cast<std::size_t>(r.U64());
-    next_arrival_ = static_cast<std::size_t>(r.U64());
-    queue_ = r.Vec<const update::UpdateEvent*>(
-        [this](BinReader& in) { return &LoadEvent(in, event_by_id_); });
-    active_.clear();
-    active_order_.clear();
-    const std::size_t active_size = r.Size();
-    for (std::size_t i = 0; i < active_size; ++i) {
-      ActiveEvent ae = ActiveEvent::Load(r, event_by_id_);
-      const EventId id = ae.event->id();
-      if (!active_.emplace(id.value(), std::move(ae)).second) {
-        throw CorruptInput("duplicate active event");
-      }
-      active_order_.push_back(id);
-    }
-    activation_count_.clear();
-    const std::size_t activated_size = r.Size();
-    for (std::size_t i = 0; i < activated_size; ++i) {
-      const EventId::rep_type rep = r.U64();
-      activation_count_.emplace(rep, r.U64());
-    }
-    parked_count_ = static_cast<std::size_t>(r.U64());
-    completed_count_ = static_cast<std::size_t>(r.U64());
-    shed_count_ = static_cast<std::size_t>(r.U64());
-    quarantined_count_ = static_cast<std::size_t>(r.U64());
-    now_ = r.F64();
-    total_plan_time_ = r.F64();
-    occurrences_since_audit_ = static_cast<std::size_t>(r.U64());
-    audit_due_ = r.Bool();
-    const OccurrenceBounds bounds{
-        event_by_id_, config_.faults.plan.specs().size(),
-        dynamic_faults_.size(), network_.graph().node_count()};
-    std::vector<TimelineQueue<Occurrence>::Entry> entries(r.Size());
-    for (auto& entry : entries) {
-      entry.time = r.F64();
-      entry.seq = r.U64();
-      entry.payload = Occurrence::Load(r, bounds);
-    }
-    const std::uint64_t next_seq = r.U64();
-    for (const auto& entry : entries) {
-      if (entry.seq >= next_seq) throw CorruptInput("timeline seq past next");
-    }
-    recon_.Recount(entries);
-    timeline_.Restore(std::move(entries), next_seq);
-    if (serve_rt_.has_value()) serve_rt_->LoadState(r);
-    if (recon_.on()) recon_.Load(r);
+    if (self.serve_rt_.has_value()) ar.Part(*self.serve_rt_);
+    if (self.recon_.on()) ar.Part(self.recon_);
   }
 
   SimResult Finish() {

@@ -1,10 +1,10 @@
 // The event loop's per-entry and per-event state: timeline occurrences and
-// the update events currently executing, each with its snapshot writer and
-// a reader that range-checks every index it restores. A snapshot that
-// passes its CRC but names an unknown event, fault, switch or flow slot
-// throws CorruptInput, so recovery falls back to an older snapshot instead
-// of aborting (or reading out of bounds) when the entry later fires. Also
-// the helpers the event loop shares with the flow-level baseline.
+// the update events currently executing, each with one snapshot section
+// whose load range-checks every index it restores. A snapshot that passes
+// its CRC but names an unknown event, fault, switch or flow slot throws
+// CorruptInput, so recovery falls back to an older snapshot instead of
+// aborting (or reading out of bounds) when the entry later fires. Also the
+// helpers the event loop shares with the flow-level baseline.
 #pragma once
 
 #include <algorithm>
@@ -15,12 +15,10 @@
 #include <map>
 #include <set>
 #include <span>
-#include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "common/binio.h"
-#include "common/rng.h"
 #include "update/update_event.h"
 
 namespace nu::sim {
@@ -58,41 +56,18 @@ inline std::vector<const update::UpdateEvent*> SortedByArrival(
 using EventIndex =
     std::unordered_map<EventId::rep_type, const update::UpdateEvent*>;
 
-/// Reads an event id and resolves it; throws CorruptInput when the run has
-/// no such event.
-inline const update::UpdateEvent& LoadEvent(BinReader& r,
-                                            const EventIndex& events) {
-  const auto it = events.find(r.U64());
-  if (it == events.end()) throw CorruptInput("unknown event id in snapshot");
-  return *it->second;
-}
-
-/// Reads an index that must be below `bound`.
-inline std::size_t LoadIndex(BinReader& r, std::size_t bound,
-                             const char* what) {
-  const std::uint64_t v = r.U64();
-  if (v >= bound) throw CorruptInput(std::string(what) + " out of range");
-  return static_cast<std::size_t>(v);
-}
-
-inline void SaveRngState(BinWriter& w, const Rng::State& s) {
-  for (std::uint64_t word : s.words) w.U64(word);
-  w.F64(s.spare_normal);
-  w.Bool(s.has_spare_normal);
-}
-
-inline Rng::State LoadRngState(BinReader& r) {
-  Rng::State s;
-  for (std::uint64_t& word : s.words) word = r.U64();
-  s.spare_normal = r.F64();
-  s.has_spare_normal = r.Bool();
-  // The all-zero word vector is the one invalid xoshiro state; a snapshot
-  // can only contain it if its bytes are garbage.
-  if (s.words[0] == 0 && s.words[1] == 0 && s.words[2] == 0 &&
-      s.words[3] == 0) {
-    throw CorruptInput("all-zero rng state");
+/// An event pointer on the wire: the event's id, resolved against the run's
+/// `events` when loading (null when saving). Throws CorruptInput when the
+/// run has no such event.
+template <typename Ar, typename Ptr>
+void EventRef(Ar& ar, Ptr& event, const EventIndex* events) {
+  if constexpr (Ar::kLoading) {
+    const auto it = events->find(ar.U64());
+    ar.Check(it != events->end(), "unknown event id in snapshot");
+    event = it->second;
+  } else {
+    ar.U64(event->id());
   }
-  return s;
 }
 
 /// What a restored timeline entry's indices must fall inside: the run's
@@ -167,46 +142,42 @@ struct Occurrence {
   /// are stale and skipped.
   std::uint64_t generation = 0;
 
-  void Save(BinWriter& w) const {
-    w.U8(static_cast<std::uint8_t>(kind));
-    w.U64(flow.value());
-    w.U64(event.value());
-    w.U64(fault_index);
-    w.Size(flows.size());
-    for (FlowId fid : flows) w.U64(fid.value());
-    w.U64(generation);
-  }
-
+  void Save(BinWriter& w) const { Section(w, *this, nullptr); }
   static Occurrence Load(BinReader& r, const OccurrenceBounds& bounds) {
     Occurrence occ;
-    const std::uint8_t kind = r.U8();
-    if (kind > static_cast<std::uint8_t>(Kind::kReconcile)) {
-      throw CorruptInput("bad occurrence kind");
-    }
-    occ.kind = static_cast<Kind>(kind);
-    const Kind k = occ.kind;
-    occ.flow = FlowId{r.U64()};
-    // Kinds whose handler resolves the event id need an event of the run.
-    occ.event = k == Kind::kInstallDone || k == Kind::kInstallAborted ||
-                        k == Kind::kWatchdog || k == Kind::kRequeue
-                    ? LoadEvent(r, bounds.events).id()
-                    : EventId{r.U64()};
-    // The plan spec, dynamic fault or switch the handler dereferences.
-    const std::size_t limit =
-        k == Kind::kFault          ? bounds.plan_specs
-        : k == Kind::kCascadeFault ? bounds.dynamic_faults
-        : k == Kind::kGreyApply || k == Kind::kRuleLoss
-            ? bounds.nodes
-            : std::numeric_limits<std::size_t>::max();
-    occ.fault_index = LoadIndex(r, limit, "occurrence index");
-    occ.flows = r.Vec<FlowId>([](BinReader& in) { return FlowId{in.U64()}; });
-    // An install batch counts toward its event's installed flows.
-    if ((k == Kind::kInstallDone || k == Kind::kInstallAborted) &&
-        occ.flows.size() > bounds.events.at(occ.event.value())->flow_count()) {
-      throw CorruptInput("install batch larger than its event");
-    }
-    occ.generation = r.U64();
+    Section(r, occ, &bounds);
     return occ;
+  }
+
+  /// The entry's fields; loading checks them against `bounds` (null when
+  /// saving).
+  template <typename Ar, typename Self>
+  static void Section(Ar& ar, Self& occ, const OccurrenceBounds* bounds) {
+    ar.Enum(occ.kind, Kind::kReconcile);
+    ar.U64(occ.flow, occ.event, occ.fault_index);
+    ar.Seq(occ.flows, [](Ar& a, auto& flow) { a.U64(flow); });
+    ar.U64(occ.generation);
+    if constexpr (Ar::kLoading) {
+      const Kind k = occ.kind;
+      // Kinds whose handler resolves the event id need an event of the run.
+      const bool install =
+          k == Kind::kInstallDone || k == Kind::kInstallAborted;
+      const auto event = bounds->events.find(occ.event.value());
+      ar.Check(event != bounds->events.end() ||
+                   !(install || k == Kind::kWatchdog || k == Kind::kRequeue),
+               "unknown event id in snapshot");
+      // The plan spec, dynamic fault or switch the handler dereferences.
+      const std::size_t limit =
+          k == Kind::kFault          ? bounds->plan_specs
+          : k == Kind::kCascadeFault ? bounds->dynamic_faults
+          : k == Kind::kGreyApply || k == Kind::kRuleLoss
+              ? bounds->nodes
+              : std::numeric_limits<std::size_t>::max();
+      ar.Check(occ.fault_index < limit, "occurrence index out of range");
+      // An install batch counts toward its event's installed flows.
+      ar.Check(!install || occ.flows.size() <= event->second->flow_count(),
+               "install batch larger than its event");
+    }
   }
 };
 
@@ -253,60 +224,35 @@ struct ActiveEvent {
     return installed == event->flow_count();
   }
 
-  /// Writes the event id, then every field.
-  void Save(BinWriter& w) const {
-    w.U64(event->id().value());
-    w.U64(installed);
-    w.U64(batches_in_flight);
-    w.Size(deferred.size());
-    for (std::size_t idx : deferred) w.U64(idx);
-    w.U64(retry_failures);
-    w.U64(generation);
-    w.Size(flow_index.size());
-    for (const auto& [rep, idx] : flow_index) {
-      w.U64(rep);
-      w.U64(idx);
-    }
-    w.Size(installed_ids.size());
-    for (FlowId::rep_type rep : installed_ids) w.U64(rep);
-    w.Size(pending_recovery.size());
-    for (const auto& [idx, pr] : pending_recovery) {
-      w.U64(idx);
-      w.F64(pr.time);
-      w.Bool(pr.srlg);
-    }
-  }
-
+  void Save(BinWriter& w) const { Section(w, *this, nullptr); }
   static ActiveEvent Load(BinReader& r, const EventIndex& events) {
     ActiveEvent ae;
-    ae.event = &LoadEvent(r, events);
-    const std::size_t flows = ae.event->flow_count();
-    ae.installed = LoadIndex(r, flows + 1, "installed count");
-    ae.batches_in_flight = static_cast<std::size_t>(r.U64());
-    const std::size_t deferred_size = r.Size();
-    for (std::size_t j = 0; j < deferred_size; ++j) {
-      ae.deferred.push_back(LoadIndex(r, flows, "deferred flow"));
-    }
-    ae.retry_failures = static_cast<std::size_t>(r.U64());
-    ae.generation = r.U64();
-    const std::size_t index_size = r.Size();
-    for (std::size_t j = 0; j < index_size; ++j) {
-      const FlowId::rep_type rep = r.U64();
-      ae.flow_index.emplace(rep, LoadIndex(r, flows, "flow index"));
-    }
-    const std::size_t installed_size = r.Size();
-    for (std::size_t j = 0; j < installed_size; ++j) {
-      ae.installed_ids.insert(r.U64());
-    }
-    const std::size_t recovery_size = r.Size();
-    for (std::size_t j = 0; j < recovery_size; ++j) {
-      const std::size_t idx = LoadIndex(r, flows, "recovering flow");
-      PendingRecovery pr;
-      pr.time = r.F64();
-      pr.srlg = r.Bool();
-      ae.pending_recovery.emplace(idx, pr);
-    }
+    Section(r, ae, &events);
     return ae;
+  }
+
+  /// The event id, then every field; loading resolves the id in `events`
+  /// (null when saving) and bounds each flow index by the event's flows.
+  template <typename Ar, typename Self>
+  static void Section(Ar& ar, Self& ae, const EventIndex* events) {
+    EventRef(ar, ae.event, events);
+    const std::size_t flows = ae.event->flow_count();
+    ar.Index(ae.installed, flows + 1, "installed count");
+    ar.U64(ae.batches_in_flight);
+    ar.Seq(ae.deferred, [flows](Ar& a, auto& index) {
+      a.Index(index, flows, "deferred flow");
+    });
+    ar.U64(ae.retry_failures, ae.generation);
+    ar.Seq(ae.flow_index, [flows](Ar& a, auto& entry) {
+      a.U64(entry.first);
+      a.Index(entry.second, flows, "flow index");
+    });
+    ar.Seq(ae.installed_ids, [](Ar& a, auto& id) { a.U64(id); });
+    ar.Seq(ae.pending_recovery, [flows](Ar& a, auto& entry) {
+      a.Index(entry.first, flows, "recovering flow");
+      a.F64(entry.second.time);
+      a.Bool(entry.second.srlg);
+    });
   }
 };
 

@@ -47,7 +47,6 @@
 #include "metrics/shard_stats.h"
 #include "net/network.h"
 #include "recon/reconciler.h"
-#include "sched/flow_level.h"
 #include "sched/scheduler.h"
 #include "serve/runtime.h"
 #include "sim/cost_model.h"

@@ -261,22 +261,26 @@ class ChurnProcess {
     return std::nullopt;
   }
 
-  void Save(BinWriter& w) const {
-    SaveRngState(w, timer_rng_.GetState());
-    w.U64(draws_);
-  }
-
-  /// The generator's stream position is restored by replaying its draw
-  /// count against a freshly seeded instance.
-  void Load(BinReader& r) {
-    timer_rng_.SetState(LoadRngState(r));
-    draws_ = r.U64();
-    if (!config_.enabled) return;
-    generator_ = factory_(generator_seed_);
-    for (std::uint64_t i = 0; i < draws_; ++i) (void)generator_->Next();
-  }
+  void SaveState(BinWriter& w) const { Section(w, *this); }
+  void LoadState(BinReader& r) { Section(r, *this); }
 
  private:
+  /// The timer stream and the generator's draw count. Loading restores the
+  /// generator's stream position by replaying that count against a freshly
+  /// seeded instance.
+  template <typename Ar, typename Self>
+  static void Section(Ar& ar, Self& self) {
+    ar.RngState(self.timer_rng_);
+    ar.U64(self.draws_);
+    if constexpr (Ar::kLoading) {
+      if (!self.config_.enabled) return;
+      self.generator_ = self.factory_(self.generator_seed_);
+      for (std::uint64_t i = 0; i < self.draws_; ++i) {
+        (void)self.generator_->Next();
+      }
+    }
+  }
+
   const ChurnConfig& config_;
   const Simulator::ChurnFactory& factory_;
   const std::uint64_t generator_seed_;
@@ -473,17 +477,11 @@ class ReconRuntime {
     }
   }
 
-  void Save(BinWriter& w) const {
-    dataplane_.SaveState(w);
-    reconciler_.SaveState(w);
-    SaveRngState(w, grey_rng_.GetState());
-  }
-
-  void Load(BinReader& r) {
-    dataplane_.LoadState(r);
-    reconciler_.LoadState(r);
-    grey_rng_.SetState(LoadRngState(r));
-  }
+  /// The dataplane divergence, the reconciler and the grey stream. The
+  /// armed tick and the pending grey count are not written: Recount
+  /// derives them from the restored timeline.
+  void SaveState(BinWriter& w) const { Section(w, *this); }
+  void LoadState(BinReader& r) { Section(r, *this); }
 
   /// Folds the recon counters into the result and its report.
   void Finish(SimResult& result) {
@@ -508,6 +506,12 @@ class ReconRuntime {
   }
 
  private:
+  template <typename Ar, typename Self>
+  static void Section(Ar& ar, Self& self) {
+    ar.Part(self.dataplane_, self.reconciler_);
+    ar.RngState(self.grey_rng_);
+  }
+
   /// Schedules a deferred grey occurrence (straggler apply / rule loss);
   /// the target switch rides in fault_index.
   void PushGrey(Occurrence::Kind kind, NodeId node, FlowId flow, Seconds t) {

@@ -7,6 +7,8 @@
 #include <array>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "exp/chaos.h"
 #include "metrics/export.h"
@@ -203,6 +205,41 @@ TEST(ChaosTest, ParseArtifactRejectsMalformedNumbers) {
                              good.substr(header_end);
     EXPECT_THROW((void)ParseArtifact(text), ChaosError);
   }
+}
+
+TEST(ChaosTest, ParseArtifactRejectsNumbersTheScenarioRefuses) {
+  // Well-formed numbers the scenario builder takes as preconditions: each
+  // used to parse and then abort the replay (exit 134).
+  const ChaosScenario good = MakeTrialScenario(QuickOptions(), 0);
+  std::vector<std::pair<const char*, ChaosScenario>> cases;
+  ChaosScenario odd_k = good;
+  odd_k.fat_tree_k = 5;
+  cases.emplace_back("k 5", odd_k);
+  ChaosScenario zero_k = good;
+  zero_k.fat_tree_k = 0;
+  cases.emplace_back("k 0", zero_k);
+  ChaosScenario sure_storm = good;
+  sure_storm.storm = fault::FlakyStorm{1.0, 1.5, {1.0, 0.2}};
+  cases.emplace_back("storm failure probability 1", sure_storm);
+  ChaosScenario negative_storm = good;
+  negative_storm.storm = fault::FlakyStorm{1.0, 1.5, {-0.5, 0.2}};
+  cases.emplace_back("storm failure probability -0.5", negative_storm);
+  ChaosScenario stalled_serve = good;
+  stalled_serve.serve_load = 2.0;
+  stalled_serve.serve_rate = 0.0;
+  cases.emplace_back("serve rate 0", stalled_serve);
+  ChaosScenario empty_serve = good;
+  empty_serve.serve_load = 2.0;
+  empty_serve.event_count = 0;
+  cases.emplace_back("serve stream of 0 s", empty_serve);
+  ChaosScenario foreign_link = good;
+  foreign_link.plan.AddLinkDown(1.0, LinkId{9999});
+  cases.emplace_back("plan link 9999", foreign_link);
+  for (const auto& [name, scenario] : cases) {
+    SCOPED_TRACE(name);
+    EXPECT_THROW((void)ParseArtifact(SerializeArtifact(scenario)), ChaosError);
+  }
+  EXPECT_EQ(ParseArtifact(SerializeArtifact(good)), good);
 }
 
 TEST(ChaosTest, CampaignIsAPureFunctionOfItsOptions) {

@@ -234,28 +234,50 @@ struct CoherenceCase {
 
 // Network::Place rejects all of these, so each is planted through a
 // crafted snapshot with in-range ids. Link 0 is a -> b, link 1 is b -> a.
+// Network::LoadState itself refuses a path of the wrong shape or with the
+// wrong endpoints (ShapeAndEndpointDefectsNeverReachTheAuditor), so the
+// cases are the defects only the auditor reports.
 std::vector<CoherenceCase> CoherenceCases(const Fixture& fx) {
   const LinkId ab{0};
   const LinkId ba{1};
   const NodeId a = fx.a;
   const NodeId b = fx.b;
   return {
-      {"malformed shape", {a, b}, {},
-       {"flow 0: malformed path shape (2 nodes, 0 links)"}},
-      {"endpoint mismatch", {b, a}, {ba},
-       {"flow 0: path endpoints (1 -> 0) do not match flow (0 -> 1)"}},
-      {"source mismatch", {b}, {},
-       {"flow 0: path endpoints (1 -> 1) do not match flow (0 -> 1)"}},
-      {"destination mismatch", {a}, {},
-       {"flow 0: path endpoints (0 -> 0) do not match flow (0 -> 1)"}},
       {"non-contiguous links", {a, b}, {ba},
        {"flow 0: path links do not connect its node sequence (blackhole)"}},
       {"forwarding loop", {a, b, a, b}, {ab, ba, ab},
        {"flow 0: forwarding loop (repeated node)"}},
-      {"two defects", {b, a}, {ab},
-       {"flow 0: path endpoints (1 -> 0) do not match flow (0 -> 1)",
-        "flow 0: path links do not connect its node sequence (blackhole)"}},
+      {"two defects", {a, b, a, b}, {ab, ab, ab},
+       {"flow 0: path links do not connect its node sequence (blackhole)",
+        "flow 0: forwarding loop (repeated node)"}},
   };
+}
+
+// The auditor's shape and endpoint findings cover in-run state only: a
+// snapshot holding such a path is corrupt input.
+TEST(AuditorTest, ShapeAndEndpointDefectsNeverReachTheAuditor) {
+  const Fixture fx;
+  const LinkId ab{0};
+  const LinkId ba{1};
+  const struct {
+    const char* name;
+    std::vector<NodeId> nodes;
+    std::vector<LinkId> links;
+  } cases[] = {
+      {"malformed shape", {fx.a, fx.b}, {}},
+      {"endpoint mismatch", {fx.b, fx.a}, {ba}},
+      {"source mismatch", {fx.b}, {}},
+      {"destination mismatch", {fx.a}, {}},
+      {"endpoints and contiguity", {fx.b, fx.a}, {ab}},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.name);
+    Fixture crafted;
+    topo::Path path;
+    path.nodes = c.nodes;
+    path.links = c.links;
+    EXPECT_THROW(crafted.LoadCrafted(path), CorruptInput);
+  }
 }
 
 TEST(AuditorTest, PinsCoherenceFindingTextAndOrder) {
@@ -387,12 +409,12 @@ TEST(AuditorMemoTest, RebuiltNetworkAtSameAddressStartsFreshMemo) {
   Auditor auditor(Mode(AuditMode::kLogAndCount));
   EXPECT_EQ(auditor.Audit(*fx.network, Balanced()), 0u);
   // Same graph, same Network address, new registry; its ref 0 is a -> b
-  // written backwards over the a -> b link.
+  // bouncing back to a over the a -> b link.
   fx.network.emplace(fx.graph);
-  topo::Path backwards;
-  backwards.nodes = {fx.b, fx.a};
-  backwards.links = {LinkId{0}};
-  fx.LoadCrafted(backwards);
+  topo::Path bouncing;
+  bouncing.nodes = {fx.a, fx.b, fx.a, fx.b};
+  bouncing.links = {LinkId{0}, LinkId{0}, LinkId{0}};
+  fx.LoadCrafted(bouncing);
   EXPECT_EQ(auditor.Audit(*fx.network, Balanced()), 2u);
   EXPECT_EQ(Details(auditor), FreshDetails(*fx.network));
 }

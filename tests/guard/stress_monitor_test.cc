@@ -67,15 +67,15 @@ class LinkStressMonitor {
   }
 
   void SaveState(BinWriter& w) const {
-    w.Vec(overload_since_, [](BinWriter& out, Seconds s) { out.F64(s); });
-    w.Vec(tripped_, [](BinWriter& out, char t) { out.U8(t != 0 ? 1 : 0); });
+    w.Seq(overload_since_, [](BinWriter& out, Seconds s) { out.F64(s); });
+    w.Seq(tripped_, [](BinWriter& out, char t) { out.U8(t != 0 ? 1 : 0); });
   }
 
   void LoadState(BinReader& r) {
-    overload_since_ =
-        r.Vec<Seconds>([](BinReader& in) { return in.F64(); });
-    tripped_ = r.Vec<char>(
-        [](BinReader& in) { return static_cast<char>(in.U8() != 0 ? 1 : 0); });
+    r.Seq(overload_since_, [](BinReader& in, Seconds& s) { s = in.F64(); });
+    r.Seq(tripped_, [](BinReader& in, char& t) {
+      t = static_cast<char>(in.U8() != 0 ? 1 : 0);
+    });
   }
 
  private:
@@ -204,9 +204,9 @@ TEST(LinkStressMonitorDifferentialTest, RowsOfDifferentLengthAreCorrupt) {
   fabric.network.ForcePlace(std::move(f), path);
   const std::size_t links = fabric.ft.graph().link_count();
   BinWriter w;
-  w.Vec(std::vector<Seconds>(links, -1.0),
+  w.Seq(std::vector<Seconds>(links, -1.0),
         [](BinWriter& out, Seconds s) { out.F64(s); });
-  w.Vec(std::vector<char>(1, 0),
+  w.Seq(std::vector<char>(1, 0),
         [](BinWriter& out, char t) { out.U8(t != 0 ? 1 : 0); });
   LinkStressMonitor monitor({.utilization_threshold = 0.9, .hold_time = 0.0});
   BinReader r(w.buffer());

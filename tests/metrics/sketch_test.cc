@@ -189,8 +189,8 @@ std::string Payload(bool bucketed, std::uint64_t count,
   w.F64(1.0);  // sum
   w.F64(0.5);  // min
   w.F64(2.0);  // max
-  w.Vec(exact, [](BinWriter& out, double v) { out.F64(v); });
-  w.Vec(buckets, [](BinWriter& out, std::uint64_t c) { out.U64(c); });
+  w.Seq(exact, [](BinWriter& out, double v) { out.F64(v); });
+  w.Seq(buckets, [](BinWriter& out, std::uint64_t c) { out.U64(c); });
   return w.buffer();
 }
 

@@ -497,6 +497,78 @@ TEST(NetworkLoadStateTest, DownCountsDisagreeingWithUpArraysThrow) {
   EXPECT_NO_THROW(counted.Load());
 }
 
+// A loaded flow must be one Place would accept: FlowTable::Add's demand,
+// duration and endpoint checks hold for flow records too.
+TEST(NetworkLoadStateTest, DemandNotFiniteAndPositiveThrows) {
+  for (const double demand :
+       {0.0, -1.0, std::numeric_limits<double>::quiet_NaN(),
+        std::numeric_limits<double>::infinity()}) {
+    SCOPED_TRACE(demand);
+    CraftedPayload p;
+    p.fields.flows[1].demand = demand;
+    EXPECT_THROW(p.Load(), CorruptInput);
+  }
+}
+
+TEST(NetworkLoadStateTest, NegativeOrNaNDurationThrows) {
+  for (const double duration :
+       {-1.0, std::numeric_limits<double>::quiet_NaN()}) {
+    SCOPED_TRACE(duration);
+    CraftedPayload p;
+    p.fields.flows[1].duration = duration;
+    EXPECT_THROW(p.Load(), CorruptInput);
+  }
+}
+
+// Path a -> b -> a matches the flow's ends, so only src == dst is wrong.
+TEST(NetworkLoadStateTest, FlowFromANodeToItselfThrows) {
+  CraftedPayload p;
+  p.fields.flows[1].dst = p.fx.a;
+  p.fields.table[1].nodes = {p.fx.a, p.fx.b, p.fx.a};
+  p.fields.table[1].links = {LinkId{0}, LinkId{1}};
+  EXPECT_THROW(p.Load(), CorruptInput);
+}
+
+// A source past the node count used to load and then abort in the path
+// index the first time the flow's candidate paths were asked for.
+TEST(NetworkLoadStateTest, FlowEndsOutsideTheGraphThrow) {
+  const NodeId beyond{
+      static_cast<NodeId::rep_type>(LineFixture().graph.node_count() + 5)};
+  CraftedPayload bad_src;
+  bad_src.fields.flows[1].src = beyond;
+  EXPECT_THROW(bad_src.Load(), CorruptInput);
+  CraftedPayload bad_dst;
+  bad_dst.fields.flows[1].dst = beyond;
+  EXPECT_THROW(bad_dst.Load(), CorruptInput);
+}
+
+TEST(NetworkLoadStateTest, FlowEndsDifferingFromItsPathThrow) {
+  CraftedPayload bad_src;
+  bad_src.fields.flows[1].src = bad_src.fx.b;
+  EXPECT_THROW(bad_src.Load(), CorruptInput);
+  CraftedPayload bad_dst;
+  bad_dst.fields.flows[1].dst = bad_dst.fx.b;
+  EXPECT_THROW(bad_dst.Load(), CorruptInput);
+}
+
+TEST(NetworkLoadStateTest, MalformedPathShapesThrow) {
+  LineFixture fx;
+  const std::vector<std::pair<std::vector<NodeId>, std::vector<LinkId>>>
+      shapes = {
+          {{fx.a}, {}},
+          {{fx.a, fx.c}, {}},
+          {{fx.a, fx.b, fx.c}, {LinkId{0}}},
+          {{fx.a, fx.b, fx.c}, {LinkId{0}, LinkId{2}, LinkId{2}}},
+      };
+  for (const auto& [nodes, links] : shapes) {
+    SCOPED_TRACE(nodes.size());
+    CraftedPayload p;
+    p.fields.table[1].nodes = nodes;
+    p.fields.table[1].links = links;
+    EXPECT_THROW(p.Load(), CorruptInput);
+  }
+}
+
 // A path that crosses one link twice (loaded from a payload; Place would
 // reject it) puts its flow on that link's list twice, as Occupy would, so
 // Remove's two erasures both find it.

@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <iterator>
 #include <sstream>
 #include <string>
@@ -20,6 +21,7 @@
 #include "ckpt/journal.h"
 #include "ckpt/snapshot.h"
 #include "common/binio.h"
+#include "exp/serve.h"
 #include "fault/fault_plan.h"
 #include "metrics/export.h"
 #include "sched/factory.h"
@@ -389,6 +391,150 @@ TEST(CrashRecoveryFallbackTest, InconsistentNewestSnapshotFallsBack) {
   EXPECT_EQ(RecordsCsv(recovered), RecordsCsv(reference));
 }
 
+/// Crashes the lmtf oracle run at round 4, applies `edit` to the newest
+/// snapshot's payload and rewrites it with a valid CRC. Recovery must fall
+/// back past it to the previous snapshot and still finish like the
+/// uninterrupted run.
+void ExpectFallbackPastEditedNewest(
+    const std::string& tag,
+    const std::function<void(const Fixture&, std::string&)>& edit) {
+  const Fixture fx;
+  const auto events = MakeEvents(fx);
+
+  TempDir ref_dir(tag + "_ref");
+  SimConfig config = OracleConfig(fx);
+  config.checkpoint.dir = ref_dir.path().string();
+  config.checkpoint.cadence = 1;
+  const SimResult reference =
+      RunWith(fx, config, sched::SchedulerKind::kLmtf, events);
+  ASSERT_GE(reference.rounds, 4u);
+
+  TempDir dir(tag);
+  config.checkpoint.dir = dir.path().string();
+  config.faults.crash.at_round = 4;
+  {
+    Simulator sim(fx.network, fx.provider, config);
+    const auto scheduler = sched::MakeScheduler(sched::SchedulerKind::kLmtf);
+    EXPECT_THROW((void)sim.Run(*scheduler, events), fault::ControllerCrash);
+  }
+  const auto rounds = ckpt::ListSnapshotRounds(dir.path());
+  ASSERT_GE(rounds.size(), 2u);
+  const fs::path newest = ckpt::SnapshotPath(dir.path(), rounds.front());
+  std::string payload = ckpt::ReadSnapshotFile(newest);
+  edit(fx, payload);
+  (void)ckpt::WriteSnapshotFile(newest, payload);  // fresh, valid CRC
+
+  Simulator sim(fx.network, fx.provider, config);
+  const auto scheduler = sched::MakeScheduler(sched::SchedulerKind::kLmtf);
+  const SimResult recovered = sim.Resume(*scheduler, events);
+  EXPECT_TRUE(recovered.recovery.recovered);
+  EXPECT_EQ(recovered.recovery.snapshots_skipped, 1u);
+  EXPECT_EQ(recovered.recovery.snapshot_round, rounds[1]);
+  EXPECT_EQ(RecordsCsv(recovered), RecordsCsv(reference));
+}
+
+/// A newest snapshot whose flow record names a source past the node count
+/// passes its CRC but disagrees with the flow's path, so recovery falls
+/// back instead of aborting when the flow's candidate paths are first
+/// asked for.
+TEST(CrashRecoveryFallbackTest, FlowSourcePastNodeCountFallsBack) {
+  ExpectFallbackPastEditedNewest(
+      "foreign_src", [](const Fixture& fx, std::string& payload) {
+        // The first flow record follows the u32 fingerprint, the u64 next
+        // id and the u64 record count; its u32 source follows its u64 id.
+        constexpr std::size_t kFirstSource = 4 + 8 + 8 + 8;
+        BinWriter source;
+        source.U32(static_cast<std::uint32_t>(fx.ft.graph().node_count() + 5));
+        payload.replace(kFirstSource, 4, source.buffer());
+      });
+}
+
+/// The collector section follows the network section: a u64 record count,
+/// then 81-byte records, each led by its u64 event id and holding its u64
+/// flow count at byte 40. Returns the offset of the count.
+std::size_t CollectorOffset(const Fixture& fx, const std::string& payload) {
+  net::Network scratch(fx.ft.graph());
+  BinReader r(payload);
+  scratch.LoadState(r);
+  return r.position();
+}
+
+constexpr std::size_t kRecordBytes = 10 * 8 + 1;
+
+/// Arrivals are recorded only as they are ingested, in arrival order, so a
+/// collector section whose records disagree with the ingested arrivals is
+/// corrupt: each edit below used to load and then abort in Collector::Find
+/// or skew the records.
+TEST(CrashRecoveryFallbackTest, CollectorRecordForAnUnknownEventFallsBack) {
+  ExpectFallbackPastEditedNewest(
+      "collector_unknown", [](const Fixture& fx, std::string& payload) {
+        const std::size_t first = CollectorOffset(fx, payload) + 8;
+        BinWriter id;
+        id.U64(999);
+        payload.replace(first, 8, id.buffer());
+      });
+}
+
+TEST(CrashRecoveryFallbackTest, CollectorRecordWithOtherFlowCountFallsBack) {
+  ExpectFallbackPastEditedNewest(
+      "collector_flows", [](const Fixture& fx, std::string& payload) {
+        const std::size_t flow_count = CollectorOffset(fx, payload) + 8 + 40;
+        ++payload[flow_count];
+      });
+}
+
+TEST(CrashRecoveryFallbackTest, CollectorRecordsOutOfArrivalOrderFallBack) {
+  ExpectFallbackPastEditedNewest(
+      "collector_order", [](const Fixture& fx, std::string& payload) {
+        const std::size_t first = CollectorOffset(fx, payload) + 8;
+        const std::string second = payload.substr(first + kRecordBytes,
+                                                  kRecordBytes);
+        payload.replace(first + kRecordBytes, kRecordBytes,
+                        payload.substr(first, kRecordBytes));
+        payload.replace(first, kRecordBytes, second);
+      });
+}
+
+TEST(CrashRecoveryFallbackTest, CollectorMissingARecordFallsBack) {
+  ExpectFallbackPastEditedNewest(
+      "collector_short", [](const Fixture& fx, std::string& payload) {
+        const std::size_t at = CollectorOffset(fx, payload);
+        BinReader r(std::string_view(payload).substr(at));
+        const std::uint64_t count = r.U64();
+        ASSERT_GE(count, 2u);
+        BinWriter fewer;
+        fewer.U64(count - 1);
+        payload.replace(at, 8, fewer.buffer());
+        payload.erase(at + 8 + (count - 1) * kRecordBytes, kRecordBytes);
+      });
+}
+
+/// Snapshots of another topology are corrupt input: resuming a k=4 run's
+/// checkpoint directory over a k=6 fabric skips every snapshot and ends in
+/// RecoveryError, not an abort.
+TEST(CrashRecoveryFallbackTest, ForeignTopologyCheckpointIsARecoveryError) {
+  const Fixture fx;
+  const auto events = MakeEvents(fx);
+  TempDir dir("foreign_topology");
+  SimConfig config = OracleConfig(fx);
+  config.checkpoint.dir = dir.path().string();
+  config.checkpoint.cadence = 1;
+  config.faults.crash.at_round = 3;
+  {
+    Simulator sim(fx.network, fx.provider, config);
+    const auto scheduler = sched::MakeScheduler(sched::SchedulerKind::kFifo);
+    EXPECT_THROW((void)sim.Run(*scheduler, events), fault::ControllerCrash);
+  }
+  ASSERT_GE(ckpt::ListSnapshotRounds(dir.path()).size(), 2u);
+
+  const topo::FatTree big(topo::FatTreeConfig{.k = 6, .link_capacity = 100.0});
+  const topo::FatTreePathProvider big_paths(big);
+  const net::Network big_network(big.graph());
+  Simulator sim(big_network, big_paths, config);
+  const auto scheduler = sched::MakeScheduler(sched::SchedulerKind::kFifo);
+  EXPECT_THROW((void)sim.Resume(*scheduler, events), RecoveryError);
+}
+
 /// Two identical runs in one process write byte-identical snapshots: no
 /// host clock reading, and no sample of process-wide state (the path
 /// registry earlier runs filled), rides in the payload. The shard setting
@@ -423,6 +569,68 @@ TEST(CrashRecoverySnapshotTest, IdenticalRunsWriteIdenticalBytes) {
       EXPECT_EQ(runs[0][i], runs[run][i])
           << "run " << run << " snapshot " << i << " differs";
     }
+  }
+}
+
+/// Every snapshot file of one small run that writes every section — serve
+/// (brownout, budgets, ledger, sketch, timeseries), the grey model and the
+/// reconciler, flaky installs, a link and a pod outage with cascades, the
+/// bounded queue, the watchdog and the auditor, and churn — keeps the
+/// length and CRC-32 the payload format pins (snapshot format v10).
+TEST(CrashRecoverySnapshotTest, EveryFileMatchesPinnedLengthAndCrc) {
+  TempDir dir("pinned_bytes");
+  exp::ServeCampaignConfig campaign = exp::DefaultServeCampaign(1.0);
+  campaign.exp.seed = 27;
+  campaign.serve.arrivals.duration = 12.0;
+  campaign.offered_load = 2.0;
+  campaign.pod_outage = true;
+  campaign.pod_outage_time = 4.0;
+  campaign.pod_outage_duration = 3.0;
+  fault::FaultConfig& faults = campaign.exp.sim.faults;
+  const topo::FatTree ft(topo::FatTreeConfig{.k = 4});
+  faults.plan.AddLinkOutage(2.0, 4.0, ft.graph().OutLinks(ft.core(0))[0]);
+  faults.cascade = {.max_secondary_failures = 2,
+                    .utilization_threshold = 0.9,
+                    .hold_time = 0.3,
+                    .outage = 2.0};
+  faults.flaky.failure_probability = 0.2;
+  faults.flaky.latency_jitter_frac = 0.1;
+  faults.retry.max_attempts = 3;
+  faults.retry.base_delay = 0.05;
+  faults.grey = fault::ParseGreyModel(
+      "acklie:0.05+straggler:0.1:0.1:0.5+loss:0.05:0.5:1.5");
+  campaign.exp.sim.recon.enabled = true;
+  campaign.exp.sim.checkpoint.dir = dir.path().string();
+  campaign.exp.sim.checkpoint.cadence = 2;
+  const SimResult result = exp::RunServeCampaign(campaign);
+
+  ASSERT_GE(result.report.drift_checks, 1u);
+
+  struct File {
+    std::uint64_t round;
+    std::size_t length;
+    std::uint32_t crc;
+    bool operator==(const File&) const = default;
+  };
+  const std::vector<File> want = {
+      {16, 71635, 0x47c08254u}, {14, 91232, 0x8b56dee2u},
+      {12, 87749, 0x6beaca11u}, {10, 84313, 0x6c979cf5u},
+      {8, 79823, 0x317be717u},  {6, 77293, 0x4bc69627u},
+      {4, 72208, 0x9c16924du},  {2, 65305, 0xb05a56b8u},
+      {0, 95792, 0x5045b522u},
+  };
+  std::vector<File> got;
+  for (const std::uint64_t round : ckpt::ListSnapshotRounds(dir.path())) {
+    std::ifstream in(ckpt::SnapshotPath(dir.path(), round), std::ios::binary);
+    const std::string file{std::istreambuf_iterator<char>(in),
+                           std::istreambuf_iterator<char>()};
+    got.push_back({round, file.size(), Crc32(file)});
+  }
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i], want[i])
+        << "snapshot of round " << got[i].round << ": " << got[i].length
+        << " bytes, CRC-32 0x" << std::hex << got[i].crc;
   }
 }
 

@@ -89,11 +89,11 @@ inline std::string SerializeNetwork(const NetworkFieldValues& v) {
     w.U8(static_cast<std::uint8_t>(f.origin));
     w.U64(f.event.value());
   }
-  w.Vec(v.residual, [](BinWriter& out, Mbps r) { out.F64(r); });
+  w.Seq(v.residual, [](BinWriter& out, Mbps r) { out.F64(r); });
   w.Size(v.table.size());
   for (const topo::Path& path : v.table) {
-    w.Vec(path.nodes, [](BinWriter& out, NodeId n) { out.U32(n.value()); });
-    w.Vec(path.links, [](BinWriter& out, LinkId l) { out.U32(l.value()); });
+    w.Seq(path.nodes, [](BinWriter& out, NodeId n) { out.U32(n.value()); });
+    w.Seq(path.links, [](BinWriter& out, LinkId l) { out.U32(l.value()); });
   }
   w.Size(v.placed.size());
   for (const auto& [id, index] : v.placed) {
@@ -103,8 +103,8 @@ inline std::string SerializeNetwork(const NetworkFieldValues& v) {
   const auto up_byte = [](BinWriter& out, char up) {
     out.U8(static_cast<std::uint8_t>(up));
   };
-  w.Vec(v.link_up, up_byte);
-  w.Vec(v.node_up, up_byte);
+  w.Seq(v.link_up, up_byte);
+  w.Seq(v.node_up, up_byte);
   w.Size(v.down_links);
   w.Size(v.down_nodes);
   w.U64(v.topology_epoch);

@@ -162,7 +162,7 @@ TEST(PathRegistryTest, PlacementsSurviveNetworkSaveLoad) {
   EXPECT_LE(restored.path_registry().size(), 8u);
 }
 
-TEST(PathRegistryDeathTest, LoadRejectsForeignTopologySnapshot) {
+TEST(PathRegistryTest, LoadRejectsForeignTopologySnapshot) {
   const FatTree small(FatTreeConfig{.k = 4, .link_capacity = 1000.0});
   net::Network source(small.graph());
   BinWriter w;
@@ -170,11 +170,12 @@ TEST(PathRegistryDeathTest, LoadRejectsForeignTopologySnapshot) {
 
   // A snapshot carries the source topology's fingerprint; binding it to a
   // different graph (where interned link/node ids would be meaningless)
-  // must abort, not silently corrupt the registry.
+  // is corrupt input, not a silently corrupted registry.
   const FatTree big(FatTreeConfig{.k = 6, .link_capacity = 1000.0});
   net::Network wrong(big.graph());
   BinReader r(w.buffer());
-  EXPECT_DEATH(wrong.LoadState(r), "NU_CHECK");
+  EXPECT_THROW(wrong.LoadState(r), CorruptInput);
+  EXPECT_EQ(wrong.path_registry().size(), 0u);
 }
 
 }  // namespace
