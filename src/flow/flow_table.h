@@ -117,7 +117,7 @@ class FlowTable {
   /// read, never by the next id. Throws CorruptInput on a next id at or
   /// above 2^32 - 1, a record id at or above the next id, a duplicated
   /// record, an origin out of range, or a flow Add would refuse (demand
-  /// not finite and positive, negative duration, src == dst).
+  /// not finite and positive, duration below 0 or NaN, src == dst).
   void LoadState(BinReader& r);
 
  private:
